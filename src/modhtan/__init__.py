@@ -22,7 +22,6 @@ from .activations import (
     Htan,
     ModHtan,
     ModHtanParams,
-    Region,
     SoftStep,
     activate,
     adaptive_offset,
@@ -32,7 +31,6 @@ from .activations import (
     htan_grad,
     modhtan,
     modhtan_grad,
-    modhtan_normalize,
     parse_activation,
     soft_step,
     soft_step_grad,

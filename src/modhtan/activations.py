@@ -9,11 +9,10 @@ ndarray and return a matching value.
 
 from __future__ import annotations
 
-import math
 import sys
-from dataclasses import dataclass
-from enum import Enum
-from typing import ClassVar, NamedTuple, Union
+from collections.abc import Callable, Mapping
+from dataclasses import dataclass, fields, is_dataclass
+from typing import Any, ClassVar, NamedTuple, Union
 
 import numpy as np
 
@@ -60,19 +59,21 @@ class AdaptiveOffset:
 
 OffsetMode = Union[FixedOffset, AdaptiveOffset]
 
+EULER_MODES = ("constant", "direct")
+
 
 @dataclass(frozen=True)
 class ModHtanParams:
     """Configuration of the normalized hyperbolic tangent.
 
     k_o is the squashing numerator; 2 is the unique value for which a branch
-    with zeroed input contributes exactly k_o/2 - 1 = 0.  x_cutoff splits the
-    input line into the P / N / C regions (typical range 10 to 100).
-    x_norm_clamp bounds the normalized input; 50 is far past saturation.
-    center_normalize=False keeps the raw x (instead of x/(x+offset_1)) inside
-    the central region.  euler_mode picks between powering the cached Euler
-    approximation ("constant") and evaluating the rational-power formula per
-    input ("direct").
+    with zeroed input contributes exactly k_o/2 - 1 = 0.  x_norm_clamp bounds
+    the normalized input; 50 is far past saturation.  center_normalize=False
+    keeps the raw x (instead of x/(x+offset_1)) wherever |x| <= x_cutoff
+    (typical cutoff 10 to 100); x_cutoff acts only when center_normalize is
+    off.  euler_mode picks between powering the cached Euler approximation
+    ("constant") and evaluating the rational-power formula per input
+    ("direct").
     """
 
     k_o: float = 2.0
@@ -90,8 +91,8 @@ class ModHtanParams:
             raise ValueError(f"x_cutoff must be positive, got {self.x_cutoff}")
         if not self.x_norm_clamp > 0:
             raise ValueError(f"x_norm_clamp must be positive, got {self.x_norm_clamp}")
-        if self.euler_mode not in ("constant", "direct"):
-            raise ValueError(f"euler_mode must be 'constant' or 'direct', got {self.euler_mode!r}")
+        if self.euler_mode not in EULER_MODES:
+            raise ValueError(f"euler_mode must be one of {EULER_MODES}, got {self.euler_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -118,16 +119,123 @@ class ModHtan:
 
 ActivationKind = Union[SoftStep, Htan, Elu, ModHtan]
 
-ACTIVATION_NAMES = ("softstep", "htan", "elu", "modhtan")
+KINDS = {cls.name: cls for cls in (SoftStep, Htan, Elu, ModHtan)}
+ACTIVATION_NAMES = tuple(KINDS)
 
 
 def parse_activation(name: str) -> ActivationKind:
     """Activation kind with default parameters, by name."""
-    kinds = {"softstep": SoftStep, "htan": Htan, "elu": Elu, "modhtan": ModHtan}
-    try:
-        return kinds[name]()
-    except KeyError:
-        raise ValueError(f"unknown activation {name!r}; expected one of {ACTIVATION_NAMES}") from None
+    if name not in KINDS:
+        raise ValueError(f"unknown activation {name!r}; expected one of {ACTIVATION_NAMES}")
+    return KINDS[name]()
+
+
+class Param(NamedTuple):
+    """One activation parameter: model-file key, CLI flag (None for file-only
+    fields) and the dataclass field it fills.
+
+    Numbers are parsed with `type` and written with repr.  A `choices` field
+    is written as the text that maps to its value; where that value is a
+    class (the offset mode), the text selects which dataclass is built.
+    """
+
+    key: str
+    flag: str | None
+    owner: type
+    field: str
+    help: str
+    type: Callable[[Any], Any] = float
+    choices: Mapping[str, Any] | None = None
+
+    def parse(self, text):
+        try:
+            return self.type(text) if self.choices is None else self.choices[text]
+        except (KeyError, TypeError, ValueError):
+            expected = f"one of {tuple(self.choices)}" if self.choices else self.type.__name__
+            raise ValueError(f"{self.key}: expected {expected}, got {text!r}") from None
+
+    def format(self, value) -> str:
+        if self.choices is None:
+            return repr(value)
+        return next(text for text, choice in self.choices.items() if choice in (value, type(value)))
+
+    @property
+    def default(self) -> str | None:
+        """The dataclass default as text; None for a field without one."""
+        default = getattr(self.owner, self.field, None)  # dataclasses keep defaults on the class
+        return None if default is None else self.format(default)
+
+
+# The one place activation parameters are declared: the CLI flags and the
+# model-file keys both come from these rows, listed in model-file order.
+PARAMS = (
+    Param("elu_alpha", "alpha", EluParams, "alpha", "elu scale"),
+    Param("modhtan_k_o", "k", ModHtanParams, "k_o", "modhtan squashing numerator"),
+    Param("modhtan_x_cutoff", "cutoff", ModHtanParams, "x_cutoff",
+          "inputs with |x| <= cutoff stay raw when --center-normalize off"),
+    Param("modhtan_offset_mode", "offset-mode", ModHtanParams, "offset_mode",
+          "modhtan offset_1 source", choices={"adaptive": AdaptiveOffset, "fixed": FixedOffset}),
+    Param("modhtan_offset_value", "offset", FixedOffset, "offset_1",
+          "offset_1 when --offset-mode fixed"),
+    Param("modhtan_offset_delta", "delta", AdaptiveOffset, "delta",
+          "adaptive offset headroom factor"),
+    Param("modhtan_offset_kappa", "kappa", AdaptiveOffset, "kappa", "adaptive offset floor"),
+    Param("modhtan_x_norm_clamp", "clamp", ModHtanParams, "x_norm_clamp",
+          "normalized-input clamp"),
+    Param("modhtan_center_normalize", "center-normalize", ModHtanParams, "center_normalize",
+          "normalize the central region too", choices={"on": True, "off": False}),
+    Param("modhtan_euler_mode", "euler-mode", ModHtanParams, "euler_mode",
+          "power a cached Euler constant, or evaluate the rational formula per input",
+          choices={mode: mode for mode in EULER_MODES}),
+    Param("rnf_a", "rnf-a", RnfParams, "a", "rational-power exponent a", type=int),
+    Param("rnf_n", None, RnfParams, "n", "rational-power numerator shift"),
+    Param("rnf_m", None, RnfParams, "m", "rational-power denominator shift"),
+)
+
+_PARAM_AT = {(p.owner, p.field): p for p in PARAMS}
+
+
+def _groups(obj):
+    """obj and every dataclass nested in it."""
+    yield obj
+    for f in fields(obj):
+        if is_dataclass(value := getattr(obj, f.name)):
+            yield from _groups(value)
+
+
+def kind_to_fields(kind: ActivationKind) -> dict[str, str]:
+    """Model-file fields of an activation kind: its name, then its table rows."""
+    groups = {type(g): g for g in _groups(kind)}
+    out = {"hidden_kind": kind.name}
+    for p in PARAMS:
+        if p.owner in groups:
+            out[p.key] = p.format(getattr(groups[p.owner], p.field))
+    return out
+
+
+def kind_from_fields(values: Mapping[str, Any], label=lambda p: p.key) -> ActivationKind:
+    """Inverse of kind_to_fields.
+
+    A row the kind needs that is missing from values, or does not parse, is
+    a ValueError; label(param) names a missing row.
+    """
+    if "hidden_kind" not in values:
+        raise ValueError("missing hidden_kind")
+    return _build(type(parse_activation(values["hidden_kind"])), values, label)
+
+
+def _build(cls: type, values: Mapping[str, Any], label):
+    kwargs = {}
+    for f in fields(cls):
+        p = _PARAM_AT.get((cls, f.name))
+        if p is None:  # a nested parameter group such as ModHtan.params
+            value = type(f.default)
+        elif p.key not in values:
+            raise ValueError(f"missing {label(p)}")
+        else:
+            value = p.parse(values[p.key])
+        kwargs[f.name] = _build(value, values, label) if isinstance(value, type) else value
+    return cls(**kwargs)
 
 
 def _as_float_array(x):
@@ -197,37 +305,14 @@ def adaptive_offset(batch, delta: float = 0.05, kappa: float = 1e-6) -> float:
         return float((1.0 + delta) * np.max(np.abs(b)) + kappa)
 
 
-class Region(Enum):
-    P = "P"  # x > +x_cutoff
-    N = "N"  # x < -x_cutoff
-    C = "C"  # -x_cutoff <= x <= +x_cutoff
-
-
-def modhtan_normalize(x: float, offset_1: float, x_cutoff: float, clamp: float):
-    """Region tag plus the normalized input x / (x + offset_1).
-
-    The result is clamped to [-clamp, clamp].  A zero or denormal
-    denominator is replaced by sign(x) * clamp; a denominator that overflows
-    (both addends huge and positive) is rewritten as 1 / (1 + offset_1 / x).
-    """
-    if x > x_cutoff:
-        region = Region.P
-    elif x < -x_cutoff:
-        region = Region.N
-    else:
-        region = Region.C
-    den = x + offset_1
-    if math.isinf(den):
-        x_norm = 1.0 / (1.0 + offset_1 / x)
-    elif abs(den) < _TINY:
-        x_norm = math.copysign(clamp, x) if x != 0 else 0.0
-    else:
-        x_norm = x / den
-    return region, min(max(x_norm, -clamp), clamp)
-
-
 def _normalized_input(xs, offset_1, x_cutoff, clamp, center_normalize):
-    """Vectorized counterpart of modhtan_normalize (values only)."""
+    """The normalized input x / (x + offset_1), clamped to [-clamp, clamp].
+
+    A zero or denormal denominator is replaced by sign(x) * clamp (0 at
+    x = 0); a denominator that overflows (both addends huge and positive) is
+    rewritten as 1 / (1 + offset_1 / x).  With center_normalize off, inputs
+    with |x| <= x_cutoff pass through raw.
+    """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         den = xs + offset_1  # may overflow to inf for huge batches; handled below
         x_norm = xs / den

@@ -15,17 +15,7 @@ import argparse
 import sys
 import time
 
-from .activations import (
-    ACTIVATION_NAMES,
-    ActivationKind,
-    AdaptiveOffset,
-    Elu,
-    EluParams,
-    FixedOffset,
-    ModHtan,
-    ModHtanParams,
-    parse_activation,
-)
+from .activations import ACTIVATION_NAMES, PARAMS, ActivationKind, kind_from_fields
 from .bench import (
     CURVE_PRESETS,
     ExperimentSpec,
@@ -58,92 +48,49 @@ def _positive_int(text: str) -> int:
 
 def _add_activation_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("activation parameters")
-    g.add_argument("--alpha", type=float, default=1.0, help="elu scale (default 1.0)")
-    g.add_argument("--k", type=float, default=2.0, help="modhtan squashing numerator (default 2)")
-    g.add_argument("--cutoff", type=float, default=10.0, help="modhtan region cutoff (default 10)")
-    g.add_argument(
-        "--offset-mode",
-        choices=("adaptive", "fixed"),
-        default="adaptive",
-        help="modhtan offset_1 source (default adaptive)",
-    )
-    g.add_argument("--offset", type=float, default=None, help="offset_1 when --offset-mode fixed")
-    g.add_argument(
-        "--delta", type=float, default=0.05, help="adaptive offset headroom factor (default 0.05)"
-    )
-    g.add_argument(
-        "--kappa", type=float, default=1e-6, help="adaptive offset floor (default 1e-6)"
-    )
-    g.add_argument(
-        "--center-normalize",
-        choices=("on", "off"),
-        default="on",
-        help="normalize the central region too (default on)",
-    )
-    g.add_argument(
-        "--clamp", type=float, default=50.0, help="normalized-input clamp (default 50)"
-    )
-    g.add_argument(
-        "--rnf-a",
-        type=int,
-        default=10_000_000,
-        help="rational-power exponent a (default 10000000)",
-    )
-    g.add_argument(
-        "--euler-mode",
-        choices=("constant", "direct"),
-        default="constant",
-        help="power a cached Euler constant, or evaluate the rational formula per input",
-    )
+    for param in PARAMS:
+        if param.flag is None:
+            continue
+        parse = {"choices": tuple(param.choices)} if param.choices else {"type": param.type}
+        default = param.default
+        text = param.help if default is None else f"{param.help} (default {default})"
+        g.add_argument(f"--{param.flag}", default=default, help=text, **parse)
 
 
 def _add_trainer_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("training parameters")
-    g.add_argument("--trainer", choices=("lm", "gdm"), default="lm")
-    g.add_argument("--epochs", type=_positive_int, default=500)
-    g.add_argument("--hidden", type=_positive_int, default=2, help="hidden units (default 2)")
-    g.add_argument("--lr", type=float, default=0.01, help="gdm learning rate")
-    g.add_argument("--momentum", type=float, default=0.9, help="gdm momentum")
-    g.add_argument("--mu0", type=float, default=1e-3, help="lm initial damping")
-    g.add_argument("--mu-inc", type=float, default=10.0, help="lm damping increase factor")
-    g.add_argument("--mu-dec", type=float, default=0.1, help="lm damping decrease factor")
-    g.add_argument("--mu-max", type=float, default=1e10, help="lm damping ceiling")
+    g.add_argument("--trainer", choices=("lm", "gdm"), default=ExperimentSpec.trainer)
+    g.add_argument("--epochs", type=_positive_int, default=LmConfig.epochs)
+    g.add_argument("--hidden", type=_positive_int, default=ExperimentSpec.n_hidden,
+                   help=f"hidden units (default {ExperimentSpec.n_hidden})")
+    g.add_argument("--lr", type=float, default=GdmConfig.learning_rate, help="gdm learning rate")
+    g.add_argument("--momentum", type=float, default=GdmConfig.momentum, help="gdm momentum")
+    g.add_argument("--mu0", type=float, default=LmConfig.mu0, help="lm initial damping")
+    g.add_argument("--mu-inc", type=float, default=LmConfig.mu_inc, help="lm damping increase factor")
+    g.add_argument("--mu-dec", type=float, default=LmConfig.mu_dec, help="lm damping decrease factor")
+    g.add_argument("--mu-max", type=float, default=LmConfig.mu_max, help="lm damping ceiling")
 
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("dataset")
     g.add_argument("--data", choices=("synthetic", "heart"), default="synthetic")
-    g.add_argument("--n", type=_positive_int, default=5000, help="synthetic sample count")
+    g.add_argument(
+        "--n", type=_positive_int, default=ExperimentSpec.n_points, help="synthetic sample count"
+    )
     g.add_argument(
         "--random-x", action="store_true", help="sample synthetic x uniformly instead of linspace"
     )
     g.add_argument("--path", default=None, help="heart data file")
-    g.add_argument("--test-fraction", type=float, default=0.2)
+    g.add_argument("--test-fraction", type=float, default=ExperimentSpec.test_fraction)
 
 
 def _activation_from_flags(name: str, args: argparse.Namespace) -> ActivationKind:
-    kind = parse_activation(name)
-    if isinstance(kind, Elu):
-        return Elu(EluParams(alpha=args.alpha))
-    if isinstance(kind, ModHtan):
-        if args.offset_mode == "fixed":
-            if args.offset is None:
-                raise ValueError("--offset-mode fixed requires --offset")
-            offset_mode = FixedOffset(args.offset)
-        else:
-            offset_mode = AdaptiveOffset(delta=args.delta, kappa=args.kappa)
-        return ModHtan(
-            ModHtanParams(
-                k_o=args.k,
-                x_cutoff=args.cutoff,
-                offset_mode=offset_mode,
-                rnf=RnfParams(a=args.rnf_a),
-                x_norm_clamp=args.clamp,
-                center_normalize=args.center_normalize == "on",
-                euler_mode=args.euler_mode,
-            )
-        )
-    return kind
+    values = {"hidden_kind": name}
+    for param in PARAMS:
+        value = getattr(args, param.flag.replace("-", "_")) if param.flag else param.default
+        if value is not None:
+            values[param.key] = value
+    return kind_from_fields(values, label=lambda param: f"--{param.flag}")
 
 
 def _gdm_config(args: argparse.Namespace) -> GdmConfig:
@@ -166,10 +113,10 @@ def cmd_curves(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    lo, hi, step = CURVE_PRESETS[args.preset] if args.preset else (None, None, None)
-    lo = args.lo if args.lo is not None else (-10.0 if lo is None else lo)
-    hi = args.hi if args.hi is not None else (10.0 if hi is None else hi)
-    step = args.step if args.step is not None else (0.01 if step is None else step)
+    lo, hi, step = CURVE_PRESETS[args.preset or "within"]
+    lo = lo if args.lo is None else args.lo
+    hi = hi if args.hi is None else args.hi
+    step = step if args.step is None else args.step
     out = args.out if args.out is not None else f"{args.fn}_curve.csv"
     try:
         dump_curves(kind, lo, hi, step, out)
@@ -225,7 +172,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         model, history = train_lm(model, train_ds.X, train_ds.T, _lm_config(args))
     wall = time.perf_counter() - t0
     if args.history is not None:
-        history_to_csv(history, args.history)
+        try:
+            history_to_csv(history, args.history)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     if history.termination == "stall":
         reason = history.stall_events[-1][1] if history.stall_events else "unknown"
         print(f"stalled after {len(history.loss)} epochs: {reason}", file=sys.stderr)
@@ -239,7 +190,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         y_test, _ = forward(model, eval_ds.X)
         print(f"test accuracy {classification_accuracy(y_test, eval_ds.T):.2f}%")
     if args.save is not None:
-        save_model(model, args.save)
+        try:
+            save_model(model, args.save)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         print(f"saved model to {args.save}")
     return 0
 
@@ -271,7 +226,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out is not None:
-        emit_report(report, args.format, args.out)
+        try:
+            emit_report(report, args.format, args.out)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         print(f"wrote {args.out}")
     for row in report.averages:
         print(
@@ -308,12 +267,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_ab.add_argument("--count", type=_positive_int, default=200_000)
     p_ab.add_argument("--lo", type=float, default=-20.0)
     p_ab.add_argument("--hi", type=float, default=20.0)
-    p_ab.add_argument("--a", type=int, default=10_000_000, help="rational-power exponent")
+    p_ab.add_argument("--a", type=int, default=RnfParams.a, help="rational-power exponent")
     p_ab.set_defaults(func=cmd_approx_bench)
 
     p_train = sub.add_parser("train", help="train one model and print its final metric")
     p_train.add_argument("--fn", choices=ACTIVATION_NAMES, required=True)
-    p_train.add_argument("--seed", type=int, default=0)
+    p_train.add_argument("--seed", type=int, default=ExperimentSpec.base_seed)
     p_train.add_argument("--save", default=None, help="write the trained model here")
     p_train.add_argument("--history", default=None, help="write per-epoch loss CSV here")
     _add_data_flags(p_train)
@@ -325,8 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--fns", default="htan,elu,modhtan", help="comma-separated activation names"
     )
-    p_bench.add_argument("--runs", type=_positive_int, default=10)
-    p_bench.add_argument("--seed", type=int, default=0, help="base seed; run r uses seed+r")
+    p_bench.add_argument("--runs", type=_positive_int, default=ExperimentSpec.runs)
+    p_bench.add_argument(
+        "--seed", type=int, default=ExperimentSpec.base_seed, help="base seed; run r uses seed+r"
+    )
     p_bench.add_argument("--out", default=None, help="report file (default: stdout summary only)")
     p_bench.add_argument("--format", choices=("csv", "markdown"), default="csv")
     _add_data_flags(p_bench)

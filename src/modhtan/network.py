@@ -12,20 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .activations import (
-    ActivationKind,
-    AdaptiveOffset,
-    Elu,
-    EluParams,
-    FixedOffset,
-    Htan,
-    ModHtan,
-    ModHtanParams,
-    SoftStep,
-    activate,
-    parse_activation,
-)
-from .rnf import RnfParams
+from .activations import ActivationKind, activate, kind_from_fields, kind_to_fields
 
 
 class StallError(RuntimeError):
@@ -44,10 +31,14 @@ class MlpModel:
     hidden_kind: ActivationKind
 
     def __post_init__(self):
-        assert self.W1.shape == (self.n_hidden, self.n_in)
-        assert self.b1.shape == (self.n_hidden,)
-        assert self.W2.shape == (self.n_out, self.n_hidden)
-        assert self.b2.shape == (self.n_out,)
+        for name, shape in _shapes(self.n_in, self.n_hidden, self.n_out).items():
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {getattr(self, name).shape}")
+
+
+def _shapes(n_in: int, n_hidden: int, n_out: int) -> dict[str, tuple[int, ...]]:
+    """Parameter array shapes, in pack_params order."""
+    return {"W1": (n_hidden, n_in), "b1": (n_hidden,), "W2": (n_out, n_hidden), "b2": (n_out,)}
 
 
 @dataclass
@@ -59,14 +50,6 @@ class ForwardCache:
     offset_1: float | None  # modhtan offset used for this batch, else None
 
 
-@dataclass
-class Grads:
-    W1: np.ndarray
-    b1: np.ndarray
-    W2: np.ndarray
-    b2: np.ndarray
-
-
 def n_params(model: MlpModel) -> int:
     return model.n_hidden * model.n_in + model.n_hidden + model.n_out * model.n_hidden + model.n_out
 
@@ -76,15 +59,12 @@ def pack_params(model: MlpModel) -> np.ndarray:
     return np.concatenate([model.W1.ravel(), model.b1, model.W2.ravel(), model.b2])
 
 
-def pack_grads(grads: Grads) -> np.ndarray:
-    return np.concatenate([grads.W1.ravel(), grads.b1, grads.W2.ravel(), grads.b2])
-
-
 def with_params(model: MlpModel, theta: np.ndarray) -> MlpModel:
     """Copy of the model with parameters taken from the vector theta."""
     h, i, o = model.n_hidden, model.n_in, model.n_out
     sizes = [h * i, h, o * h, o]
-    assert theta.shape == (sum(sizes),)
+    if np.shape(theta) != (sum(sizes),):
+        raise ValueError(f"theta must have shape ({sum(sizes)},), got {np.shape(theta)}")
     parts = np.split(np.asarray(theta, dtype=float), np.cumsum(sizes)[:-1])
     return replace(
         model,
@@ -131,8 +111,9 @@ def forward(model: MlpModel, X) -> tuple[np.ndarray, ForwardCache]:
     return y, ForwardCache(z1=z1, h=h, g=g, y=y, offset_1=offset)
 
 
-def backward(model: MlpModel, X, T, cache: ForwardCache) -> Grads:
-    """Gradients of 0.5 * mean((y - t)**2) over all output entries."""
+def backward(model: MlpModel, X, T, cache: ForwardCache) -> np.ndarray:
+    """Gradient of 0.5 * mean((y - t)**2) over all output entries, flat in
+    pack_params order."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     T = np.atleast_2d(np.asarray(T, dtype=float))
     residual = cache.y - T
@@ -143,7 +124,7 @@ def backward(model: MlpModel, X, T, cache: ForwardCache) -> Grads:
     d_z1 = d_h * cache.g
     d_w1 = d_z1.T @ X
     d_b1 = d_z1.sum(axis=0)
-    return Grads(W1=d_w1, b1=d_b1, W2=d_w2, b2=d_b2)
+    return np.concatenate([d_w1.ravel(), d_b1, d_w2.ravel(), d_b2])
 
 
 def jacobian(model: MlpModel, X, T, cache: ForwardCache) -> tuple[np.ndarray, np.ndarray]:
@@ -167,66 +148,13 @@ def jacobian(model: MlpModel, X, T, cache: ForwardCache) -> tuple[np.ndarray, np
     return J, e
 
 
-_KIND_TAGS = {SoftStep: "softstep", Htan: "htan", Elu: "elu", ModHtan: "modhtan"}
-
-
-def _kind_fields(kind: ActivationKind) -> dict[str, str]:
-    fields = {"hidden_kind": _KIND_TAGS[type(kind)]}
-    if isinstance(kind, Elu):
-        fields["elu_alpha"] = repr(kind.params.alpha)
-    elif isinstance(kind, ModHtan):
-        p = kind.params
-        fields["modhtan_k_o"] = repr(p.k_o)
-        fields["modhtan_x_cutoff"] = repr(p.x_cutoff)
-        if isinstance(p.offset_mode, FixedOffset):
-            fields["modhtan_offset_mode"] = "fixed"
-            fields["modhtan_offset_value"] = repr(p.offset_mode.offset_1)
-        else:
-            fields["modhtan_offset_mode"] = "adaptive"
-            fields["modhtan_offset_delta"] = repr(p.offset_mode.delta)
-            fields["modhtan_offset_kappa"] = repr(p.offset_mode.kappa)
-        fields["modhtan_x_norm_clamp"] = repr(p.x_norm_clamp)
-        fields["modhtan_center_normalize"] = "on" if p.center_normalize else "off"
-        fields["modhtan_euler_mode"] = p.euler_mode
-        fields["rnf_a"] = repr(p.rnf.a)
-        fields["rnf_n"] = repr(p.rnf.n)
-        fields["rnf_m"] = repr(p.rnf.m)
-    return fields
-
-
-def _kind_from_fields(fields: dict[str, str]) -> ActivationKind:
-    tag = fields["hidden_kind"]
-    if tag == "elu":
-        return Elu(EluParams(alpha=float(fields["elu_alpha"])))
-    if tag == "modhtan":
-        if fields["modhtan_offset_mode"] == "fixed":
-            mode = FixedOffset(float(fields["modhtan_offset_value"]))
-        else:
-            mode = AdaptiveOffset(
-                delta=float(fields["modhtan_offset_delta"]),
-                kappa=float(fields["modhtan_offset_kappa"]),
-            )
-        return ModHtan(
-            ModHtanParams(
-                k_o=float(fields["modhtan_k_o"]),
-                x_cutoff=float(fields["modhtan_x_cutoff"]),
-                offset_mode=mode,
-                rnf=RnfParams(a=int(fields["rnf_a"]), n=float(fields["rnf_n"]), m=float(fields["rnf_m"])),
-                x_norm_clamp=float(fields["modhtan_x_norm_clamp"]),
-                center_normalize=fields["modhtan_center_normalize"] == "on",
-                euler_mode=fields["modhtan_euler_mode"],
-            )
-        )
-    return parse_activation(tag)
-
-
 def save_model(model: MlpModel, path) -> None:
     """Plain-text key = value dump; floats use repr for exact round-trips."""
     lines = ["modhtan-mlp v1"]
     lines.append(f"n_in = {model.n_in}")
     lines.append(f"n_hidden = {model.n_hidden}")
     lines.append(f"n_out = {model.n_out}")
-    for key, value in _kind_fields(model.hidden_kind).items():
+    for key, value in kind_to_fields(model.hidden_kind).items():
         lines.append(f"{key} = {value}")
     for name in ("W1", "b1", "W2", "b2"):
         values = " ".join(repr(float(v)) for v in getattr(model, name).ravel())
@@ -236,6 +164,7 @@ def save_model(model: MlpModel, path) -> None:
 
 
 def load_model(path) -> MlpModel:
+    """Inverse of save_model; a malformed file is a ValueError naming the bad key."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh if line.strip()]
     if not lines or lines[0] != "modhtan-mlp v1":
@@ -244,10 +173,23 @@ def load_model(path) -> MlpModel:
     for line in lines[1:]:
         key, _, value = line.partition(" = ")
         fields[key] = value
-    n_in, n_hidden, n_out = (int(fields[k]) for k in ("n_in", "n_hidden", "n_out"))
-    kind = _kind_from_fields(fields)
-    arrays = {}
-    shapes = {"W1": (n_hidden, n_in), "b1": (n_hidden,), "W2": (n_out, n_hidden), "b2": (n_out,)}
-    for name, shape in shapes.items():
-        arrays[name] = np.array([float(v) for v in fields[name].split()]).reshape(shape)
-    return MlpModel(n_in, n_hidden, n_out, arrays["W1"], arrays["b1"], arrays["W2"], arrays["b2"], kind)
+    try:
+        dims = [_field(fields, key, int) for key in ("n_in", "n_hidden", "n_out")]
+        kind = kind_from_fields(fields)
+        arrays = {
+            name: _field(fields, name, lambda text: np.reshape([float(v) for v in text.split()], shape))
+            for name, shape in _shapes(*dims).items()
+        }
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return MlpModel(*dims, **arrays, hidden_kind=kind)
+
+
+def _field(fields: dict[str, str], key: str, parse):
+    """parse(fields[key]), with a missing or unparsable value as a ValueError naming key."""
+    if key not in fields:
+        raise ValueError(f"missing {key}")
+    try:
+        return parse(fields[key])
+    except ValueError:
+        raise ValueError(f"{key}: cannot parse {fields[key]!r}") from None

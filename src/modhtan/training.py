@@ -20,7 +20,6 @@ from .network import (
     forward,
     jacobian,
     n_params,
-    pack_grads,
     pack_params,
     with_params,
 )
@@ -133,7 +132,7 @@ def train_gdm(model: MlpModel, X, T, cfg: GdmConfig = GdmConfig()) -> tuple[MlpM
             history.stall_events.append((epoch, "training loss is non-finite"))
             history.termination = "stall"
             break
-        grad = pack_grads(backward(model, X, T, cache))
+        grad = backward(model, X, T, cache)
         velocity = cfg.momentum * velocity - cfg.learning_rate * grad
         theta = theta + velocity
         model = with_params(model, theta)

@@ -17,7 +17,7 @@ import pytest
 from modhtan.activations import ACTIVATION_NAMES, Elu, Htan, ModHtan, SoftStep, activate
 from modhtan.bench import ExperimentSpec, emit_report, run_experiment, runtime_ordering
 from modhtan.cli import main
-from modhtan.network import forward, jacobian, nguyen_widrow_init, pack_grads, backward
+from modhtan.network import forward, jacobian, nguyen_widrow_init, backward
 from modhtan.rnf import rnf_exp
 from modhtan.training import LmConfig
 
@@ -95,7 +95,7 @@ def test_network_matches_scalar_oracle():
     assert forward_err <= 1e-12
 
     J, e = jacobian(model, X, T, cache)
-    grads = pack_grads(backward(model, X, T, cache))
+    grads = backward(model, X, T, cache)
     jac_err = float(np.max(np.abs(J.T @ e / e.size - grads)))
     assert jac_err <= 1e-10
     print(

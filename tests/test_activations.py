@@ -16,8 +16,8 @@ from modhtan.activations import (
     Htan,
     ModHtan,
     ModHtanParams,
-    Region,
     SoftStep,
+    _normalized_input,
     activate,
     adaptive_offset,
     elu,
@@ -26,7 +26,6 @@ from modhtan.activations import (
     htan_grad,
     modhtan,
     modhtan_grad,
-    modhtan_normalize,
     parse_activation,
     soft_step,
     soft_step_grad,
@@ -163,32 +162,33 @@ class TestAdaptiveOffset:
         assert all(x + off > 0.0 for x in batch)
 
 
+def normalize(x, offset_1, x_cutoff=10.0, clamp=50.0, center_normalize=True):
+    return float(_normalized_input(np.array(x), offset_1, x_cutoff, clamp, center_normalize))
+
+
 class TestNormalize:
     def test_center_zero(self):
-        assert modhtan_normalize(0.0, 1.0, 10.0, 50.0) == (Region.C, 0.0)
+        assert normalize(0.0, 1.0) == 0.0
 
     def test_positive_region(self):
-        region, x_norm = modhtan_normalize(1000.0, 10.0, 10.0, 50.0)
-        assert region is Region.P
-        assert x_norm == pytest.approx(1000.0 / 1010.0, rel=1e-15)
+        assert normalize(1000.0, 10.0) == pytest.approx(1000.0 / 1010.0, rel=1e-15)
+        # beyond the cutoff the input is normalized even without center normalization
+        assert normalize(1000.0, 10.0, center_normalize=False) == normalize(1000.0, 10.0)
 
     def test_negative_region(self):
-        region, _ = modhtan_normalize(-10.5, 1.0, 10.0, 50.0)
-        assert region is Region.N
+        assert normalize(-10.5, 1.0, center_normalize=False) == normalize(-10.5, 1.0)
 
     def test_cutoff_boundary_belongs_to_center(self):
-        assert modhtan_normalize(10.0, 1.0, 10.0, 50.0)[0] is Region.C
-        assert modhtan_normalize(-10.0, 1.0, 10.0, 50.0)[0] is Region.C
+        # the center keeps the raw input when center normalization is off
+        assert normalize(10.0, 1.0, center_normalize=False) == 10.0
+        assert normalize(-10.0, 1.0, center_normalize=False) == -10.0
 
     def test_singular_denominator_guard(self):
-        region, x_norm = modhtan_normalize(-1.0, 1.0, 10.0, 50.0)
-        assert region is Region.C
-        assert x_norm == -50.0
+        assert normalize(-1.0, 1.0) == -50.0
 
     def test_clamp_applies(self):
         # x/(x + offset) = -9999 without the clamp
-        _, x_norm = modhtan_normalize(-9999.0, 10000.0, 10.0, 50.0)
-        assert x_norm == -50.0
+        assert normalize(-9999.0, 10000.0) == -50.0
 
 
 class TestModHtan:

@@ -40,6 +40,20 @@ class TestCurvesCommand:
         assert code == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--fn", "htan", "--n", "20", "--epochs", "2", "--save", "/nonexistent-dir/m.txt"],
+            ["train", "--fn", "htan", "--n", "20", "--epochs", "2", "--history", "/nonexistent-dir/h.csv"],
+            ["bench", "--fns", "htan", "--runs", "1", "--n", "20", "--epochs", "2",
+             "--out", "/nonexistent-dir/r.csv"],
+        ],
+        ids=["train-save", "train-history", "bench-out"],
+    )
+    def test_unwritable_output_is_runtime_error(self, argv, capsys):
+        assert main(argv) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_fixed_offset_requires_value(self, tmp_path, capsys):
         base = ["curves", "--fn", "modhtan", "--lo", "-1", "--hi", "1", "--step", "1",
                 "--offset-mode", "fixed", "--out", str(tmp_path / "m.csv")]

@@ -25,7 +25,6 @@ from modhtan.network import (
     load_model,
     n_params,
     nguyen_widrow_init,
-    pack_grads,
     pack_params,
     save_model,
     with_params,
@@ -139,7 +138,7 @@ class TestBackward:
         X = np.random.default_rng(1).normal(size=(6, 2))
         y, cache = forward(model, X)
         grads = backward(model, X, y, cache)
-        assert np.max(np.abs(pack_grads(grads))) == 0.0
+        assert np.max(np.abs(grads)) == 0.0
 
     def test_hand_chain_rule_output_weight(self):
         model = make_111()
@@ -148,8 +147,9 @@ class TestBackward:
         y, cache = forward(model, X)
         grads = backward(model, X, T, cache)
         # dL/dw2 = residual * h = tanh(1)**2 for the half-mean-square loss
-        assert grads.W2[0, 0] == pytest.approx(math.tanh(1.0) ** 2, rel=1e-12)
-        assert grads.b2[0] == pytest.approx(math.tanh(1.0), rel=1e-12)
+        # flat order W1, b1, W2, b2: W2[0, 0] is entry 2, b2[0] entry 3
+        assert grads[2] == pytest.approx(math.tanh(1.0) ** 2, rel=1e-12)
+        assert grads[3] == pytest.approx(math.tanh(1.0), rel=1e-12)
 
     @pytest.mark.parametrize(
         "kind", [SoftStep(), Htan(), Elu(EluParams(alpha=1.0))], ids=["softstep", "htan", "elu"]
@@ -160,7 +160,7 @@ class TestBackward:
         X = rng.normal(size=(10, 2))
         T = rng.normal(size=(10, 1))
         _, cache = forward(model, X)
-        analytic = pack_grads(backward(model, X, T, cache))
+        analytic = backward(model, X, T, cache)
         theta = pack_params(model)
         h = 1e-6
 
@@ -192,7 +192,7 @@ class TestJacobian:
         _, cache = forward(model, X)
         J, e = jacobian(model, X, T, cache)
         assert J.shape == (7 * 2, n_params(model))
-        grad = pack_grads(backward(model, X, T, cache))
+        grad = backward(model, X, T, cache)
         assert np.max(np.abs(J.T @ e / e.size - grad)) <= 1e-10
 
     def test_hand_chain_rule_single_sample(self):
@@ -239,6 +239,29 @@ class TestSerialization:
         for name in ("W1", "b1", "W2", "b2"):
             assert np.array_equal(getattr(back, name), getattr(model, name))
 
+    def test_truncated_file_is_value_error(self, tmp_path):
+        path = tmp_path / "model.txt"
+        save_model(nguyen_widrow_init(3, 2, 1, ModHtan(), seed=13), path)
+        lines = path.read_text().splitlines(keepends=True)
+        for n in range(len(lines)):
+            path.write_text("".join(lines[:n]))
+            with pytest.raises(ValueError):
+                load_model(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n_hidden", "two"), ("modhtan_k_o", "big"), ("modhtan_offset_mode", "sometimes"),
+         ("W1", "1.0 2.0"), ("b2", "x")],
+    )
+    def test_bad_field_is_value_error_naming_it(self, tmp_path, key, value):
+        path = tmp_path / "model.txt"
+        save_model(nguyen_widrow_init(3, 2, 1, ModHtan(), seed=13), path)
+        lines = [f"{key} = {value}" if line.startswith(f"{key} = ") else line
+                 for line in path.read_text().splitlines()]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=key):
+            load_model(path)
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.txt"
         path.write_text("not a model\n")
@@ -256,10 +279,13 @@ class TestParamVector:
             assert np.array_equal(getattr(again, name), getattr(model, name))
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             MlpModel(
                 2, 2, 1,
                 np.zeros((3, 2)), np.zeros(2),
                 np.zeros((1, 2)), np.zeros(1),
                 Htan(),
             )
+        model = nguyen_widrow_init(2, 2, 1, Htan(), seed=1)
+        with pytest.raises(ValueError):
+            with_params(model, np.zeros(n_params(model) - 1))

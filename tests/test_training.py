@@ -12,7 +12,6 @@ from modhtan.network import (
     forward,
     jacobian,
     nguyen_widrow_init,
-    pack_grads,
     pack_params,
     with_params,
 )
@@ -115,7 +114,7 @@ class TestGdm:
         model = start
         for _ in range(cfg.epochs):
             _, cache = forward(model, ds.X)
-            theta = theta - cfg.learning_rate * pack_grads(backward(model, ds.X, ds.T, cache))
+            theta = theta - cfg.learning_rate * backward(model, ds.X, ds.T, cache)
             model = with_params(model, theta)
         assert np.array_equal(pack_params(trained), theta)
 
