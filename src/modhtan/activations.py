@@ -4,11 +4,12 @@ Four squashing units: the logistic soft-step, the hyperbolic tangent (htan),
 the exponential linear unit (elu), and modhtan, a hyperbolic tangent variant
 that normalizes its input by x / (x + offset_1) and squashes with a cached
 rational-power approximation of e.  All functions accept a scalar or an
-ndarray and return a matching value.
+ndarray and return a matching value; given out= buffers they write there.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, fields, is_dataclass
@@ -28,8 +29,8 @@ class EluParams:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -246,48 +247,103 @@ def _scalar_or_array(out, x):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def soft_step(x):
-    """Logistic sigmoid 1 / (1 + exp(-x)), saturating at 0 and 1."""
+def _buffers(xs, out):
+    """The (values, gradients) buffer pair a value kernel writes into.
+
+    Each value kernel writes its values to out[0] and may use out[1] as
+    scratch, which the matching gradient kernel then overwrites.  With out
+    None both are fresh arrays shaped like xs.
+    """
+    return (np.empty_like(xs), np.empty_like(xs)) if out is None else out
+
+
+# The kernels below write through ufunc out= arguments so that a caller
+# holding buffers (network.forward with a workspace) allocates nothing.
+# Their results are bit-identical to the np.where expression forms kept as
+# oracles in tests/test_kernels.py.
+
+
+def soft_step(x, out=None):
+    """Logistic sigmoid 1 / (1 + exp(-x)), saturating at 0 and 1.
+
+    Computed as exp(min(x, 0)) / (1 + exp(-|x|)): for x >= 0 the numerator
+    is exactly 1 and for x < 0 it is exp(-|x|), so neither exp overflows.
+    """
     xs = _as_float_array(x)
-    # exp(-|x|) never overflows, so both branches are safe everywhere
-    z = np.exp(-np.abs(xs))
-    out = np.where(xs >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
-    return _scalar_or_array(out, x)
+    v, g = _buffers(xs, out)
+    np.abs(xs, g)
+    np.negative(g, g)
+    np.exp(g, g)
+    np.add(g, 1.0, g)
+    np.minimum(xs, 0.0, out=v)
+    np.exp(v, v)
+    np.divide(v, g, v)
+    return _scalar_or_array(v, x)
 
 
-def soft_step_grad(f):
+def soft_step_grad(f, out=None):
     """Gradient (1 - f) * f expressed through the output value f."""
     fs = _as_float_array(f)
-    return _scalar_or_array((1.0 - fs) * fs, f)
+    g = np.empty_like(fs) if out is None else out
+    np.subtract(1.0, fs, g)
+    np.multiply(g, fs, g)
+    return _scalar_or_array(g, f)
 
 
-def htan(x):
-    """Hyperbolic tangent 2 / (1 + exp(-2x)) - 1, saturating at -1 and 1."""
+def htan(x, out=None):
+    """Hyperbolic tangent 2 / (1 + exp(-2x)) - 1, saturating at -1 and 1.
+
+    The magnitude (1 - z) / (1 + z) with z = exp(-2|x|) is computed from |x|
+    and given the sign of x, which keeps the function exactly odd; x = -0.0
+    maps to +0.0.
+    """
     xs = _as_float_array(x)
-    z = np.exp(-2.0 * np.abs(xs))
-    mag = (1.0 - z) / (1.0 + z)  # magnitude from |x| keeps the function exactly odd
-    return _scalar_or_array(np.where(xs >= 0, mag, -mag), x)
+    v, g = _buffers(xs, out)
+    np.abs(xs, v)
+    np.multiply(v, -2.0, v)
+    np.exp(v, v)
+    np.add(v, 1.0, g)
+    np.subtract(1.0, v, v)
+    np.divide(v, g, v)
+    np.add(xs, 0.0, g)  # -0.0 + 0.0 is +0.0: the sign source for x = -0.0 is +
+    np.copysign(v, g, v)
+    return _scalar_or_array(v, x)
 
 
-def htan_grad(f):
+def htan_grad(f, out=None):
     """Gradient 1 - f**2 expressed through the output value f."""
     fs = _as_float_array(f)
-    return _scalar_or_array(1.0 - fs * fs, f)
+    g = np.empty_like(fs) if out is None else out
+    np.multiply(fs, fs, g)
+    np.subtract(1.0, g, g)
+    return _scalar_or_array(g, f)
 
 
-def elu(x, p: EluParams = EluParams()):
-    """x for x > 0, alpha * (exp(x) - 1) for x <= 0."""
+def elu(x, p: EluParams = EluParams(), out=None):
+    """x for x > 0, alpha * (exp(x) - 1) for x <= 0.
+
+    Computed without a mask as alpha * expm1(min(x, 0)) + max(x, -0.0): for
+    x > 0 that is 0.0 + x, and for x <= 0 the negative branch plus -0.0,
+    which leaves every value, -0.0 included, unchanged.
+    """
     xs = _as_float_array(x)
-    out = np.where(xs > 0, xs, p.alpha * np.expm1(np.minimum(xs, 0.0)))
-    return _scalar_or_array(out, x)
+    v, g = _buffers(xs, out)
+    np.minimum(xs, 0.0, out=v)
+    np.expm1(v, v)
+    np.multiply(v, p.alpha, v)
+    np.maximum(xs, -0.0, out=g)
+    np.add(v, g, v)
+    return _scalar_or_array(v, x)
 
 
-def elu_grad(x, f, p: EluParams = EluParams()):
+def elu_grad(x, f, p: EluParams = EluParams(), out=None):
     """1 for x > 0, f + alpha for x <= 0 (f being elu(x)); vanishes as f -> -alpha."""
     xs = _as_float_array(x)
     fs = _as_float_array(f)
-    out = np.where(xs > 0, 1.0, fs + p.alpha)
-    return _scalar_or_array(out, x)
+    g = np.empty_like(fs) if out is None else out
+    np.add(fs, p.alpha, g)
+    np.putmask(g, xs > 0, 1.0)
+    return _scalar_or_array(g, x)
 
 
 def adaptive_offset(batch, delta: float = 0.05, kappa: float = 1e-6) -> float:
@@ -299,37 +355,54 @@ def adaptive_offset(batch, delta: float = 0.05, kappa: float = 1e-6) -> float:
     b = _as_float_array(batch)
     if b.size == 0:
         raise ValueError("adaptive offset needs a non-empty batch")
-    if not np.all(np.isfinite(b)):
+    hi, lo = b.max(), b.min()  # both are NaN or infinite when any entry is
+    if not (math.isfinite(hi) and math.isfinite(lo)):
         raise ValueError("adaptive offset needs finite batch entries")
-    with np.errstate(over="ignore"):  # inf offset near float max is handled downstream
-        return float((1.0 + delta) * np.max(np.abs(b)) + kappa)
+    # Python float arithmetic: an inf offset near float max is handled downstream
+    return (1.0 + delta) * float(max(hi, -lo)) + kappa
 
 
-def _normalized_input(xs, offset_1, x_cutoff, clamp, center_normalize):
+def _normalized_input(xs, offset_1, x_cutoff, clamp, center_normalize, out=None):
     """The normalized input x / (x + offset_1), clamped to [-clamp, clamp].
 
     A zero or denormal denominator is replaced by sign(x) * clamp (0 at
     x = 0); a denominator that overflows (both addends huge and positive) is
     rewritten as 1 / (1 + offset_1 / x).  With center_normalize off, inputs
-    with |x| <= x_cutoff pass through raw.
+    with |x| <= x_cutoff pass through raw.  Written to out when given.
     """
+    x_norm = np.empty_like(xs) if out is None else out
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        den = xs + offset_1  # may overflow to inf for huge batches; handled below
-        x_norm = xs / den
-    overflowed = np.isinf(den)
-    if np.any(overflowed):
+        den = np.add(xs, offset_1, x_norm)  # may overflow to inf for huge batches; handled below
+        lo, hi = den.min(initial=np.inf), den.max(initial=-np.inf)
+        # no guard is needed when every den is finite and on one side of zero,
+        # at least _TINY away from it; a NaN bound fails these tests
+        guarded = not ((lo >= _TINY or hi <= -_TINY) and -np.inf < lo and hi < np.inf)
+        if guarded:
+            overflowed = np.isinf(den)
+            singular = np.abs(den) < _TINY
+        np.divide(xs, den, x_norm)
+    if guarded and np.any(overflowed):
         safe = np.where(overflowed, xs, 1.0)
-        x_norm = np.where(overflowed, 1.0 / (1.0 + offset_1 / safe), x_norm)
-    singular = np.abs(den) < _TINY
-    if np.any(singular):
+        np.copyto(x_norm, 1.0 / (1.0 + offset_1 / safe), where=overflowed)
+    if guarded and np.any(singular):
         guard = np.where(xs == 0.0, 0.0, np.copysign(clamp, xs))
-        x_norm = np.where(singular, guard, x_norm)
+        np.copyto(x_norm, guard, where=singular)
     if not center_normalize:
-        x_norm = np.where(np.abs(xs) <= x_cutoff, xs, x_norm)
-    return np.clip(x_norm, -clamp, clamp)
+        np.copyto(x_norm, xs, where=np.abs(xs) <= x_cutoff)
+    return _clip(x_norm, -clamp, clamp)
 
 
-def modhtan(x, p: ModHtanParams, offset_1: float):
+def _clip(v, lo, hi):
+    """np.clip(v, lo, hi) in place, for nonzero bounds.
+
+    Same values as np.clip, NaN included (with nonzero bounds no tie between
+    signed zeros arises), at a fraction of its call cost on small arrays.
+    """
+    np.maximum(v, lo, out=v)
+    return np.minimum(v, hi, out=v)
+
+
+def modhtan(x, p: ModHtanParams, offset_1: float, out=None):
     """k_o / (1 + E**(-2 * x_norm)) - 1 with x_norm = x / (x + offset_1).
 
     E is the cached rational-power approximation of e (or, in "direct" mode,
@@ -339,20 +412,23 @@ def modhtan(x, p: ModHtanParams, offset_1: float):
     gradient the function exists to protect.
     """
     xs = _as_float_array(x)
-    x_norm = _normalized_input(xs, offset_1, p.x_cutoff, p.x_norm_clamp, p.center_normalize)
+    v, _ = _buffers(xs, out)
+    _normalized_input(xs, offset_1, p.x_cutoff, p.x_norm_clamp, p.center_normalize, v)
+    np.multiply(v, -2.0, v)
     if p.euler_mode == "constant":
-        t = euler_constant(p.rnf) ** (-2.0 * x_norm)
+        np.power(euler_constant(p.rnf), v, v)
     else:
-        t = rnf_exp(-2.0 * x_norm, p.rnf)
-    out = p.k_o / (1.0 + t) - 1.0
-    out = np.clip(out, np.nextafter(-1.0, 0.0), np.nextafter(p.k_o - 1.0, -np.inf))
-    return _scalar_or_array(out, x)
+        np.copyto(v, rnf_exp(v, p.rnf))
+    np.add(v, 1.0, v)
+    np.divide(p.k_o, v, v)
+    np.subtract(v, 1.0, v)
+    _clip(v, math.nextafter(-1.0, 0.0), math.nextafter(p.k_o - 1.0, -math.inf))
+    return _scalar_or_array(v, x)
 
 
-def modhtan_grad(f):
+def modhtan_grad(f, out=None):
     """Surrogate gradient 1 - f**2, shared with htan."""
-    fs = _as_float_array(f)
-    return _scalar_or_array(1.0 - fs * fs, f)
+    return htan_grad(f, out)
 
 
 class BatchActivation(NamedTuple):
@@ -361,31 +437,34 @@ class BatchActivation(NamedTuple):
     offset_1: float | None  # offset used by modhtan on this batch, else None
 
 
-def activate(kind: ActivationKind, batch) -> BatchActivation:
+def activate(kind: ActivationKind, batch, out=None) -> BatchActivation:
     """Elementwise values and gradients over a batch.
 
+    out, when given, is a (values, grads) pair of float arrays shaped like
+    the batch; the results are written there instead of to fresh arrays.
     For modhtan in adaptive mode the offset is derived from this batch (its
     max absolute entry) and reported in the result.
     """
     xs = _as_float_array(batch)
+    values, grads = buffers = _buffers(xs, out)
     offset = None
     if isinstance(kind, SoftStep):
-        values = soft_step(xs)
-        grads = soft_step_grad(values)
+        soft_step(xs, buffers)
+        soft_step_grad(values, grads)
     elif isinstance(kind, Htan):
-        values = htan(xs)
-        grads = htan_grad(values)
+        htan(xs, buffers)
+        htan_grad(values, grads)
     elif isinstance(kind, Elu):
-        values = elu(xs, kind.params)
-        grads = elu_grad(xs, values, kind.params)
+        elu(xs, kind.params, buffers)
+        elu_grad(xs, values, kind.params, grads)
     elif isinstance(kind, ModHtan):
         p = kind.params
         if isinstance(p.offset_mode, AdaptiveOffset):
             offset = adaptive_offset(xs, p.offset_mode.delta, p.offset_mode.kappa)
         else:
             offset = p.offset_mode.offset_1
-        values = modhtan(xs, p, offset)
-        grads = modhtan_grad(values)
+        modhtan(xs, p, offset, buffers)
+        modhtan_grad(values, grads)
     else:
         raise TypeError(f"unknown activation kind: {kind!r}")
-    return BatchActivation(np.asarray(values, dtype=float), np.asarray(grads, dtype=float), offset)
+    return BatchActivation(values, grads, offset)

@@ -93,18 +93,11 @@ def _activation_from_flags(name: str, args: argparse.Namespace) -> ActivationKin
     return kind_from_fields(values, label=lambda param: f"--{param.flag}")
 
 
-def _gdm_config(args: argparse.Namespace) -> GdmConfig:
-    return GdmConfig(learning_rate=args.lr, momentum=args.momentum, epochs=args.epochs)
-
-
-def _lm_config(args: argparse.Namespace) -> LmConfig:
-    return LmConfig(
-        mu0=args.mu0,
-        mu_inc=args.mu_inc,
-        mu_dec=args.mu_dec,
-        mu_max=args.mu_max,
-        epochs=args.epochs,
-    )
+def _fit_flags(args: argparse.Namespace) -> tuple[GdmConfig, LmConfig, SplitSpec]:
+    """Trainer configs and train/test split from the flags; a bad value is a ValueError."""
+    gdm = GdmConfig(learning_rate=args.lr, momentum=args.momentum, epochs=args.epochs)
+    lm = LmConfig(mu0=args.mu0, mu_inc=args.mu_inc, mu_dec=args.mu_dec, mu_max=args.mu_max, epochs=args.epochs)
+    return gdm, lm, SplitSpec(args.test_fraction, seed=args.seed)
 
 
 def cmd_curves(args: argparse.Namespace) -> int:
@@ -147,6 +140,7 @@ def cmd_approx_bench(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     try:
         kind = _activation_from_flags(args.fn, args)
+        gdm, lm, split_spec = _fit_flags(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -158,7 +152,7 @@ def cmd_train(args: argparse.Namespace) -> int:
                 print("error: --data heart requires --path", file=sys.stderr)
                 return 2
             full = load_heart(args.path)
-            train_ds, eval_ds = split(full, SplitSpec(args.test_fraction, seed=args.seed))
+            train_ds, eval_ds = split(full, split_spec)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -167,9 +161,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     t0 = time.perf_counter()
     if args.trainer == "gdm":
-        model, history = train_gdm(model, train_ds.X, train_ds.T, _gdm_config(args))
+        model, history = train_gdm(model, train_ds.X, train_ds.T, gdm)
     else:
-        model, history = train_lm(model, train_ds.X, train_ds.T, _lm_config(args))
+        model, history = train_lm(model, train_ds.X, train_ds.T, lm)
     wall = time.perf_counter() - t0
     if args.history is not None:
         try:
@@ -203,19 +197,20 @@ def cmd_bench(args: argparse.Namespace) -> int:
     names = [n.strip() for n in args.fns.split(",") if n.strip()]
     try:
         kinds = tuple(_activation_from_flags(n, args) for n in names)
+        gdm, lm, split_spec = _fit_flags(args)
         spec = ExperimentSpec(
             dataset=args.data,
             activations=kinds,
             runs=args.runs,
             base_seed=args.seed,
             trainer=args.trainer,
-            gdm=_gdm_config(args),
-            lm=_lm_config(args),
+            gdm=gdm,
+            lm=lm,
             n_hidden=args.hidden,
             n_points=args.n,
             random_x=args.random_x,
             heart_path=args.path,
-            test_fraction=args.test_fraction,
+            test_fraction=split_spec.test_fraction,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,7 +8,7 @@ J^T e / (samples * n_out).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,18 +60,25 @@ def pack_params(model: MlpModel) -> np.ndarray:
 
 
 def with_params(model: MlpModel, theta: np.ndarray) -> MlpModel:
-    """Copy of the model with parameters taken from the vector theta."""
+    """Model with parameters taken from the vector theta.
+
+    The weight arrays are views of theta, so theta must not be changed in
+    place while the model is in use.
+    """
     h, i, o = model.n_hidden, model.n_in, model.n_out
-    sizes = [h * i, h, o * h, o]
-    if np.shape(theta) != (sum(sizes),):
-        raise ValueError(f"theta must have shape ({sum(sizes)},), got {np.shape(theta)}")
-    parts = np.split(np.asarray(theta, dtype=float), np.cumsum(sizes)[:-1])
-    return replace(
-        model,
-        W1=parts[0].reshape(h, i),
-        b1=parts[1].copy(),
-        W2=parts[2].reshape(o, h),
-        b2=parts[3].copy(),
+    w1_end = h * i
+    b1_end = w1_end + h
+    w2_end = b1_end + o * h
+    if np.shape(theta) != (w2_end + o,):
+        raise ValueError(f"theta must have shape ({w2_end + o},), got {np.shape(theta)}")
+    theta = np.asarray(theta, dtype=float)
+    return MlpModel(
+        i, h, o,
+        W1=theta[:w1_end].reshape(h, i),
+        b1=theta[w1_end:b1_end],
+        W2=theta[b1_end:w2_end].reshape(o, h),
+        b2=theta[w2_end:],
+        hidden_kind=model.hidden_kind,
     )
 
 
@@ -95,18 +102,28 @@ def nguyen_widrow_init(n_in: int, n_hidden: int, n_out: int, hidden_kind: Activa
     return MlpModel(n_in, n_hidden, n_out, W1, b1, W2, b2, hidden_kind)
 
 
-def forward(model: MlpModel, X) -> tuple[np.ndarray, ForwardCache]:
-    """Batch forward pass; raises StallError on non-finite intermediates."""
+def forward(model: MlpModel, X, out: ForwardCache | None = None) -> tuple[np.ndarray, ForwardCache]:
+    """Batch forward pass; raises StallError on non-finite intermediates.
+
+    out, when given, is a workspace: a ForwardCache of the same model shape
+    and sample count whose arrays receive z1, h, g and y in place of fresh
+    ones.  The returned cache then shares those arrays, so the next forward
+    into the same workspace overwrites it.  A workspace left half-written by
+    a StallError can be passed again.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != model.n_in:
         raise ValueError(f"expected {model.n_in} input columns, got {X.shape[1]}")
+    z1, h, g, y = (None,) * 4 if out is None else (out.z1, out.h, out.g, out.y)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite turns into StallError
-        z1 = X @ model.W1.T + model.b1
-    if not np.all(np.isfinite(z1)):
+        z1 = np.matmul(X, model.W1.T, out=z1)
+        np.add(z1, model.b1, z1)
+    if not np.isfinite(z1).all():
         raise StallError("hidden pre-activations contain non-finite values")
-    h, g, offset = activate(model.hidden_kind, z1)
-    y = h @ model.W2.T + model.b2
-    if not np.all(np.isfinite(y)):
+    h, g, offset = activate(model.hidden_kind, z1, None if out is None else (h, g))
+    y = np.matmul(h, model.W2.T, out=y)
+    np.add(y, model.b2, y)
+    if not np.isfinite(y).all():
         raise StallError("outputs contain non-finite values")
     return y, ForwardCache(z1=z1, h=h, g=g, y=y, offset_1=offset)
 
@@ -127,25 +144,51 @@ def backward(model: MlpModel, X, T, cache: ForwardCache) -> np.ndarray:
     return np.concatenate([d_w1.ravel(), d_b1, d_w2.ravel(), d_b2])
 
 
-def jacobian(model: MlpModel, X, T, cache: ForwardCache) -> tuple[np.ndarray, np.ndarray]:
+def jacobian(model: MlpModel, X, T, cache: ForwardCache, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Residual Jacobian J and residual vector e = (y - t) flattened.
 
     J has one row per residual (samples major, outputs minor) and one column
     per parameter in pack_params order, so J^T e / e.size equals the
-    backward gradient.
+    backward gradient.  out, when given, is a J returned by an earlier call
+    for the same model shape and sample count: its constant columns (zeros
+    and ones of the output layer) are kept and the rest is overwritten.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     T = np.atleast_2d(np.asarray(T, dtype=float))
-    samples = X.shape[0]
-    n_out = model.n_out
-    eye_o = np.eye(n_out)
-    j_w1 = np.einsum("oh,sh,si->sohi", model.W2, cache.g, X).reshape(samples, n_out, -1)
-    j_b1 = np.einsum("oh,sh->soh", model.W2, cache.g)
-    j_w2 = np.einsum("op,sh->soph", eye_o, cache.h).reshape(samples, n_out, -1)
-    j_b2 = np.broadcast_to(eye_o, (samples, n_out, n_out))
-    J = np.concatenate([j_w1, j_b1, j_w2, j_b2], axis=2).reshape(samples * n_out, -1)
+    samples, n_out, n_hidden, n_in = X.shape[0], model.n_out, model.n_hidden, model.n_in
+    b1_at = n_hidden * n_in
+    w2_at = b1_at + n_hidden
+    b2_at = w2_at + n_out * n_hidden
+    shape = (samples * n_out, b2_at + n_out)
+    J = out
+    if J is None:
+        J = np.zeros(shape)
+        J.reshape(samples, n_out, -1)[:, :, b2_at:] = np.eye(n_out)
+    elif J.shape != shape or not J.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous array of shape {shape}")
+    rows = J.reshape(samples, n_out, -1)  # views throughout, J being C-contiguous
+    # d y_o / d b1_h = W2[o, h] * g[s, h]; d y_o / d W1[h, i] = that times X[s, i]
+    d_b1 = rows[:, :, b1_at:w2_at]
+    np.multiply(model.W2, cache.g[:, None, :], d_b1, order=_write_order(n_hidden))
+    d_w1 = rows[:, :, :b1_at].reshape(samples, n_out, n_hidden, n_in)
+    np.multiply(d_b1[:, :, :, None], X[:, None, None, :], d_w1, order=_write_order(b1_at))
+    # d y_o / d W2[p, h] = h[s, h] where p = o, else the constant 0
+    d_w2 = rows[:, :, w2_at:b2_at].reshape(samples, n_out, n_out, n_hidden)
+    for o in range(n_out):
+        np.positive(cache.h, d_w2[:, o, o, :], order=_write_order(n_hidden))  # a copy
     e = (cache.y - T).ravel()
     return J, e
+
+
+def _write_order(width: int) -> str:
+    """Iteration order for writing a block `width` entries wide into every J row.
+
+    In its natural order numpy runs one inner loop per row, and below about
+    8 entries that per-row overhead outweighs the work; such narrow blocks
+    are written column by column instead.  Elementwise results do not depend
+    on the order.
+    """
+    return "F" if width < 8 else "K"
 
 
 def save_model(model: MlpModel, path) -> None:

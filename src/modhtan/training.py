@@ -77,7 +77,9 @@ def mse(Y, T) -> float:
     Y = np.asarray(Y, dtype=float)
     T = np.asarray(T, dtype=float)
     with np.errstate(over="ignore"):  # diverging models report inf, not a warning
-        return float(np.mean((Y - T) ** 2))
+        d = Y - T
+        d *= d
+        return float(np.add.reduce(d, axis=None) / d.size)  # np.mean's sum and divide
 
 
 def classification_accuracy(Y, labels) -> float:
@@ -167,27 +169,35 @@ def train_lm(model: MlpModel, X, T, cfg: LmConfig = LmConfig()) -> tuple[MlpMode
         history.stall_events.append((0, str(exc)))
         history.termination = "stall"
         return model, history
+    # Per-fit buffers.  Every candidate forward writes into the first cache's
+    # arrays: the current cache is dead once the epoch's J is built, and an
+    # accepted candidate's cache is the workspace itself.  theta is never
+    # changed in place, since the model's weights are views of it.
+    workspace = cache
+    J = normal = damped = None
     loss = mse(cache.y, T)
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
-        J, e = jacobian(model, X, T, cache)
+        J, e = jacobian(model, X, T, cache, J)
         gradient = J.T @ e
         if np.linalg.norm(gradient) < cfg.grad_tol:
             history.termination = "grad_tol"
             break
-        normal = J.T @ J
+        normal = np.matmul(J.T, J, out=normal)
         accepted = False
         retries = 0
         while True:
+            damped = np.multiply(identity, mu, out=damped)
+            damped += normal
             try:
-                delta = np.linalg.solve(normal + mu * identity, -gradient)
+                delta = np.linalg.solve(damped, -gradient)
             except np.linalg.LinAlgError:
                 delta = None  # singular even with damping; grow mu and retry
-            if delta is not None and np.all(np.isfinite(delta)):
+            if delta is not None and np.isfinite(delta).all():
                 candidate_theta = theta + delta
                 candidate = with_params(model, candidate_theta)
                 try:
-                    _, candidate_cache = forward(candidate, X)
+                    _, candidate_cache = forward(candidate, X, workspace)
                     candidate_loss = mse(candidate_cache.y, T)
                 except StallError:
                     candidate_loss = np.inf

@@ -132,6 +132,8 @@ class TestElu:
             EluParams(alpha=0.0)
         with pytest.raises(ValueError):
             EluParams(alpha=-1.0)
+        with pytest.raises(ValueError):
+            EluParams(alpha=math.inf)  # inf * expm1(0) would be NaN
 
 
 class TestAdaptiveOffset:

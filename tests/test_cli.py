@@ -182,6 +182,25 @@ class TestBenchCommand:
         assert strip_runtime(a) == strip_runtime(b)
 
 
+class TestFitFlags:
+    @pytest.mark.parametrize("command", [["train", "--fn", "htan"], ["bench", "--runs", "1"]], ids=["train", "bench"])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--mu0", "-1"],
+            ["--mu-dec", "2"],
+            ["--lr", "-1", "--trainer", "gdm"],
+            ["--momentum", "1.5", "--trainer", "gdm"],
+            ["--test-fraction", "1.5", "--data", "heart"],
+        ],
+        ids=["mu0", "mu-dec", "lr", "momentum", "test-fraction"],
+    )
+    def test_bad_value_is_usage_error(self, command, flags, heart_file, capsys):
+        code = main([*command, "--n", "20", "--epochs", "2", "--path", str(heart_file), *flags])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestParserBasics:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

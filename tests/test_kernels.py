@@ -1,0 +1,282 @@
+"""The in-place activation kernels and Jacobian against expression-form oracles.
+
+The oracles below are the plain numpy expressions the kernels replace, kept
+here as the reference: every kernel performs the same floating-point
+operations in the same order, so values and gradients must match byte for
+byte.  The Jacobian oracle is the einsum form; it matches by value only (see
+TestJacobianOracle).
+"""
+
+import sys
+
+import numpy as np
+import pytest
+
+from modhtan.activations import (
+    AdaptiveOffset,
+    Elu,
+    EluParams,
+    FixedOffset,
+    Htan,
+    ModHtan,
+    ModHtanParams,
+    SoftStep,
+    activate,
+)
+from modhtan.bench import CURVE_PRESETS
+from modhtan.network import StallError, forward, jacobian, nguyen_widrow_init, pack_params
+from modhtan.rnf import euler_constant, rnf_exp
+from modhtan.training import LmConfig, train_lm
+
+_TINY = sys.float_info.min
+
+
+def oracle_soft_step(xs):
+    z = np.exp(-np.abs(xs))
+    return np.where(xs >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+
+
+def oracle_htan(xs):
+    z = np.exp(-2.0 * np.abs(xs))
+    mag = (1.0 - z) / (1.0 + z)
+    return np.where(xs >= 0, mag, -mag)
+
+
+def oracle_elu(xs, p):
+    return np.where(xs > 0, xs, p.alpha * np.expm1(np.minimum(xs, 0.0)))
+
+
+def oracle_elu_grad(xs, f, p):
+    return np.where(xs > 0, 1.0, f + p.alpha)
+
+
+def oracle_adaptive_offset(b, delta, kappa):
+    with np.errstate(over="ignore"):
+        return float((1.0 + delta) * np.max(np.abs(b)) + kappa)
+
+
+def oracle_normalized_input(xs, offset_1, x_cutoff, clamp, center_normalize):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        den = xs + offset_1
+        x_norm = xs / den
+    overflowed = np.isinf(den)
+    if np.any(overflowed):
+        safe = np.where(overflowed, xs, 1.0)
+        x_norm = np.where(overflowed, 1.0 / (1.0 + offset_1 / safe), x_norm)
+    singular = np.abs(den) < _TINY
+    if np.any(singular):
+        guard = np.where(xs == 0.0, 0.0, np.copysign(clamp, xs))
+        x_norm = np.where(singular, guard, x_norm)
+    if not center_normalize:
+        x_norm = np.where(np.abs(xs) <= x_cutoff, xs, x_norm)
+    return np.clip(x_norm, -clamp, clamp)
+
+
+def oracle_modhtan(xs, p, offset_1):
+    x_norm = oracle_normalized_input(xs, offset_1, p.x_cutoff, p.x_norm_clamp, p.center_normalize)
+    if p.euler_mode == "constant":
+        t = euler_constant(p.rnf) ** (-2.0 * x_norm)
+    else:
+        t = rnf_exp(-2.0 * x_norm, p.rnf)
+    out = p.k_o / (1.0 + t) - 1.0
+    return np.clip(out, np.nextafter(-1.0, 0.0), np.nextafter(p.k_o - 1.0, -np.inf))
+
+
+def oracle_activate(kind, xs):
+    """(values, grads, offset_1) by the oracle expressions."""
+    if isinstance(kind, SoftStep):
+        f = oracle_soft_step(xs)
+        return f, (1.0 - f) * f, None
+    if isinstance(kind, Htan):
+        f = oracle_htan(xs)
+        return f, 1.0 - f * f, None
+    if isinstance(kind, Elu):
+        f = oracle_elu(xs, kind.params)
+        return f, oracle_elu_grad(xs, f, kind.params), None
+    p = kind.params
+    if isinstance(p.offset_mode, AdaptiveOffset):
+        offset = oracle_adaptive_offset(xs, p.offset_mode.delta, p.offset_mode.kappa)
+    else:
+        offset = p.offset_mode.offset_1
+    f = oracle_modhtan(xs, p, offset)
+    return f, 1.0 - f * f, offset
+
+
+def oracle_jacobian(model, X, T, cache):
+    samples, n_out = X.shape[0], model.n_out
+    eye_o = np.eye(n_out)
+    j_w1 = np.einsum("oh,sh,si->sohi", model.W2, cache.g, X).reshape(samples, n_out, -1)
+    j_b1 = np.einsum("oh,sh->soh", model.W2, cache.g)
+    j_w2 = np.einsum("op,sh->soph", eye_o, cache.h).reshape(samples, n_out, -1)
+    j_b2 = np.broadcast_to(eye_o, (samples, n_out, n_out))
+    J = np.concatenate([j_w1, j_b1, j_w2, j_b2], axis=2).reshape(samples * n_out, -1)
+    return J, (cache.y - T).ravel()
+
+
+def _grid():
+    lo, hi, step = CURVE_PRESETS["exploding"]
+    rng = np.random.default_rng(7)
+    return np.concatenate([
+        [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1e308, -1e308, 1e-17, -1e-17],
+        np.arange(lo, hi + step / 2, step),  # the exploding curve preset
+        [19.0, -19.0, 19.3, -19.3, 25.0, -25.0, 40.0, -40.0, 710.0, -710.0],  # saturated
+        rng.standard_normal(500) * 5.0,
+    ])
+
+
+GRID = _grid()
+GRIDS = {
+    "full": GRID,
+    # without +-1e308 an adaptive offset stays finite, so the normalization
+    # runs without its overflow guard
+    "finite_offset": GRID[np.abs(GRID) < 1e300],
+    "2d": GRID[:60].reshape(20, 3),
+    "minus_zero": np.array([-0.0]),
+}
+
+KINDS = [
+    SoftStep(),
+    Htan(),
+    Elu(),
+    Elu(EluParams(alpha=0.3)),
+    *(
+        ModHtan(ModHtanParams(offset_mode=mode, euler_mode=euler, center_normalize=center))
+        for mode in (AdaptiveOffset(), FixedOffset(1.0), FixedOffset(-3.0))
+        for euler in ("constant", "direct")
+        for center in (True, False)
+    ),
+    ModHtan(ModHtanParams(k_o=3.0, x_norm_clamp=5.0)),
+]
+
+
+def _kind_id(kind):
+    if not isinstance(kind, ModHtan):
+        return repr(kind)
+    p = kind.params
+    return f"modhtan-{type(p.offset_mode).__name__}-{p.euler_mode}-center{p.center_normalize}-k{p.k_o}"
+
+
+class TestActivationOracle:
+    @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
+    @pytest.mark.parametrize("kind", KINDS, ids=_kind_id)
+    @np.errstate(over="ignore")  # -2 * |1e308| overflows, in the oracle too
+    def test_values_and_grads_bytewise(self, kind, grid):
+        try:
+            expected = oracle_activate(kind, grid)
+        except (ArithmeticError, ValueError) as exc:  # direct mode refuses some inputs
+            with pytest.raises(type(exc)):
+                activate(kind, grid)
+            return
+        got = activate(kind, grid)
+        assert got.values.tobytes() == expected[0].tobytes()
+        assert got.grads.tobytes() == expected[1].tobytes()
+        assert got.offset_1 == expected[2]
+
+    @pytest.mark.parametrize("kind", KINDS, ids=_kind_id)
+    def test_into_stale_buffers_bytewise(self, kind):
+        xs = GRIDS["finite_offset"]
+        expected = oracle_activate(kind, xs)
+        values, grads = np.full_like(xs, np.nan), np.full_like(xs, -7.0)
+        got = activate(kind, xs, (values, grads))
+        assert got.values is values and got.grads is grads
+        assert values.tobytes() == expected[0].tobytes()
+        assert grads.tobytes() == expected[1].tobytes()
+
+
+def _problem(n_in, n_hidden, n_out, kind=Htan(), seed=0, samples=60):
+    rng = np.random.default_rng(seed)
+    model = nguyen_widrow_init(n_in, n_hidden, n_out, kind, seed=seed)
+    X = rng.uniform(-1.0, 1.0, size=(samples, n_in))
+    T = rng.uniform(-1.0, 1.0, size=(samples, n_out))
+    return model, X, T
+
+
+class TestJacobianOracle:
+    """The kernel forms W2 * g and (W2 * g) * X as plain products, the
+    operand order einsum uses, so every entry has the einsum value.  The
+    match is by value, not by bytes: where g = 0 and W2 < 0 a plain product
+    is -0.0, while einsum accumulates the product into +0.0."""
+
+    @pytest.mark.parametrize("dims", [(13, 2, 1), (3, 4, 2), (1, 50, 1)], ids=["n_in=13", "n_out=2", "wide"])
+    def test_matches_einsum(self, dims):
+        model, X, T = _problem(*dims)
+        _, cache = forward(model, X)
+        J, e = jacobian(model, X, T, cache)
+        J_ref, e_ref = oracle_jacobian(model, X, T, cache)
+        assert np.array_equal(J, J_ref)
+        assert e.tobytes() == e_ref.tobytes()
+
+    def test_zero_gradient_entries_match_by_value(self):
+        model, X, T = _problem(3, 4, 2)
+        model.W2[:] = -np.abs(model.W2)  # W2 < 0 everywhere
+        _, cache = forward(model, X)
+        cache.g[::2] = 0.0  # every other sample saturates all units
+        J, _ = jacobian(model, X, T, cache)
+        J_ref, _ = oracle_jacobian(model, X, T, cache)
+        assert np.array_equal(J, J_ref)
+        assert np.signbit(J[J == 0.0]).any()  # the -0.0 entries einsum does not produce
+
+
+class TestWorkspaceReuse:
+    @pytest.mark.parametrize("kind", KINDS[:4] + [ModHtan()], ids=_kind_id)
+    def test_forward_into_workspace_bytewise(self, kind):
+        model, X, _ = _problem(13, 3, 1, kind=kind, seed=1)
+        other, _, _ = _problem(13, 3, 1, kind=ModHtan(ModHtanParams(offset_mode=FixedOffset(2.0))), seed=2)
+        _, workspace = forward(other, X)  # last held another kind's data
+        y_ref, ref = forward(model, X)
+        y, cache = forward(model, X, workspace)
+        assert cache.z1 is workspace.z1 and y is workspace.y
+        for name in ("z1", "h", "g", "y"):
+            assert getattr(cache, name).tobytes() == getattr(ref, name).tobytes()
+        assert y.tobytes() == y_ref.tobytes()
+        assert cache.offset_1 == ref.offset_1
+
+    def test_jacobian_buffer_reused_across_caches(self):
+        model, X, T = _problem(3, 4, 2)  # W1 12, b1 4, W2 8, b2 2 columns
+        other, _, _ = _problem(3, 4, 2, seed=5)
+        _, first = forward(other, X)
+        J, _ = jacobian(other, X, T, first)
+        _, cache = forward(model, X)
+        J_again, e = jacobian(model, X, T, cache, J)
+        J_fresh, e_fresh = jacobian(model, X, T, cache)
+        assert J_again is J
+        assert J.tobytes() == J_fresh.tobytes()
+        assert e.tobytes() == e_fresh.tobytes()
+        rows = J.reshape(len(X), 2, -1)
+        w2 = rows[:, :, 16:24].reshape(len(X), 2, 2, 4)
+        assert not w2[:, 0, 1].any() and not w2[:, 1, 0].any()
+        assert np.array_equal(rows[:, :, 24:], np.broadcast_to(np.eye(2), (len(X), 2, 2)))
+
+    def test_jacobian_rejects_a_mismatched_buffer(self):
+        model, X, T = _problem(3, 4, 2)
+        _, cache = forward(model, X)
+        J, _ = jacobian(model, X, T, cache)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            jacobian(model, X, T, cache, np.asfortranarray(J))
+        with pytest.raises(ValueError, match="shape"):
+            jacobian(model, X[:-1], T[:-1], cache, J)
+
+    @pytest.mark.parametrize("stage", ["hidden", "output"])
+    def test_workspace_reusable_after_stall(self, stage):
+        model, X, _ = _problem(13, 3, 1, seed=3)
+        _, workspace = forward(model, X)
+        broken, _, _ = _problem(13, 3, 1, seed=3)
+        if stage == "hidden":
+            broken.W1[:] = 1e308  # z1 overflows
+        else:
+            broken.W2[:] = np.inf  # h is finite, y is not
+        with pytest.raises(StallError), np.errstate(over="ignore", invalid="ignore"):
+            forward(broken, X, workspace)
+        _, ref = forward(model, X)
+        _, cache = forward(model, X, workspace)
+        for name in ("z1", "h", "g", "y"):
+            assert getattr(cache, name).tobytes() == getattr(ref, name).tobytes()
+
+    def test_seeded_train_lm_repeats_in_process(self):
+        runs = []
+        for _ in range(2):
+            model, X, T = _problem(13, 3, 1, kind=ModHtan(), seed=4)
+            fitted, history = train_lm(model, X, T, LmConfig(epochs=30))
+            runs.append((history.loss, history.mu, history.termination, pack_params(fitted).tobytes()))
+        assert len(runs[0][0]) > 1
+        assert runs[0] == runs[1]
