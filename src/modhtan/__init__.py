@@ -43,6 +43,7 @@ from .bench import (
     approx_bench,
     dump_curves,
     emit_report,
+    iter_runs,
     run_experiment,
 )
 from .datasets import (
@@ -83,7 +84,6 @@ from .training import (
     LmConfig,
     TrainHistory,
     classification_accuracy,
-    detect_stall,
     mse,
     train_gdm,
     train_lm,

@@ -12,17 +12,18 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .activations import ActivationKind, activate
-from .datasets import SplitSpec, gen_quadratic, load_heart, split
-from .network import StallError, forward, nguyen_widrow_init
+from .datasets import Dataset, SplitSpec, gen_quadratic, load_heart, split
+from .network import MlpModel, StallError, forward, nguyen_widrow_init
 from .rnf import DEFAULT_RNF_PARAMS, RnfParams, rnf_exp
 from .training import (
     GdmConfig,
     LmConfig,
+    TrainHistory,
     classification_accuracy,
     mse,
     train_gdm,
@@ -66,6 +67,9 @@ class ExperimentSpec:
             raise ValueError("heart dataset needs heart_path")
         if self.n_hidden < 1:
             raise ValueError(f"n_hidden must be >= 1, got {self.n_hidden}")
+        if self.n_points < 2:
+            raise ValueError(f"n_points must be >= 2, got {self.n_points}")
+        SplitSpec(self.test_fraction)  # raises for a fraction outside (0, 1)
 
 
 @dataclass(frozen=True)
@@ -90,35 +94,36 @@ def _fit(spec: ExperimentSpec, model, X, T):
     return train_lm(model, X, T, spec.lm)
 
 
-def run_experiment(spec: ExperimentSpec) -> BenchReport:
-    """Train runs x activations models and collect timed metric rows.
+class Run(NamedTuple):
+    row: BenchRow
+    model: MlpModel  # as trained, also when the row records a stall
+    history: TrainHistory
+    train: Dataset
+
+
+def iter_runs(spec: ExperimentSpec) -> Iterator[Run]:
+    """Train runs x activations models one at a time, activation-major.
 
     Per run index r: seed = base_seed + r drives both the weight init and
     (for heart) a fresh train/test split, so run r sees identical conditions
-    under every activation.  Timing brackets the training call only.  Stalled
-    runs become rows with an error reason and a NaN metric instead of
-    aborting the experiment; averages are taken over the clean rows.
+    under every activation.  Timing brackets the training call only.  A
+    stalled run yields a row with an error reason and a NaN metric instead
+    of aborting the experiment.
     """
     if spec.dataset == "synthetic":
         data = gen_quadratic(spec.n_points, random_x=spec.random_x, seed=spec.base_seed)
         metric_name = "mse"
-        n_in = data.X.shape[1]
-        n_out = data.T.shape[1]
     else:
-        full = load_heart(spec.heart_path)
+        data = load_heart(spec.heart_path)
         metric_name = "accuracy_pct"
-        n_in = full.X.shape[1]
-        n_out = full.T.shape[1]
-
-    report = BenchReport()
+    n_in, n_out = data.X.shape[1], data.T.shape[1]
     for kind in spec.activations:
-        block: list[BenchRow] = []
         for run in range(spec.runs):
             seed = spec.base_seed + run
             if spec.dataset == "synthetic":
                 train_ds = eval_ds = data
             else:
-                train_ds, eval_ds = split(full, SplitSpec(spec.test_fraction, seed=seed))
+                train_ds, eval_ds = split(data, SplitSpec(spec.test_fraction, seed=seed))
             model = nguyen_widrow_init(n_in, spec.n_hidden, n_out, kind, seed=seed)
             t0 = time.perf_counter()
             model, history = _fit(spec, model, train_ds.X, train_ds.T)
@@ -136,8 +141,19 @@ def run_experiment(spec: ExperimentSpec) -> BenchReport:
                         value = classification_accuracy(y, eval_ds.T)
                 except StallError as exc:
                     error = str(exc)
-            block.append(BenchRow(run, kind.name, runtime, metric_name, value, error))
-        report.rows.extend(block)
+            row = BenchRow(run, kind.name, runtime, metric_name, value, error)
+            yield Run(row, model, history, train_ds)
+
+
+def run_experiment(spec: ExperimentSpec) -> BenchReport:
+    """Every row of iter_runs plus one average row per activation.
+
+    Averages are taken over the clean rows of an activation; with none, the
+    metric is NaN and the runtime averages all of its rows.
+    """
+    report = BenchReport(rows=[run.row for run in iter_runs(spec)])
+    for start in range(0, len(report.rows), spec.runs):
+        block = report.rows[start : start + spec.runs]
         ok = [r for r in block if r.error is None]
         if ok:
             avg_runtime = float(np.mean([r.runtime_s for r in ok]))
@@ -146,7 +162,7 @@ def run_experiment(spec: ExperimentSpec) -> BenchReport:
             avg_runtime = float(np.mean([r.runtime_s for r in block]))
             avg_value = math.nan
         report.averages.append(
-            BenchRow(AVERAGE_LABEL, kind.name, avg_runtime, metric_name, avg_value)
+            BenchRow(AVERAGE_LABEL, block[0].activation, avg_runtime, block[0].metric_name, avg_value)
         )
     return report
 

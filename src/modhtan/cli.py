@@ -3,7 +3,7 @@
 Subcommands:
   curves        sample an activation's value/gradient over a range into CSV
   approx-bench  time the rational-power exp approximation against numpy exp
-  train         train a single model and print its final metric
+  train         train one model and print its final metric: run 0 of `bench`
   bench         repeated-seed comparison across activations (report tables)
 
 Exit codes: 0 success, 1 runtime / I-O / stall failure, 2 usage error.
@@ -12,8 +12,8 @@ Exit codes: 0 success, 1 runtime / I-O / stall failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import pathlib
 import sys
-import time
 
 from .activations import ACTIVATION_NAMES, PARAMS, ActivationKind, kind_from_fields
 from .bench import (
@@ -22,28 +22,13 @@ from .bench import (
     approx_bench,
     dump_curves,
     emit_report,
+    iter_runs,
     run_experiment,
     runtime_ordering,
 )
-from .datasets import SplitSpec, gen_quadratic, load_heart, split
-from .network import StallError, forward, nguyen_widrow_init, save_model
+from .network import StallError, forward, save_model
 from .rnf import RnfDomainError, RnfParams
-from .training import (
-    GdmConfig,
-    LmConfig,
-    classification_accuracy,
-    history_to_csv,
-    mse,
-    train_gdm,
-    train_lm,
-)
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+from .training import GdmConfig, LmConfig, history_to_csv, mse
 
 
 def _add_activation_flags(p: argparse.ArgumentParser) -> None:
@@ -60,8 +45,8 @@ def _add_activation_flags(p: argparse.ArgumentParser) -> None:
 def _add_trainer_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("training parameters")
     g.add_argument("--trainer", choices=("lm", "gdm"), default=ExperimentSpec.trainer)
-    g.add_argument("--epochs", type=_positive_int, default=LmConfig.epochs)
-    g.add_argument("--hidden", type=_positive_int, default=ExperimentSpec.n_hidden,
+    g.add_argument("--epochs", type=int, default=LmConfig.epochs)
+    g.add_argument("--hidden", type=int, default=ExperimentSpec.n_hidden,
                    help=f"hidden units (default {ExperimentSpec.n_hidden})")
     g.add_argument("--lr", type=float, default=GdmConfig.learning_rate, help="gdm learning rate")
     g.add_argument("--momentum", type=float, default=GdmConfig.momentum, help="gdm momentum")
@@ -75,7 +60,7 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("dataset")
     g.add_argument("--data", choices=("synthetic", "heart"), default="synthetic")
     g.add_argument(
-        "--n", type=_positive_int, default=ExperimentSpec.n_points, help="synthetic sample count"
+        "--n", type=int, default=ExperimentSpec.n_points, help="synthetic sample count"
     )
     g.add_argument(
         "--random-x", action="store_true", help="sample synthetic x uniformly instead of linspace"
@@ -93,11 +78,24 @@ def _activation_from_flags(name: str, args: argparse.Namespace) -> ActivationKin
     return kind_from_fields(values, label=lambda param: f"--{param.flag}")
 
 
-def _fit_flags(args: argparse.Namespace) -> tuple[GdmConfig, LmConfig, SplitSpec]:
-    """Trainer configs and train/test split from the flags; a bad value is a ValueError."""
-    gdm = GdmConfig(learning_rate=args.lr, momentum=args.momentum, epochs=args.epochs)
-    lm = LmConfig(mu0=args.mu0, mu_inc=args.mu_inc, mu_dec=args.mu_dec, mu_max=args.mu_max, epochs=args.epochs)
-    return gdm, lm, SplitSpec(args.test_fraction, seed=args.seed)
+def _spec(args: argparse.Namespace, names: list[str], runs: int) -> ExperimentSpec:
+    """The experiment the flags describe; a bad value is a ValueError."""
+    if args.data == "heart" and args.path is None:
+        raise ValueError("--data heart requires --path")
+    return ExperimentSpec(
+        dataset=args.data,
+        activations=tuple(_activation_from_flags(n, args) for n in names),
+        runs=runs,
+        base_seed=args.seed,
+        trainer=args.trainer,
+        gdm=GdmConfig(learning_rate=args.lr, momentum=args.momentum, epochs=args.epochs),
+        lm=LmConfig(mu0=args.mu0, mu_inc=args.mu_inc, mu_dec=args.mu_dec, mu_max=args.mu_max, epochs=args.epochs),
+        n_hidden=args.hidden,
+        n_points=args.n,
+        random_x=args.random_x,
+        heart_path=args.path,
+        test_fraction=args.test_fraction,
+    )
 
 
 def cmd_curves(args: argparse.Namespace) -> int:
@@ -139,50 +137,36 @@ def cmd_approx_bench(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     try:
-        kind = _activation_from_flags(args.fn, args)
-        gdm, lm, split_spec = _fit_flags(args)
+        spec = _spec(args, [args.fn], 1)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        if args.data == "synthetic":
-            train_ds = eval_ds = gen_quadratic(args.n, random_x=args.random_x, seed=args.seed)
-        else:
-            if args.path is None:
-                print("error: --data heart requires --path", file=sys.stderr)
-                return 2
-            full = load_heart(args.path)
-            train_ds, eval_ds = split(full, split_spec)
+        row, model, history, train = next(iter_runs(spec))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    model = nguyen_widrow_init(
-        train_ds.X.shape[1], args.hidden, train_ds.T.shape[1], kind, seed=args.seed
-    )
-    t0 = time.perf_counter()
-    if args.trainer == "gdm":
-        model, history = train_gdm(model, train_ds.X, train_ds.T, gdm)
-    else:
-        model, history = train_lm(model, train_ds.X, train_ds.T, lm)
-    wall = time.perf_counter() - t0
     if args.history is not None:
         try:
             history_to_csv(history, args.history)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-    if history.termination == "stall":
-        reason = history.stall_events[-1][1] if history.stall_events else "unknown"
-        print(f"stalled after {len(history.loss)} epochs: {reason}", file=sys.stderr)
+    error = row.error
+    if error is None:
+        try:
+            y_train, _ = forward(model, train.X)
+        except StallError as exc:
+            error = str(exc)
+    if error is not None:
+        print(f"stalled after {len(history.loss)} epochs: {error}", file=sys.stderr)
         return 1
-    y_train, _ = forward(model, train_ds.X)
     print(
-        f"train mse {mse(y_train, train_ds.T):.6g} after {len(history.loss)} epochs "
-        f"({wall:.2f} s, termination: {history.termination})"
+        f"train mse {mse(y_train, train.T):.6g} after {len(history.loss)} epochs "
+        f"({row.runtime_s:.2f} s, termination: {history.termination})"
     )
     if args.data == "heart":
-        y_test, _ = forward(model, eval_ds.X)
-        print(f"test accuracy {classification_accuracy(y_test, eval_ds.T):.2f}%")
+        print(f"test accuracy {row.metric_value:.2f}%")
     if args.save is not None:
         try:
             save_model(model, args.save)
@@ -196,22 +180,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     names = [n.strip() for n in args.fns.split(",") if n.strip()]
     try:
-        kinds = tuple(_activation_from_flags(n, args) for n in names)
-        gdm, lm, split_spec = _fit_flags(args)
-        spec = ExperimentSpec(
-            dataset=args.data,
-            activations=kinds,
-            runs=args.runs,
-            base_seed=args.seed,
-            trainer=args.trainer,
-            gdm=gdm,
-            lm=lm,
-            n_hidden=args.hidden,
-            n_points=args.n,
-            random_x=args.random_x,
-            heart_path=args.path,
-            test_fraction=split_spec.test_fraction,
-        )
+        spec = _spec(args, names, args.runs)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -220,13 +189,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.out is not None:
+    for path in args.out or ():
+        fmt = args.format or ("markdown" if pathlib.PurePath(path).suffix == ".md" else "csv")
         try:
-            emit_report(report, args.format, args.out)
+            emit_report(report, fmt, path)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        print(f"wrote {args.out}")
+        print(f"wrote {path}")
     for row in report.averages:
         print(
             f"{row.activation}: {row.metric_name}={row.metric_value:.6g}, "
@@ -259,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_curves.set_defaults(func=cmd_curves)
 
     p_ab = sub.add_parser("approx-bench", help="time rnf_exp against the reference exp")
-    p_ab.add_argument("--count", type=_positive_int, default=200_000)
+    p_ab.add_argument("--count", type=int, default=200_000)
     p_ab.add_argument("--lo", type=float, default=-20.0)
     p_ab.add_argument("--hi", type=float, default=20.0)
     p_ab.add_argument("--a", type=int, default=RnfParams.a, help="rational-power exponent")
@@ -279,12 +249,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--fns", default="htan,elu,modhtan", help="comma-separated activation names"
     )
-    p_bench.add_argument("--runs", type=_positive_int, default=ExperimentSpec.runs)
+    p_bench.add_argument("--runs", type=int, default=ExperimentSpec.runs)
     p_bench.add_argument(
         "--seed", type=int, default=ExperimentSpec.base_seed, help="base seed; run r uses seed+r"
     )
-    p_bench.add_argument("--out", default=None, help="report file (default: stdout summary only)")
-    p_bench.add_argument("--format", choices=("csv", "markdown"), default="csv")
+    p_bench.add_argument(
+        "--out", nargs="+", default=None,
+        help="report files (default: stdout summary only); each is markdown for a .md suffix, else csv",
+    )
+    p_bench.add_argument("--format", choices=("csv", "markdown"), default=None,
+                         help="write every --out file in this format")
     _add_data_flags(p_bench)
     _add_trainer_flags(p_bench)
     _add_activation_flags(p_bench)

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .network import (
-    ForwardCache,
     MlpModel,
     StallError,
     backward,
@@ -92,22 +91,6 @@ def classification_accuracy(Y, labels) -> float:
     return float(100.0 * np.mean(predicted == labels))
 
 
-def detect_stall(model: MlpModel, cache: ForwardCache | None = None) -> str | None:
-    """Description of the first non-finite tensor, or None when all is finite."""
-    tensors = [("W1", model.W1), ("b1", model.b1), ("W2", model.W2), ("b2", model.b2)]
-    if cache is not None:
-        tensors += [
-            ("hidden pre-activations", cache.z1),
-            ("hidden activations", cache.h),
-            ("hidden gradients", cache.g),
-            ("outputs", cache.y),
-        ]
-    for name, tensor in tensors:
-        if not np.all(np.isfinite(tensor)):
-            return f"{name} contains non-finite values"
-    return None
-
-
 def train_gdm(model: MlpModel, X, T, cfg: GdmConfig = GdmConfig()) -> tuple[MlpModel, TrainHistory]:
     """Full-batch gradient descent with momentum.
 
@@ -139,9 +122,8 @@ def train_gdm(model: MlpModel, X, T, cfg: GdmConfig = GdmConfig()) -> tuple[MlpM
         theta = theta + velocity
         model = with_params(model, theta)
         history.epoch_time_s.append(time.perf_counter() - t0)
-        stall = detect_stall(model)
-        if stall is not None:
-            history.stall_events.append((epoch, stall))
+        if not np.isfinite(theta).all():
+            history.stall_events.append((epoch, "parameters contain non-finite values"))
             history.termination = "stall"
             break
     return model, history

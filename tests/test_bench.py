@@ -52,6 +52,16 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             tiny_spec(trainer="adam")
 
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, 5.0])
+    def test_rejects_test_fraction_outside_unit_interval(self, fraction):
+        with pytest.raises(ValueError, match="test_fraction"):
+            tiny_spec(test_fraction=fraction)
+
+    @pytest.mark.parametrize("n_points", [1, 0, -3])
+    def test_rejects_fewer_than_two_points(self, n_points):
+        with pytest.raises(ValueError, match="n_points"):
+            tiny_spec(n_points=n_points)
+
 
 class TestRunExperiment:
     def test_single_run_average_equals_row(self):

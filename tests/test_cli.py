@@ -7,6 +7,11 @@ from modhtan.cli import main
 from modhtan.network import load_model
 
 
+def strip_runtime(path):
+    """CSV cells of a bench report without the runtime_s column."""
+    return [[c for i, c in enumerate(l.split(",")) if i != 2] for l in path.read_text().splitlines()]
+
+
 class TestCurvesCommand:
     def test_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "h.csv"
@@ -72,6 +77,10 @@ class TestApproxBenchCommand:
     def test_domain_violation(self, capsys):
         assert main(["approx-bench", "--count", "10", "--lo", "0", "--hi", "1e8"]) == 2
         capsys.readouterr()
+
+    def test_zero_count_is_usage_error(self, capsys):
+        assert main(["approx-bench", "--count", "0"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_exponent_override(self, capsys):
         assert main(["approx-bench", "--count", "100", "--a", "1024"]) == 0
@@ -151,6 +160,34 @@ class TestBenchCommand:
         assert text.startswith("# benchmark report")
         assert "| AVERAGE |" in text
 
+    def test_csv_and_markdown_in_one_run(self, tmp_path, capsys):
+        args = ["bench", "--fns", "htan,elu", "--runs", "2", "--n", "40", "--epochs", "10"]
+        single, csv, md = tmp_path / "single.csv", tmp_path / "r.csv", tmp_path / "r.md"
+        assert main([*args, "--out", str(single)]) == 0
+        assert main([*args, "--out", str(csv), str(md)]) == 0
+        stdout = capsys.readouterr().out
+        assert f"wrote {csv}" in stdout and f"wrote {md}" in stdout
+        assert strip_runtime(csv) == strip_runtime(single)
+        assert md.read_text().startswith("# benchmark report")
+
+    def test_format_flag_applies_to_every_path(self, tmp_path, capsys):
+        out = tmp_path / "r.md"
+        assert main(["bench", "--fns", "htan", "--runs", "1", "--n", "40", "--epochs", "5",
+                     "--out", str(out), "--format", "csv"]) == 0
+        capsys.readouterr()
+        assert out.read_text().startswith("run,activation,runtime_s,metric_name,metric_value")
+
+    def test_unwritable_second_path_is_runtime_error(self, tmp_path, capsys):
+        code = main(["bench", "--fns", "htan", "--runs", "1", "--n", "40", "--epochs", "5",
+                     "--out", str(tmp_path / "r.csv"), "/nonexistent-dir/r.md"])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert (tmp_path / "r.csv").exists()
+
+    def test_heart_requires_path(self, capsys):
+        assert main(["bench", "--data", "heart", "--runs", "1"]) == 2
+        assert "--data heart requires --path" in capsys.readouterr().err
+
     def test_zero_runs_rejected(self, capsys):
         assert main(["bench", "--runs", "0", "--n", "40"]) == 2
         capsys.readouterr()
@@ -174,11 +211,6 @@ class TestBenchCommand:
         assert main([*args, "--out", str(a)]) == 0
         assert main([*args, "--out", str(b)]) == 0
         capsys.readouterr()
-
-        def strip_runtime(path):
-            rows = [l.split(",") for l in path.read_text().splitlines()]
-            return [[c for i, c in enumerate(r) if i != 2] for r in rows]
-
         assert strip_runtime(a) == strip_runtime(b)
 
 
@@ -192,8 +224,11 @@ class TestFitFlags:
             ["--lr", "-1", "--trainer", "gdm"],
             ["--momentum", "1.5", "--trainer", "gdm"],
             ["--test-fraction", "1.5", "--data", "heart"],
+            ["--n", "1"],
+            ["--epochs", "0"],
+            ["--hidden", "0"],
         ],
-        ids=["mu0", "mu-dec", "lr", "momentum", "test-fraction"],
+        ids=["mu0", "mu-dec", "lr", "momentum", "test-fraction", "n", "epochs", "hidden"],
     )
     def test_bad_value_is_usage_error(self, command, flags, heart_file, capsys):
         code = main([*command, "--n", "20", "--epochs", "2", "--path", str(heart_file), *flags])

@@ -4,7 +4,7 @@ stall handling."""
 import numpy as np
 import pytest
 
-from modhtan.activations import Elu, EluParams, Htan
+from modhtan.activations import Elu, EluParams, Htan, ModHtan
 from modhtan.datasets import gen_quadratic
 from modhtan.network import (
     MlpModel,
@@ -19,7 +19,6 @@ from modhtan.training import (
     GdmConfig,
     LmConfig,
     classification_accuracy,
-    detect_stall,
     history_to_csv,
     mse,
     train_gdm,
@@ -64,25 +63,30 @@ class TestMetrics:
             classification_accuracy([], [])
 
 
-class TestDetectStall:
-    def test_finite_model_is_clean(self):
-        assert detect_stall(nguyen_widrow_init(1, 2, 1, Htan(), seed=0)) is None
+class TestGdmStall:
+    @pytest.mark.parametrize("epochs", [50, 6])
+    def test_parameter_overflow_is_a_stall(self, epochs):
+        # modhtan keeps the loss finite while lr 1e30 overflows the weights,
+        # so only the check on the updated parameters catches it
+        data = gen_quadratic(40)
+        model = nguyen_widrow_init(1, 2, 1, ModHtan(), seed=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, history = train_gdm(model, data.X, data.T, GdmConfig(learning_rate=1e30, epochs=epochs))
+        assert history.termination == "stall"
+        assert history.stall_events == [(5, "parameters contain non-finite values")]
+        assert len(history.loss) == len(history.epoch_time_s) == 6
+        assert np.isfinite(history.loss).all()
 
-    def test_infinite_weight_described(self):
-        model = zero_model()
-        model.W1[0, 0] = np.inf
-        desc = detect_stall(model)
-        assert desc is not None and "W1" in desc
-
-    def test_saturated_activation_is_not_a_stall(self):
+    def test_saturated_hidden_layer_is_not_a_stall(self):
         model = MlpModel(
             1, 1, 1,
             np.array([[1e6]]), np.zeros(1),
             np.ones((1, 1)), np.zeros(1),
             Htan(),
         )
-        _, cache = forward(model, np.array([[1.0]]))
-        assert detect_stall(model, cache) is None
+        _, history = train_gdm(model, np.array([[1.0]]), np.zeros((1, 1)), GdmConfig(epochs=5))
+        assert history.termination == "epochs"
+        assert history.stall_events == []
 
 
 class TestGdm:
