@@ -117,12 +117,12 @@ def forward(model: MlpModel, X, out: ForwardCache | None = None) -> tuple[np.nda
     z1, h, g, y = (None,) * 4 if out is None else (out.z1, out.h, out.g, out.y)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite turns into StallError
         z1 = np.matmul(X, model.W1.T, out=z1)
-        np.add(z1, model.b1, z1)
+        np.add(z1, model.b1, z1, order=_write_order(model.n_hidden))
     if not np.isfinite(z1).all():
         raise StallError("hidden pre-activations contain non-finite values")
     h, g, offset = activate(model.hidden_kind, z1, None if out is None else (h, g))
     y = np.matmul(h, model.W2.T, out=y)
-    np.add(y, model.b2, y)
+    np.add(y, model.b2, y, order=_write_order(model.n_out))
     if not np.isfinite(y).all():
         raise StallError("outputs contain non-finite values")
     return y, ForwardCache(z1=z1, h=h, g=g, y=y, offset_1=offset)
@@ -181,7 +181,8 @@ def jacobian(model: MlpModel, X, T, cache: ForwardCache, out: np.ndarray | None 
 
 
 def _write_order(width: int) -> str:
-    """Iteration order for writing a block `width` entries wide into every J row.
+    """Iteration order for writing a block `width` entries wide into every row
+    of a C-ordered array: a Jacobian block, or a bias added to each sample.
 
     In its natural order numpy runs one inner loop per row, and below about
     8 entries that per-row overhead outweighs the work; such narrow blocks

@@ -54,20 +54,39 @@ class RnfParams:
 DEFAULT_RNF_PARAMS = RnfParams()
 
 
+_POW_BLOCK = 65_536  # elements per in-place block; its working set stays in cache
+
+
 def _ipow(base, exponent: int):
     """base**exponent for integer exponent >= 0 by square-and-multiply.
 
-    Works elementwise when ``base`` is an ndarray.  All intermediates stay in
-    native double precision.
+    Works elementwise when ``base`` is an ndarray with at least one
+    dimension: the base is copied once and squared in place, block by block,
+    so every element sees the same multiplications in the same order as the
+    scalar loop.  All intermediates stay in native double precision.
     """
-    result = np.ones_like(base) if isinstance(base, np.ndarray) else 1.0
-    while exponent:
-        if exponent & 1:
-            result = result * base
-        exponent >>= 1
-        if exponent:
-            base = base * base
-    return result
+    if np.ndim(base) == 0:
+        result = 1.0
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
+        return result
+    squares = np.array(base, order="C").reshape(-1)
+    result = np.ones_like(squares)
+    for start in range(0, squares.size, _POW_BLOCK):
+        b = squares[start:start + _POW_BLOCK]
+        r = result[start:start + _POW_BLOCK]
+        e = exponent
+        while e:
+            if e & 1:
+                r *= b
+            e >>= 1
+            if e:
+                b *= b
+    return result.reshape(np.shape(base))
 
 
 def rnf_exp(x, params: RnfParams = DEFAULT_RNF_PARAMS):

@@ -118,8 +118,9 @@ def train_gdm(model: MlpModel, X, T, cfg: GdmConfig = GdmConfig()) -> tuple[MlpM
             history.termination = "stall"
             break
         grad = backward(model, X, T, cache)
-        velocity = cfg.momentum * velocity - cfg.learning_rate * grad
-        theta = theta + velocity
+        with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is the stall below
+            velocity = cfg.momentum * velocity - cfg.learning_rate * grad
+            theta = theta + velocity
         model = with_params(model, theta)
         history.epoch_time_s.append(time.perf_counter() - t0)
         if not np.isfinite(theta).all():
@@ -137,14 +138,16 @@ def train_lm(model: MlpModel, X, T, cfg: LmConfig = LmConfig()) -> tuple[MlpMode
     one grows it by mu_inc and retries within the epoch.  Training stops at
     cfg.epochs, when mu exceeds mu_max, when the gradient norm drops below
     grad_tol, or after max_retries rejections in one epoch.  Intended for
-    dense normal equations, i.e. up to a few thousand parameters.
+    dense normal equations, i.e. up to a few thousand parameters.  The
+    caller's model is never written; it is returned when no step was
+    accepted, and otherwise the returned model owns its parameters.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     T = np.atleast_2d(np.asarray(T, dtype=float))
     history = TrainHistory()
-    theta = pack_params(model)
     mu = cfg.mu0
-    identity = np.eye(n_params(model))
+    P = n_params(model)
+    identity = np.eye(P)
     try:
         _, cache = forward(model, X)
     except StallError as exc:
@@ -153,38 +156,44 @@ def train_lm(model: MlpModel, X, T, cfg: LmConfig = LmConfig()) -> tuple[MlpMode
         return model, history
     # Per-fit buffers.  Every candidate forward writes into the first cache's
     # arrays: the current cache is dead once the epoch's J is built, and an
-    # accepted candidate's cache is the workspace itself.  theta is never
-    # changed in place, since the model's weights are views of it.
+    # accepted candidate's cache is the workspace itself.  The parameters
+    # live in two slots, each with a model of views: a candidate is written
+    # into the slot not in use, and accepting it swaps the index.
     workspace = cache
-    J = normal = damped = None
+    slots = np.empty((2, P))
+    slots[0] = pack_params(model)
+    models = [with_params(model, slot) for slot in slots]
+    cur = 0
+    J = normal = None
+    damped = np.empty((2, P, P))
+    rhs = np.empty((2, P, 1))
     loss = mse(cache.y, T)
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
-        J, e = jacobian(model, X, T, cache, J)
+        J, e = jacobian(models[cur], X, T, cache, J)
         gradient = J.T @ e
         if np.linalg.norm(gradient) < cfg.grad_tol:
             history.termination = "grad_tol"
             break
         normal = np.matmul(J.T, J, out=normal)
+        np.negative(gradient[:, None], out=rhs)
         accepted = False
         retries = 0
+        steps = []  # solutions for mu and, when paired, mu * mu_inc
         while True:
-            damped = np.multiply(identity, mu, out=damped)
-            damped += normal
-            try:
-                delta = np.linalg.solve(damped, -gradient)
-            except np.linalg.LinAlgError:
-                delta = None  # singular even with damping; grow mu and retry
+            if not steps:
+                steps = _damped_steps(identity, normal, rhs, mu, cfg.mu_inc, damped)
+            delta = steps.pop(0)
             if delta is not None and np.isfinite(delta).all():
-                candidate_theta = theta + delta
-                candidate = with_params(model, candidate_theta)
+                other = 1 - cur
+                np.add(slots[cur], delta, out=slots[other])
                 try:
-                    _, candidate_cache = forward(candidate, X, workspace)
+                    _, candidate_cache = forward(models[other], X, workspace)
                     candidate_loss = mse(candidate_cache.y, T)
                 except StallError:
                     candidate_loss = np.inf
                 if np.isfinite(candidate_loss) and candidate_loss < loss:
-                    theta, model, cache, loss = candidate_theta, candidate, candidate_cache, candidate_loss
+                    cur, cache, loss = other, candidate_cache, candidate_loss
                     mu = mu * cfg.mu_dec
                     accepted = True
                     break
@@ -201,7 +210,31 @@ def train_lm(model: MlpModel, X, T, cfg: LmConfig = LmConfig()) -> tuple[MlpMode
         if not accepted:
             break
         history.mu.append(mu)
-    return model, history
+    if not history.mu:
+        return model, history
+    return with_params(model, slots[cur].copy()), history
+
+
+def _damped_steps(identity, normal, rhs, mu, mu_inc, damped) -> list:
+    """LM steps for the damping levels mu and mu * mu_inc, in that order.
+
+    One stacked solve of (J^T J + mu_k I) delta = -J^T e gives the same bits
+    as one solve per level.  If either level is singular, only mu is solved;
+    None stands for a singular level, which the caller treats as a rejection.
+    """
+    np.multiply(identity, mu, out=damped[0])
+    with np.errstate(invalid="ignore"):  # an overflowed mu * mu_inc gives NaNs, a rejected step
+        np.multiply(identity, mu * mu_inc, out=damped[1])
+    damped += normal
+    try:
+        pair = np.linalg.solve(damped, rhs)  # (2, P, 1) means a column stack on every numpy
+        return [pair[0, :, 0], pair[1, :, 0]]
+    except np.linalg.LinAlgError:
+        pass
+    try:
+        return [np.linalg.solve(damped[0], rhs[0, :, 0])]
+    except np.linalg.LinAlgError:
+        return [None]
 
 
 def history_to_csv(history: TrainHistory, path) -> None:

@@ -1,4 +1,5 @@
-"""The in-place activation kernels and Jacobian against expression-form oracles.
+"""The in-place activation kernels, forward bias adds, RNF power and Jacobian
+against expression-form oracles.
 
 The oracles below are the plain numpy expressions the kernels replace, kept
 here as the reference: every kernel performs the same floating-point
@@ -24,8 +25,8 @@ from modhtan.activations import (
     activate,
 )
 from modhtan.bench import CURVE_PRESETS
-from modhtan.network import StallError, forward, jacobian, nguyen_widrow_init, pack_params
-from modhtan.rnf import euler_constant, rnf_exp
+from modhtan.network import StallError, _write_order, forward, jacobian, nguyen_widrow_init, pack_params
+from modhtan.rnf import _ipow, euler_constant, rnf_exp
 from modhtan.training import LmConfig, train_lm
 
 _TINY = sys.float_info.min
@@ -111,6 +112,17 @@ def oracle_jacobian(model, X, T, cache):
     j_b2 = np.broadcast_to(eye_o, (samples, n_out, n_out))
     J = np.concatenate([j_w1, j_b1, j_w2, j_b2], axis=2).reshape(samples * n_out, -1)
     return J, (cache.y - T).ravel()
+
+
+def oracle_ipow(base, exponent):
+    result = np.ones_like(base) if isinstance(base, np.ndarray) else 1.0
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return result
 
 
 def _grid():
@@ -280,3 +292,63 @@ class TestWorkspaceReuse:
             runs.append((history.loss, history.mu, history.termination, pack_params(fitted).tobytes()))
         assert len(runs[0][0]) > 1
         assert runs[0] == runs[1]
+
+
+class TestBiasAddOrder:
+    """forward adds b1 and b2 in the Jacobian's narrow-block order."""
+
+    @pytest.mark.parametrize("width", [1, 2, 7, 8, 50])
+    def test_ordered_add_is_the_plain_add(self, width):
+        rng = np.random.default_rng(width)
+        z = rng.uniform(-1.0, 1.0, size=(301, width))
+        z[::3] = -0.0
+        z[1::3] = 0.0
+        b = rng.uniform(-1.0, 1.0, size=width)
+        b[::2] = -0.0
+        plain = z + b
+        np.add(z, b, z, order=_write_order(width))
+        assert z.tobytes() == plain.tobytes()
+        assert np.signbit(plain[plain == 0.0]).any() and not np.signbit(plain[plain == 0.0]).all()
+
+    @pytest.mark.parametrize("width", [1, 2, 7, 8, 50])
+    def test_forward_layers_bytewise(self, width):
+        model, X, _ = _problem(3, width, width, seed=width)
+        model.b1[::2] = -0.0
+        model.b2[1::2] = -0.0
+        X[::4] = 0.0
+        for out in (None, forward(model, X)[1]):
+            y, cache = forward(model, X, out)
+            assert cache.z1.tobytes() == (X @ model.W1.T + model.b1).tobytes()
+            assert y.tobytes() == (cache.h @ model.W2.T + model.b2).tobytes()
+
+
+class TestIpowOracle:
+    """The blocked in-place power against the allocating square-and-multiply."""
+
+    @pytest.mark.parametrize("a", [2, 3, 10**7, 10**7 + 1])
+    @pytest.mark.parametrize("shape", [(), (1,), (65535,), (65536,), (65537,), (200001,), (301, 7)], ids=str)
+    def test_bytewise(self, a, shape):
+        rng = np.random.default_rng(len(shape) and shape[0])
+        x = rng.uniform(-20.0, 20.0, size=shape)
+        base = np.asarray((a - 1.0) / (a - (1.0 + x)) if a > 3 else 1.0 + x / 8.0)
+        got, expected = _ipow(base, a), oracle_ipow(base, a)
+        assert type(got) is type(expected)
+        assert np.shape(got) == np.shape(expected)
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+        if base.ndim:
+            assert not np.shares_memory(got, base)
+
+    @pytest.mark.parametrize("a", [2, 3, 10**7, 10**7 + 1])
+    def test_underflow_and_overflow_tails(self, a):
+        base = np.concatenate([np.geomspace(1e-300, 0.999, 70001), np.geomspace(1.001, 1e300, 70001)])
+        with np.errstate(over="ignore", under="ignore"):
+            got, expected = _ipow(base, a), oracle_ipow(base, a)
+        assert got.tobytes() == expected.tobytes()
+        assert (got == 0.0).any() and np.isinf(got).any()
+
+    def test_scalar_input_stays_scalar(self):
+        assert type(_ipow(1.5, 3)) is float and _ipow(1.5, 3) == 1.5**3
+        assert _ipow(2.0, 0) == 1.0
+        base = np.float64(1.0 + 1e-8)
+        assert _ipow(base, 10**7 + 1) == oracle_ipow(base, 10**7 + 1)
+        assert type(_ipow(base, 10**7 + 1)) is np.float64

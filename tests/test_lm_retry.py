@@ -1,0 +1,266 @@
+"""The LM retry loop against the one-solve-per-candidate loop it replaces.
+
+`oracle_train_lm` below is that loop, kept as the reference: a fresh
+parameter vector and model per candidate and one `np.linalg.solve` per
+damping level.  `train_lm` keeps two parameter slots and solves the levels
+mu and mu * mu_inc in one stacked call, which must not change a bit: loss
+and damping histories, termination, stall events and final parameters are
+compared exactly, on an activation x shape x seed matrix and on problems
+that force each way an epoch can end.
+"""
+
+import numpy as np
+import pytest
+
+import modhtan.training as training
+from modhtan.activations import AdaptiveOffset, Elu, FixedOffset, Htan, ModHtan, ModHtanParams, SoftStep
+from modhtan.datasets import gen_quadratic
+from modhtan.network import (
+    MlpModel,
+    StallError,
+    forward,
+    jacobian,
+    n_params,
+    nguyen_widrow_init,
+    pack_params,
+    with_params,
+)
+from modhtan.training import LmConfig, TrainHistory, _damped_steps, mse, train_lm
+
+
+def oracle_train_lm(model, X, T, cfg=LmConfig(), forward=forward):
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    T = np.atleast_2d(np.asarray(T, dtype=float))
+    history = TrainHistory()
+    theta = pack_params(model)
+    mu = cfg.mu0
+    identity = np.eye(n_params(model))
+    try:
+        _, cache = forward(model, X)
+    except StallError as exc:
+        history.stall_events.append((0, str(exc)))
+        history.termination = "stall"
+        return model, history
+    workspace = cache
+    J = normal = damped = None
+    loss = mse(cache.y, T)
+    for epoch in range(cfg.epochs):
+        J, e = jacobian(model, X, T, cache, J)
+        gradient = J.T @ e
+        if np.linalg.norm(gradient) < cfg.grad_tol:
+            history.termination = "grad_tol"
+            break
+        normal = np.matmul(J.T, J, out=normal)
+        accepted = False
+        retries = 0
+        while True:
+            damped = np.multiply(identity, mu, out=damped)
+            damped += normal
+            try:
+                delta = np.linalg.solve(damped, -gradient)
+            except np.linalg.LinAlgError:
+                delta = None
+            if delta is not None and np.isfinite(delta).all():
+                candidate_theta = theta + delta
+                candidate = with_params(model, candidate_theta)
+                try:
+                    _, candidate_cache = forward(candidate, X, workspace)
+                    candidate_loss = mse(candidate_cache.y, T)
+                except StallError:
+                    candidate_loss = np.inf
+                if np.isfinite(candidate_loss) and candidate_loss < loss:
+                    theta, model, cache, loss = candidate_theta, candidate, candidate_cache, candidate_loss
+                    mu = mu * cfg.mu_dec
+                    accepted = True
+                    break
+            mu = mu * cfg.mu_inc
+            retries += 1
+            if mu > cfg.mu_max:
+                history.termination = "mu_max"
+                break
+            if retries >= cfg.max_retries:
+                history.termination = "no_improvement"
+                break
+        history.loss.append(loss)
+        if not accepted:
+            break
+        history.mu.append(mu)
+    return model, history
+
+
+def _outcome(fitted, history):
+    return (history.loss, history.mu, history.termination, history.stall_events, pack_params(fitted).tobytes())
+
+
+def assert_matches_oracle(model, X, T, cfg):
+    expected = _outcome(*oracle_train_lm(model, X, T, cfg))
+    got = _outcome(*train_lm(model, X, T, cfg))
+    assert got == expected
+    return got
+
+
+KINDS = {
+    "softstep": SoftStep(),
+    "htan": Htan(),
+    "elu": Elu(),
+    "modhtan-adaptive": ModHtan(ModHtanParams(offset_mode=AdaptiveOffset())),
+    "modhtan-fixed": ModHtan(ModHtanParams(offset_mode=FixedOffset(2.0))),
+    "modhtan-direct": ModHtan(ModHtanParams(euler_mode="direct")),
+}
+
+
+def _problem(shape, kind, seed):
+    n_in, n_hidden, n_out = shape
+    rng = np.random.default_rng(100 + seed)
+    if n_in == 1 and n_out == 1:
+        data = gen_quadratic(120)
+        X, T = data.X, data.T
+    else:
+        X = rng.uniform(-1.0, 1.0, size=(90, n_in))
+        T = np.stack([np.sin(2.0 * X[:, o % n_in]) * X[:, -1] for o in range(n_out)], axis=1)
+    return nguyen_widrow_init(n_in, n_hidden, n_out, kind, seed=seed), X, T
+
+
+SHAPES = {"13-2-1": (13, 2, 1), "1-2-1": (1, 2, 1), "1-50-1": (1, 50, 1), "3-4-2": (3, 4, 2)}
+
+
+class TestOracleMatrix:
+    @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
+    @pytest.mark.parametrize("kind", KINDS.values(), ids=KINDS.keys())
+    def test_histories_and_parameters_bytewise(self, kind, shape):
+        epochs = 8 if shape[1] == 50 else 40
+        for seed in range(3):
+            model, X, T = _problem(shape, kind, seed)
+            assert_matches_oracle(model, X, T, LmConfig(epochs=epochs))
+
+
+class TestEpochEndings:
+    """Each way an epoch or a fit ends, forced and compared with the oracle."""
+
+    def test_mu_max_drops_the_second_solution(self):
+        # mu0 * mu_inc is already past mu_max, so the first rejection ends the fit
+        model, X, T = _problem((13, 2, 1), Htan(), 0)
+        loss, mu, termination, *_ = assert_matches_oracle(model, X, T, LmConfig(mu_max=5e-3, epochs=200))
+        assert termination == "mu_max"
+        assert len(loss) == 1 and mu == []
+
+    @pytest.mark.parametrize("max_retries", [1, 2])
+    def test_no_improvement_after_max_retries(self, max_retries):
+        model, X, T = _problem((13, 2, 1), Htan(), 0)
+        _, _, termination, *_ = assert_matches_oracle(
+            model, X, T, LmConfig(max_retries=max_retries, epochs=200)
+        )
+        assert termination == "no_improvement"
+
+    def test_first_candidate_accepted(self):
+        # an epoch that ends at mu * mu_dec took its first candidate and
+        # dropped the solution for mu * mu_inc
+        model, X, T = _problem((1, 2, 1), Htan(), 0)
+        cfg = LmConfig(epochs=40)
+        _, mu, *_ = assert_matches_oracle(model, X, T, cfg)
+        assert any(after == before * cfg.mu_dec for before, after in zip(mu, mu[1:]))
+
+    def test_singular_damped_matrix_grows_mu(self):
+        # two identical hidden units give J two equal columns; a damping far
+        # below the ulp of J^T J leaves the damped matrix exactly singular
+        model = MlpModel(
+            1, 2, 1,
+            np.array([[0.8], [0.8]]), np.array([0.1, 0.1]),
+            np.array([[0.4, 0.4]]), np.array([0.0]),
+            Htan(),
+        )
+        data = gen_quadratic(50)
+        cfg = LmConfig(mu0=1e-30, max_retries=40, epochs=20)
+        _, cache = forward(model, data.X)
+        J, _ = jacobian(model, data.X, data.T, cache)
+        damped = J.T @ J + cfg.mu0 * np.eye(n_params(model))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(damped, np.ones(n_params(model)))
+        _, mu, *_ = assert_matches_oracle(model, data.X, data.T, cfg)
+        assert mu and mu[0] > 1e3 * cfg.mu0  # the singular levels were rejected
+
+    def test_overflowing_second_level_is_dropped_quietly(self):
+        # mu0 * mu_inc overflows to inf: its damped matrix is NaN off the
+        # diagonal, a level the one-solve loop never forms here
+        model, X, T = _problem((13, 2, 1), Htan(), 0)
+        cfg = LmConfig(mu0=1e9, mu_inc=1e300, mu_max=1e10, epochs=3)
+        loss, *_ = assert_matches_oracle(model, X, T, cfg)
+        assert len(loss) == 3
+
+    @pytest.mark.parametrize("stalls", [(1,), (1, 2), (3, 6)], ids=["first", "pair", "later"])
+    def test_stalled_candidate_is_rejected(self, monkeypatch, stalls):
+        def stalling():
+            calls = []
+
+            def fake(model, X, out=None):
+                calls.append(None)
+                if len(calls) - 1 in stalls:  # call 0 is the fit's first forward
+                    raise StallError("hidden pre-activations contain non-finite values")
+                return forward(model, X, out)
+
+            return fake, calls
+
+        model, X, T = _problem((13, 2, 1), Htan(), 1)
+        cfg = LmConfig(epochs=10)
+        oracle_forward, oracle_calls = stalling()
+        expected = _outcome(*oracle_train_lm(model, X, T, cfg, forward=oracle_forward))
+        patched, calls = stalling()
+        monkeypatch.setattr(training, "forward", patched)
+        assert _outcome(*train_lm(model, X, T, cfg)) == expected
+        assert len(calls) == len(oracle_calls) > max(stalls)
+
+
+class TestParameterSlots:
+    def test_caller_model_untouched_and_result_owns_its_parameters(self):
+        model, X, T = _problem((3, 4, 2), ModHtan(), 2)
+        before = {name: getattr(model, name).copy() for name in ("W1", "b1", "W2", "b2")}
+        fitted, history = train_lm(model, X, T, LmConfig(epochs=15))
+        assert len(history.mu) > 1
+        for name, values in before.items():
+            assert getattr(model, name).tobytes() == values.tobytes()
+            assert not np.shares_memory(getattr(fitted, name), getattr(model, name))
+        # one P-vector of its own, not a row of the fit's two-slot buffer
+        assert fitted.b1.base.shape == (n_params(model),)
+        snapshot = pack_params(fitted).tobytes()
+        train_lm(fitted, X, T, LmConfig(epochs=5))
+        assert pack_params(fitted).tobytes() == snapshot
+
+    def test_no_accepted_step_returns_the_callers_model(self):
+        X = np.array([[0.0], [1.0]])
+        T = np.zeros((2, 1))
+        model = MlpModel(1, 1, 1, np.zeros((1, 1)), np.zeros(1), np.zeros((1, 1)), np.zeros(1), Htan())
+        fitted, history = train_lm(model, X, T, LmConfig(epochs=10))
+        assert history.termination == "grad_tol"
+        assert fitted is model
+
+
+class TestDampedSteps:
+    """The paired solve directly, with damping matrices no LM fit builds."""
+
+    def _solve(self, identity, normal, mu, mu_inc):
+        P = len(normal)
+        rhs = np.empty((2, P, 1))
+        np.negative(np.arange(1.0, P + 1.0)[:, None], out=rhs)
+        return _damped_steps(identity, normal, rhs, mu, mu_inc, np.empty((2, P, P))), rhs[0, :, 0]
+
+    def test_pair_equals_one_solve_per_level(self):
+        rng = np.random.default_rng(0)
+        for P in (7, 31, 151):
+            A = rng.standard_normal((2 * P, P))
+            normal = A.T @ A
+            steps, rhs = self._solve(np.eye(P), normal, 1e-3, 10.0)
+            for step, mu in zip(steps, (1e-3, 1e-3 * 10.0)):
+                damped = np.multiply(np.eye(P), mu)
+                damped += normal
+                assert step.tobytes() == np.linalg.solve(damped, rhs).tobytes()
+
+    def test_singular_second_level_falls_back_to_the_first(self):
+        # normal - mu_k I: regular at mu = 1, singular at mu * mu_inc = 2
+        normal = 2.0 * np.eye(3)
+        steps, rhs = self._solve(-np.eye(3), normal, 1.0, 2.0)
+        assert len(steps) == 1
+        assert steps[0].tobytes() == np.linalg.solve(np.eye(3), rhs).tobytes()
+
+    def test_singular_first_level_is_none(self):
+        steps, _ = self._solve(np.eye(3), np.ones((3, 3)), 1e-30, 10.0)
+        assert steps == [None]

@@ -70,8 +70,7 @@ class TestGdmStall:
         # so only the check on the updated parameters catches it
         data = gen_quadratic(40)
         model = nguyen_widrow_init(1, 2, 1, ModHtan(), seed=0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            _, history = train_gdm(model, data.X, data.T, GdmConfig(learning_rate=1e30, epochs=epochs))
+        _, history = train_gdm(model, data.X, data.T, GdmConfig(learning_rate=1e30, epochs=epochs))
         assert history.termination == "stall"
         assert history.stall_events == [(5, "parameters contain non-finite values")]
         assert len(history.loss) == len(history.epoch_time_s) == 6
