@@ -1,8 +1,8 @@
 """Activation functions and their gradients.
 
 Four squashing units: the logistic soft-step, the hyperbolic tangent (htan),
-the exponential linear unit (elu), and modhtan, a hyperbolic tangent variant
-that normalizes its input by x / (x + offset_1) and squashes with a cached
+the exponential linear unit (elu), and modhtan, by default tanh(x_norm * ln E)
+of the normalized input x_norm = x / (x + offset_1), E being a cached
 rational-power approximation of e.  All functions accept a scalar or an
 ndarray and return a matching value; given out= buffers they write there.
 """
@@ -72,9 +72,9 @@ class ModHtanParams:
     the normalized input; 50 is far past saturation.  center_normalize=False
     keeps the raw x (instead of x/(x+offset_1)) wherever |x| <= x_cutoff
     (typical cutoff 10 to 100); x_cutoff acts only when center_normalize is
-    off.  euler_mode picks between powering the cached Euler approximation
-    ("constant") and evaluating the rational-power formula per input
-    ("direct").
+    off.  euler_mode picks between the tanh form with the cached Euler
+    approximation's log as slope ("constant") and evaluating the
+    rational-power formula per input ("direct").
     """
 
     k_o: float = 2.0
@@ -186,7 +186,7 @@ PARAMS = (
     Param("modhtan_center_normalize", "center-normalize", ModHtanParams, "center_normalize",
           "normalize the central region too", choices={"on": True, "off": False}),
     Param("modhtan_euler_mode", "euler-mode", ModHtanParams, "euler_mode",
-          "power a cached Euler constant, or evaluate the rational formula per input",
+          "tanh with slope ln E of the cached Euler constant, or the rational formula per input",
           choices={mode: mode for mode in EULER_MODES}),
     Param("rnf_a", "rnf-a", RnfParams, "a", "rational-power exponent a", type=int),
     Param("rnf_n", None, RnfParams, "n", "rational-power numerator shift"),
@@ -259,8 +259,8 @@ def _buffers(xs, out):
 
 # The kernels below write through ufunc out= arguments so that a caller
 # holding buffers (network.forward with a workspace) allocates nothing.
-# Their results are bit-identical to the np.where expression forms kept as
-# oracles in tests/test_kernels.py.
+# Their results match the expression forms in tests/test_kernels.py bit for
+# bit, except htan and constant-mode modhtan: tanh forms, held to accuracy.
 
 
 def soft_step(x, out=None):
@@ -291,22 +291,11 @@ def soft_step_grad(f, out=None):
 
 
 def htan(x, out=None):
-    """Hyperbolic tangent 2 / (1 + exp(-2x)) - 1, saturating at -1 and 1.
+    """Hyperbolic tangent 2 / (1 + exp(-2x)) - 1 = tanh(x), saturating at -1 and 1.
 
-    The magnitude (1 - z) / (1 + z) with z = exp(-2|x|) is computed from |x|
-    and given the sign of x, which keeps the function exactly odd; x = -0.0
-    maps to +0.0.
+    One np.tanh pass; exactly odd, so x = -0.0 maps to -0.0.
     """
-    xs = _as_float_array(x)
-    v, g = _buffers(xs, out)
-    np.abs(xs, v)
-    np.multiply(v, -2.0, v)
-    np.exp(v, v)
-    np.add(v, 1.0, g)
-    np.subtract(1.0, v, v)
-    np.divide(v, g, v)
-    np.add(xs, 0.0, g)  # -0.0 + 0.0 is +0.0: the sign source for x = -0.0 is +
-    np.copysign(v, g, v)
+    v = np.tanh(_as_float_array(x), None if out is None else out[0])
     return _scalar_or_array(v, x)
 
 
@@ -405,30 +394,29 @@ def _clip(v, lo, hi):
 def modhtan(x, p: ModHtanParams, offset_1: float, out=None):
     """k_o / (1 + E**(-2 * x_norm)) - 1 with x_norm = x / (x + offset_1).
 
-    E is the cached rational-power approximation of e (or, in "direct" mode,
-    the formula itself evaluated at -2 * x_norm).  Outputs are kept strictly
-    inside the open interval (-1, k_o - 1): binary64 rounding lands exactly
-    on a bound once |x_norm| passes ~19.2, which would zero the 1 - f**2
-    gradient the function exists to protect.
+    E is the cached rational-power approximation of e.  With c = ln E this
+    is (k_o/2) * tanh(c * x_norm) + k_o/2 - 1, the form "constant" mode
+    computes: one np.tanh pass at k_o = 2, accurate near f = 0, -0.0 kept.
+    "direct" mode evaluates the rational formula at -2 * x_norm per input.
+    Outputs stay strictly inside (-1, k_o - 1): rounding lands on a bound
+    once |x_norm| passes ~19, which would zero the 1 - f**2 gradient.
     """
     xs = _as_float_array(x)
-    v, _ = _buffers(xs, out)
-    _normalized_input(xs, offset_1, p.x_cutoff, p.x_norm_clamp, p.center_normalize, v)
-    np.multiply(v, -2.0, v)
+    v = _normalized_input(xs, offset_1, p.x_cutoff, p.x_norm_clamp, p.center_normalize,
+                          None if out is None else out[0])
     if p.euler_mode == "constant":
-        np.power(euler_constant(p.rnf), v, v)
+        np.multiply(v, math.log(euler_constant(p.rnf)), v)
+        np.tanh(v, v)
+        if p.k_o != 2.0:
+            np.add(np.multiply(v, p.k_o / 2.0, v), p.k_o / 2.0 - 1.0, v)
     else:
-        np.copyto(v, rnf_exp(v, p.rnf))
-    np.add(v, 1.0, v)
-    np.divide(p.k_o, v, v)
-    np.subtract(v, 1.0, v)
+        np.add(rnf_exp(np.multiply(v, -2.0, v), p.rnf), 1.0, v)
+        np.subtract(np.divide(p.k_o, v, v), 1.0, v)
     _clip(v, math.nextafter(-1.0, 0.0), math.nextafter(p.k_o - 1.0, -math.inf))
     return _scalar_or_array(v, x)
 
 
-def modhtan_grad(f, out=None):
-    """Surrogate gradient 1 - f**2, shared with htan."""
-    return htan_grad(f, out)
+modhtan_grad = htan_grad  # a surrogate: 1 - f**2 is not the derivative of modhtan
 
 
 class BatchActivation(NamedTuple):

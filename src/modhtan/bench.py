@@ -240,8 +240,11 @@ def curve_grid(lo: float, hi: float, step: float) -> np.ndarray:
     """Inclusive sweep from lo to hi in (approximately) `step` increments."""
     if not lo < hi:
         raise ValueError(f"need lo < hi, got lo={lo} hi={hi}")
-    if step <= 0:
+    if not step > 0:
         raise ValueError(f"step must be positive, got {step}")
+    for name, value in (("lo", lo), ("hi", hi), ("step", step), ("(hi - lo) / step", (hi - lo) / step)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     count = max(int(round((hi - lo) / step)) + 1, 2)
     return np.linspace(lo, hi, count)
 
@@ -285,7 +288,9 @@ def approx_bench(
     t1 = time.perf_counter_ns()
     reference = np.exp(xs)
     t2 = time.perf_counter_ns()
-    rel = np.abs(np.asarray(approx) - reference) / np.abs(reference)
+    err = np.abs(approx - reference)
+    # as in rnf.approx_error_profile: 0 where both are 0, inf where only exp is
+    rel = np.divide(err, reference, out=np.where(err == 0.0, 0.0, np.inf), where=reference != 0.0)
     return ApproxBenchResult(
         ns_per_op_rnf=(t1 - t0) / m,
         ns_per_op_ref=(t2 - t1) / m,

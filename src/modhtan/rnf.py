@@ -99,16 +99,20 @@ def rnf_exp(x, params: RnfParams = DEFAULT_RNF_PARAMS):
     """
     a, n, m = params.a, params.n, params.m
     xs = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(xs)):
-        raise RnfDomainError("x must be finite")
-    if np.any(m + xs >= a):
-        raise RnfDomainError(f"m + x must stay strictly below a = {a}")
+    if xs.size:
+        # NaN and inf reach min/max; m + x rounds nondecreasing in x, so the
+        # largest m + x is at max and, for a > n, the smallest base at min
+        lo, hi = xs.min(), xs.max()
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise RnfDomainError("x must be finite")
+        if m + hi >= a:
+            raise RnfDomainError(f"m + x must stay strictly below a = {a}")
+        if (a - n) / (a - (m + lo)) <= 0.0:
+            raise RnfDomainError("base (a - n)/(a - (m + x)) must be positive")
     base = (a - n) / (a - (m + xs))
-    if np.any(base <= 0.0):
-        raise RnfDomainError("base (a - n)/(a - (m + x)) must be positive")
     with np.errstate(over="ignore"):
         out = _ipow(base, a)
-    if np.any(np.isinf(out)):
+    if np.max(out, initial=0.0) == math.inf:
         raise OverflowError("rnf_exp result exceeds the double-precision range")
     if np.ndim(x) == 0:
         return float(out)

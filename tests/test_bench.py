@@ -185,6 +185,22 @@ class TestCurves:
         with pytest.raises(ValueError):
             curve_grid(-1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            ((-math.inf, 1.0, 0.1), "lo must be finite, got -inf"),
+            ((-1.0, math.inf, 0.1), "hi must be finite, got inf"),
+            ((-1.0, 1.0, math.inf), "step must be finite, got inf"),
+            ((-1.0, math.nan, 0.1), "need lo < hi, got lo=-1.0 hi=nan"),
+            ((-1.0, 1.0, math.nan), "step must be positive, got nan"),
+            ((-1e308, 1e308, 1.0), "(hi - lo) / step must be finite, got inf"),
+        ],
+    )
+    def test_non_finite_bounds_rejected(self, bounds, message):
+        with pytest.raises(ValueError) as info:
+            curve_grid(*bounds)
+        assert str(info.value) == message
+
     def test_htan_rows(self, tmp_path):
         path = tmp_path / "htan.csv"
         dump_curves(Htan(), -1.0, 1.0, 1.0, path)
@@ -238,6 +254,12 @@ class TestApproxBench:
     def test_m_validation(self):
         with pytest.raises(ValueError):
             approx_bench(0, 0.0, 1.0)
+
+    def test_underflowed_reference(self):
+        # exp is 0.0 below about -745.13; rnf_exp is too, except on a short
+        # stretch where its larger value rounds to the smallest subnormal
+        assert approx_bench(1000, -800.0, -750.0).max_rel_err == 0.0
+        assert approx_bench(5, -745.2, -745.1).max_rel_err == math.inf
 
     def test_small_a_override(self):
         result = approx_bench(100, -1.0, 1.0, RnfParams(a=1024))

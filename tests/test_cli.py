@@ -40,6 +40,24 @@ class TestCurvesCommand:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--hi", "inf"], "hi must be finite, got inf"),
+            (["--lo=-inf"], "lo must be finite, got -inf"),
+            (["--lo", "nan"], "need lo < hi, got lo=nan"),
+            (["--step", "nan"], "step must be positive, got nan"),
+            (["--step", "inf"], "step must be finite, got inf"),
+            (["--lo=-1e308", "--hi", "1e308"], "(hi - lo) / step must be finite, got inf"),
+        ],
+    )
+    def test_non_finite_bounds_are_usage_errors(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "x.csv"
+        assert main(["curves", "--fn", "htan", *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
     def test_unwritable_path_is_runtime_error(self, capsys):
         code = main(["curves", "--fn", "htan", "--out", "/nonexistent-dir/x.csv"])
         assert code == 1
@@ -77,6 +95,12 @@ class TestApproxBenchCommand:
     def test_domain_violation(self, capsys):
         assert main(["approx-bench", "--count", "10", "--lo", "0", "--hi", "1e8"]) == 2
         capsys.readouterr()
+
+    def test_underflowed_reference(self, capsys):
+        assert main(["approx-bench", "--count", "1000", "--lo", "-800", "--hi", "-750"]) == 0
+        captured = capsys.readouterr()
+        assert "max relative error 0.000e+00" in captured.out
+        assert captured.err == ""
 
     def test_zero_count_is_usage_error(self, capsys):
         assert main(["approx-bench", "--count", "0"]) == 2

@@ -2,12 +2,16 @@
 against expression-form oracles.
 
 The oracles below are the plain numpy expressions the kernels replace, kept
-here as the reference: every kernel performs the same floating-point
-operations in the same order, so values and gradients must match byte for
-byte.  The Jacobian oracle is the einsum form; it matches by value only (see
-TestJacobianOracle).
+here as the reference.  softstep, elu and direct-mode modhtan perform the
+same floating-point operations in the same order as their oracles, so values
+and gradients must match byte for byte.  htan and constant-mode modhtan are
+tanh forms of their expressions: they are held to an extended-precision
+evaluation instead, at least as closely as the expressions themselves (see
+TestTanhFormAccuracy).  The Jacobian oracle is the einsum form; it matches by
+value only (see TestJacobianOracle).
 """
 
+import math
 import sys
 
 import numpy as np
@@ -23,6 +27,9 @@ from modhtan.activations import (
     ModHtanParams,
     SoftStep,
     activate,
+    adaptive_offset,
+    htan,
+    modhtan,
 )
 from modhtan.bench import CURVE_PRESETS
 from modhtan.network import StallError, _write_order, forward, jacobian, nguyen_widrow_init, pack_params
@@ -168,9 +175,18 @@ def _kind_id(kind):
     return f"modhtan-{type(p.offset_mode).__name__}-{p.euler_mode}-center{p.center_normalize}-k{p.k_o}"
 
 
+def _tanh_form(kind):
+    """Whether the kernel computes its expression as a tanh instead."""
+    return isinstance(kind, Htan) or (isinstance(kind, ModHtan) and kind.params.euler_mode == "constant")
+
+
+BYTEWISE_KINDS = [kind for kind in KINDS if not _tanh_form(kind)]
+TANH_KINDS = [kind for kind in KINDS if _tanh_form(kind)]
+
+
 class TestActivationOracle:
     @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
-    @pytest.mark.parametrize("kind", KINDS, ids=_kind_id)
+    @pytest.mark.parametrize("kind", BYTEWISE_KINDS, ids=_kind_id)
     @np.errstate(over="ignore")  # -2 * |1e308| overflows, in the oracle too
     def test_values_and_grads_bytewise(self, kind, grid):
         try:
@@ -184,7 +200,7 @@ class TestActivationOracle:
         assert got.grads.tobytes() == expected[1].tobytes()
         assert got.offset_1 == expected[2]
 
-    @pytest.mark.parametrize("kind", KINDS, ids=_kind_id)
+    @pytest.mark.parametrize("kind", BYTEWISE_KINDS, ids=_kind_id)
     def test_into_stale_buffers_bytewise(self, kind):
         xs = GRIDS["finite_offset"]
         expected = oracle_activate(kind, xs)
@@ -193,6 +209,121 @@ class TestActivationOracle:
         assert got.values is values and got.grads is grads
         assert values.tobytes() == expected[0].tobytes()
         assert grads.tobytes() == expected[1].tobytes()
+
+
+# |x| beyond this leaves 1 - |tanh x| below 1e-34, under the resolution of an
+# 80-bit long double near 1, so the reference clips htan's input there
+# instead of overflowing expm1.
+_SATURATED = 40.0
+
+# Max error of a tanh-form kernel in units in the last place of the
+# reference value; for k_o != 2, of max(|f|, |k_o/2 - 1|), the scale of the
+# affine step's rounding.  The bound allows numpy's tanh one ulp and the
+# rounding of x_norm * ln E half of one, plus one for the affine step.
+# Measured max over every grid: 0.80 for htan, 1.77 for modhtan at k_o = 2
+# and 2.24 at k_o = 3, against up to 9e15 for the expression forms.
+ULP_BOUND = 2.0
+ULP_BOUND_AFFINE = 3.0
+
+
+def longdouble_formula(x_norm, k_o, log_e):
+    """k_o / (1 + E**(-2 * x_norm)) - 1 with ln E = log_e, in np.longdouble.
+
+    Written as (k_o - 2 - d) / (2 + d) with d = E**(-2 * x_norm) - 1 from
+    expm1, which cancels only at a root of f (for k_o > 2).
+    """
+    d = np.expm1(-2.0 * log_e * np.asarray(x_norm, dtype=np.longdouble))
+    return (k_o - 2.0 - d) / (2.0 + d)
+
+
+def reference_values(kind, xs, offset_1):
+    """The activation's formula, evaluated in np.longdouble on the same
+    double inputs: x for htan, x_norm and E for modhtan."""
+    if isinstance(kind, Htan):
+        return longdouble_formula(np.clip(xs, -_SATURATED, _SATURATED), 2.0, np.longdouble(1.0))
+    p = kind.params
+    x_norm = oracle_normalized_input(xs, offset_1, p.x_cutoff, p.x_norm_clamp, p.center_normalize)
+    return longdouble_formula(x_norm, p.k_o, np.log(np.longdouble(euler_constant(p.rnf))))
+
+
+def max_ulp_error(values, reference, k_o=2.0):
+    scale = np.maximum(np.abs(reference), abs(k_o / 2.0 - 1.0)).astype(float)
+    err = np.abs(values.astype(np.longdouble) - reference) / np.spacing(scale).astype(np.longdouble)
+    return float(err.max())
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant < 63,
+    reason="np.longdouble is not extended precision on this platform, so it cannot be the reference",
+)
+class TestTanhFormAccuracy:
+    """htan and constant-mode modhtan compute k_o / (1 + E**(-2v)) - 1 as
+    (k_o/2) * tanh(v * ln E) + (k_o/2 - 1), with E = e and v = x for htan.
+    Against a long-double evaluation of the formula, their error never
+    exceeds that of the expression forms above and stays within ULP_BOUND;
+    the gradients stay the surrogate 1 - f**2 of the values."""
+
+    @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
+    @pytest.mark.parametrize("kind", TANH_KINDS, ids=_kind_id)
+    @np.errstate(over="ignore")  # -2 * |1e308| overflows in the expression forms
+    def test_at_least_as_accurate_as_the_expression(self, kind, grid):
+        got = activate(kind, grid)
+        old_values, _, offset_1 = oracle_activate(kind, grid)
+        assert got.offset_1 == offset_1
+        assert got.grads.tobytes() == (1.0 - got.values * got.values).tobytes()
+        reference = reference_values(kind, grid, offset_1)
+        k_o = kind.params.k_o if isinstance(kind, ModHtan) else 2.0
+        error = max_ulp_error(got.values, reference, k_o)
+        assert error <= max_ulp_error(old_values, reference, k_o)
+        assert error <= (ULP_BOUND if k_o == 2.0 else ULP_BOUND_AFFINE)
+
+    @pytest.mark.parametrize("kind", TANH_KINDS, ids=_kind_id)
+    def test_into_stale_buffers_bytewise(self, kind):
+        xs = GRIDS["finite_offset"]
+        expected = activate(kind, xs)
+        values, grads = np.full_like(xs, np.nan), np.full_like(xs, -7.0)
+        got = activate(kind, xs, (values, grads))
+        assert got.values is values and got.grads is grads
+        assert values.tobytes() == expected.values.tobytes()
+        assert grads.tobytes() == expected.grads.tobytes()
+
+    def test_old_form_loses_digits_near_zero(self):
+        xs = np.array([1e-17, -1e-9, 1e-3, 0.3])
+        for kind in (Htan(), ModHtan()):
+            got, (old, _, offset_1) = activate(kind, xs), oracle_activate(kind, xs)
+            reference = reference_values(kind, xs, offset_1)
+            assert max_ulp_error(got.values, reference) <= 1.0
+            assert max_ulp_error(old, reference) > 1e3
+
+
+class TestTanhForms:
+    @pytest.mark.parametrize("k_o", [3.0, 0.5])
+    def test_k_o_is_an_affine_map_of_the_default(self, k_o):
+        xs = GRIDS["finite_offset"]
+        f2 = modhtan(xs, ModHtanParams(), 2.0)
+        fk = modhtan(xs, ModHtanParams(k_o=k_o), 2.0)
+        inside = np.abs(f2) < 0.999  # away from the open-interval clip
+        assert inside.sum() > 100
+        assert fk[inside].tobytes() == (f2[inside] * (k_o / 2.0) + (k_o / 2.0 - 1.0)).tobytes()
+
+    def test_k_o_3_is_three_over_one_plus_e_power_minus_one(self):
+        xs = np.linspace(-30.0, 30.0, 601)
+        p = ModHtanParams(k_o=3.0)
+        offset_1 = adaptive_offset(xs)
+        x_norm = oracle_normalized_input(xs, offset_1, p.x_cutoff, p.x_norm_clamp, p.center_normalize)
+        paper = 3.0 / (1.0 + euler_constant() ** (-2.0 * x_norm)) - 1.0
+        assert np.max(np.abs(modhtan(xs, p, offset_1) - paper)) <= 4 * np.finfo(float).eps
+
+    def test_htan_is_odd(self):
+        xs = GRID[np.isfinite(GRID)]
+        assert htan(-xs).tobytes() == (-htan(xs)).tobytes()
+
+    def test_minus_zero_maps_to_minus_zero(self):
+        assert math.copysign(1.0, htan(-0.0)) == -1.0
+        assert math.copysign(1.0, htan(0.0)) == 1.0
+        for p in (ModHtanParams(), ModHtanParams(center_normalize=False)):
+            assert math.copysign(1.0, activate(ModHtan(p), np.array([-0.0])).values[0]) == -1.0
+        assert math.copysign(1.0, modhtan(-0.0, ModHtanParams(), -3.0)) == 1.0  # -0.0 / -3.0 is +0.0
 
 
 def _problem(n_in, n_hidden, n_out, kind=Htan(), seed=0, samples=60):

@@ -11,6 +11,7 @@ from modhtan.rnf import (
     DEFAULT_RNF_PARAMS,
     RnfDomainError,
     RnfParams,
+    _ipow,
     approx_error_profile,
     euler_constant,
     rnf_exp,
@@ -151,3 +152,74 @@ class TestErrorProfile:
         assert rows[1].error is not None
         assert math.isnan(rows[1].rnf_value)
         assert rows[2].error is None
+
+
+def oracle_rnf_exp(x, params=DEFAULT_RNF_PARAMS):
+    """rnf_exp with its checks as one elementwise pass each."""
+    a, n, m = params.a, params.n, params.m
+    xs = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(xs)):
+        raise RnfDomainError("x must be finite")
+    if np.any(m + xs >= a):
+        raise RnfDomainError(f"m + x must stay strictly below a = {a}")
+    base = (a - n) / (a - (m + xs))
+    if np.any(base <= 0.0):
+        raise RnfDomainError("base (a - n)/(a - (m + x)) must be positive")
+    with np.errstate(over="ignore"):
+        out = _ipow(base, a)
+    if np.any(np.isinf(out)):
+        raise OverflowError("rnf_exp result exceeds the double-precision range")
+    if np.ndim(x) == 0:
+        return float(out)
+    return out
+
+
+def _edge_inputs():
+    rng = np.random.default_rng(11)
+    edges = [0.0, -0.0, 5e-324, 1e-300, 1.0, -700.0, -745.0, -800.0, 709.0, 710.0, 1e7 - 1.0, 1e7, -1e308, 1e308]
+    yield from edges
+    yield from (math.nan, math.inf, -math.inf)
+    yield np.array(edges)
+    yield np.array(edges[:9])  # every entry in range for the defaults
+    yield np.linspace(-800.0, -700.0, 101)  # underflows to 0.0 on the left
+    yield np.linspace(700.0, 720.0, 21)  # overflows on the right
+    yield rng.uniform(-20.0, 20.0, size=(301, 7))
+    yield np.array([1.0, math.nan, 1e8])  # non-finite before out of domain
+    yield np.array([2e7, -math.inf])
+    yield np.array([])
+    yield np.zeros((0, 3))
+
+
+EDGE_PARAMS = [
+    DEFAULT_RNF_PARAMS,
+    RnfParams(a=2),  # a - (m + 1) = 0: x = 1 is out of domain
+    RnfParams(a=3),
+    RnfParams(a=1024),
+    RnfParams(a=10, n=10.0),  # zero base
+    RnfParams(a=10, n=12.0),  # negative base
+    RnfParams(n=math.nan),
+    RnfParams(m=math.nan),
+    RnfParams(m=-math.inf),  # infinite denominator, zero base
+    RnfParams(m=-1e308),  # m + x overflows for x = -1e308
+]
+
+
+class TestRnfExpOracle:
+    """One min/max pair gives the same results, exceptions, messages and
+    check order as the elementwise checks."""
+
+    @pytest.mark.parametrize("params", EDGE_PARAMS, ids=repr)
+    def test_matches_elementwise_checks(self, params):
+        for x in _edge_inputs():
+            with np.errstate(over="ignore"):
+                try:
+                    expected = oracle_rnf_exp(x, params)
+                except (RnfDomainError, OverflowError) as exc:
+                    with pytest.raises(type(exc)) as info:
+                        rnf_exp(x, params)
+                    assert type(info.value) is type(exc) and str(info.value) == str(exc)
+                    continue
+                got = rnf_exp(x, params)
+            assert type(got) is type(expected)
+            assert np.shape(got) == np.shape(expected)
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
