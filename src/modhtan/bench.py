@@ -288,11 +288,13 @@ def approx_bench(
     t1 = time.perf_counter_ns()
     reference = np.exp(xs)
     t2 = time.perf_counter_ns()
-    err = np.abs(approx - reference)
-    # as in rnf.approx_error_profile: 0 where both are 0, inf where only exp is
-    rel = np.divide(err, reference, out=np.where(err == 0.0, 0.0, np.inf), where=reference != 0.0)
+    rel = np.abs(np.subtract(approx, reference, out=approx), out=approx)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(rel, reference, out=rel)
+    # Where exp underflows to 0 this is inf, or 0/0 = NaN where rnf_exp does
+    # too; fmax skips the NaN, an exact 0 as in rnf.approx_error_profile.
     return ApproxBenchResult(
         ns_per_op_rnf=(t1 - t0) / m,
         ns_per_op_ref=(t2 - t1) / m,
-        max_rel_err=float(rel.max()),
+        max_rel_err=float(np.fmax.reduce(rel, initial=0.0)),
     )
