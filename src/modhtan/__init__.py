@@ -46,19 +46,7 @@ from .bench import (
     iter_runs,
     run_experiment,
 )
-from .datasets import (
-    Dataset,
-    DatasetKind,
-    ScaleParams,
-    SplitSpec,
-    apply_scale,
-    gen_quadratic,
-    linear_scale,
-    load_heart,
-    make_heart_fixture,
-    split,
-    unscale,
-)
+from .datasets import Dataset, SplitSpec, gen_quadratic, load_heart, make_heart_fixture, split
 from .network import (
     ForwardCache,
     MlpModel,
@@ -70,15 +58,7 @@ from .network import (
     nguyen_widrow_init,
     save_model,
 )
-from .rnf import (
-    DEFAULT_RNF_PARAMS,
-    ErrorProfileRow,
-    RnfDomainError,
-    RnfParams,
-    approx_error_profile,
-    euler_constant,
-    rnf_exp,
-)
+from .rnf import DEFAULT_RNF_PARAMS, RnfDomainError, RnfParams, euler_constant, rnf_exp
 from .training import (
     GdmConfig,
     LmConfig,

@@ -292,7 +292,7 @@ def approx_bench(
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(rel, reference, out=rel)
     # Where exp underflows to 0 this is inf, or 0/0 = NaN where rnf_exp does
-    # too; fmax skips the NaN, an exact 0 as in rnf.approx_error_profile.
+    # too; fmax skips the NaN, counting a shared underflow as no error.
     return ApproxBenchResult(
         ns_per_op_rnf=(t1 - t0) / m,
         ns_per_op_ref=(t2 - t1) / m,

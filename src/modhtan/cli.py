@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import pathlib
+import re
 import sys
 
 from .activations import ACTIVATION_NAMES, PARAMS, ActivationKind, kind_from_fields
@@ -29,6 +30,14 @@ from .bench import (
 from .network import StallError, forward, save_model
 from .rnf import RnfDomainError, RnfParams
 from .training import GdmConfig, LmConfig, history_to_csv, mse
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads -1e-3 as a value, not an option; argparse's own pattern has no exponent."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
 def _add_activation_flags(p: argparse.ArgumentParser) -> None:
@@ -207,7 +216,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="modhtan",
         description="Normalized-tanh activation experiments: curves, training, benchmarks.",
     )

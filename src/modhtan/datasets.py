@@ -1,6 +1,6 @@
 """Dataset construction: the synthetic x**2 - 2 regression set and the
-Statlog-format heart disease benchmark, plus [-1, 1] min-max scaling and
-seeded train/test splitting (feature scaling fit on the train side only).
+Statlog-format heart disease benchmark, seeded train/test splitting, and the
+[-1, 1] min-max column scaling both use (fit on the train side only).
 """
 
 from __future__ import annotations
@@ -8,7 +8,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -16,28 +15,10 @@ HEART_FEATURES = 13
 HEART_EXPECTED_ROWS = 270
 
 
-class DatasetKind(Enum):
-    REGRESSION = "regression"
-    BINARY_CLASSIFICATION = "binary_classification"
-
-
-@dataclass(frozen=True)
-class ScaleParams:
-    """Column min/max plus the [lo, hi] interval they were mapped onto."""
-
-    vmin: float
-    vmax: float
-    lo: float = -1.0
-    hi: float = 1.0
-
-
 @dataclass
 class Dataset:
     X: np.ndarray  # samples x features
     T: np.ndarray  # samples x outputs
-    kind: DatasetKind
-    x_scale: tuple[ScaleParams, ...] | None = None
-    t_scale: tuple[ScaleParams, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -50,35 +31,28 @@ class SplitSpec:
             raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
 
 
-def linear_scale(column, lo: float = -1.0, hi: float = 1.0) -> tuple[np.ndarray, ScaleParams]:
-    """Affine map of [min, max] onto [lo, hi]; constant columns go to the midpoint."""
-    col = np.asarray(column, dtype=float)
-    if col.size == 0:
+def _scale(fit, *others) -> tuple[np.ndarray, ...]:
+    """Map fit, then each of others, by fit's column min/max onto [-1, 1].
+
+    Rows are samples; a 1-D array is one column.  A flat column (constant,
+    or narrower than float resolution) maps everything to 0.
+    """
+    fit = np.asarray(fit, dtype=float)
+    if fit.size == 0:
         raise ValueError("cannot scale an empty column")
-    if not np.all(np.isfinite(col)):
+    if not np.isfinite(fit).all():
         raise ValueError("cannot scale non-finite values")
-    params = ScaleParams(vmin=float(col.min()), vmax=float(col.max()), lo=lo, hi=hi)
-    return apply_scale(col, params), params
-
-
-def apply_scale(column, params: ScaleParams) -> np.ndarray:
-    """Map a column with previously fitted parameters (e.g. test by train stats)."""
-    col = np.asarray(column, dtype=float)
-    if params.vmin == params.vmax:
-        return np.full_like(col, (params.lo + params.hi) / 2.0)
-    span = (params.hi - params.lo) / (params.vmax - params.vmin)
-    if not math.isfinite(span):  # column width below float resolution
-        return np.full_like(col, (params.lo + params.hi) / 2.0)
-    return (col - params.vmin) * span + params.lo
-
-
-def unscale(scaled, params: ScaleParams) -> np.ndarray:
-    """Inverse of apply_scale; constant columns recover the constant."""
-    s = np.asarray(scaled, dtype=float)
-    if params.vmin == params.vmax:
-        return np.full_like(s, params.vmin)
-    span = (params.vmax - params.vmin) / (params.hi - params.lo)
-    return (s - params.lo) * span + params.vmin
+    vmin = fit.min(axis=0)
+    with np.errstate(divide="ignore", over="ignore"):
+        span = 2.0 / (fit.max(axis=0) - vmin)
+    flat = ~np.isfinite(span)
+    span = np.where(flat, 0.0, span)
+    scaled = []
+    for values in (fit, *others):
+        out = (values - vmin) * span - 1.0
+        np.copyto(out, 0.0, where=flat)
+        scaled.append(out)
+    return tuple(scaled)
 
 
 def gen_quadratic(n: int, random_x: bool = False, seed: int = 0) -> Dataset:
@@ -93,16 +67,8 @@ def gen_quadratic(n: int, random_x: bool = False, seed: int = 0) -> Dataset:
         x = np.random.default_rng(seed).uniform(-1.0, 1.0, size=n)
     else:
         x = np.linspace(-1.0, 1.0, n)
-    t_raw = x**2 - 2.0
-    x_scaled, x_params = linear_scale(x)
-    t_scaled, t_params = linear_scale(t_raw)
-    return Dataset(
-        X=x_scaled[:, None],
-        T=t_scaled[:, None],
-        kind=DatasetKind.REGRESSION,
-        x_scale=(x_params,),
-        t_scale=(t_params,),
-    )
+    (x_scaled,), (t_scaled,) = _scale(x), _scale(x**2 - 2.0)
+    return Dataset(X=x_scaled[:, None], T=t_scaled[:, None])
 
 
 def load_heart(path) -> Dataset:
@@ -129,16 +95,20 @@ def load_heart(path) -> Dataset:
             values = [float(f) for f in fields]
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: non-numeric field") from None
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{path}: line {lineno}: non-finite field")
         label = values[-1]
         if label not in (1.0, 2.0):
             raise ValueError(f"{path}: line {lineno}: label must be 1 or 2, got {label:g}")
         features.append(values[:-1])
         labels.append(label - 1.0)
+    if not labels:
+        raise ValueError(f"{path}: no data rows")
     if len(labels) != HEART_EXPECTED_ROWS:
         warnings.warn(f"{path}: expected {HEART_EXPECTED_ROWS} rows, got {len(labels)}")
     X = np.asarray(features, dtype=float)
     T = np.asarray(labels, dtype=float)[:, None]
-    return Dataset(X=X, T=T, kind=DatasetKind.BINARY_CLASSIFICATION)
+    return Dataset(X=X, T=T)
 
 
 def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
@@ -154,40 +124,8 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
         raise ValueError(f"split of {n} rows at fraction {spec.test_fraction} leaves an empty side")
     order = np.random.default_rng(spec.seed).permutation(n)
     train_idx, test_idx = order[:n_train], order[n_train:]
-    x_train_cols = []
-    x_test_cols = []
-    params = []
-    for col in range(ds.X.shape[1]):
-        scaled, p = linear_scale(ds.X[train_idx, col])
-        x_train_cols.append(scaled)
-        x_test_cols.append(apply_scale(ds.X[test_idx, col], p))
-        params.append(p)
-    train = Dataset(
-        X=np.column_stack(x_train_cols),
-        T=ds.T[train_idx].copy(),
-        kind=ds.kind,
-        x_scale=tuple(params),
-        t_scale=ds.t_scale,
-    )
-    test = Dataset(
-        X=np.column_stack(x_test_cols),
-        T=ds.T[test_idx].copy(),
-        kind=ds.kind,
-        x_scale=tuple(params),
-        t_scale=ds.t_scale,
-    )
-    return train, test
-
-
-def export_csv(ds: Dataset, path) -> None:
-    """Dataset dump with header x0..x{d-1},t0..t{k-1}."""
-    d, k = ds.X.shape[1], ds.T.shape[1]
-    header = ",".join([f"x{i}" for i in range(d)] + [f"t{i}" for i in range(k)])
-    lines = [header]
-    for xrow, trow in zip(ds.X, ds.T):
-        lines.append(",".join(repr(float(v)) for v in (*xrow, *trow)))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    x_train, x_test = _scale(ds.X[train_idx], ds.X[test_idx])
+    return Dataset(x_train, ds.T[train_idx]), Dataset(x_test, ds.T[test_idx])
 
 
 def make_heart_fixture(path, n: int = HEART_EXPECTED_ROWS, seed: int = 7) -> None:

@@ -22,8 +22,6 @@ __all__ = [
     "DEFAULT_RNF_PARAMS",
     "rnf_exp",
     "euler_constant",
-    "ErrorProfileRow",
-    "approx_error_profile",
 ]
 
 
@@ -58,22 +56,13 @@ _POW_BLOCK = 65_536  # elements per in-place block; its working set stays in cac
 
 
 def _ipow(base, exponent: int):
-    """base**exponent for integer exponent >= 0 by square-and-multiply.
+    """Elementwise base**exponent for integer exponent >= 0 by square-and-multiply.
 
-    Works elementwise when ``base`` is an ndarray with at least one
-    dimension: the base is copied once and squared in place, block by block,
-    so every element sees the same multiplications in the same order as the
-    scalar loop.  All intermediates stay in native double precision.
+    The base is copied once and squared in place, block by block, so every
+    element sees the same multiplications in the same order as a scalar
+    loop.  All intermediates stay in native double precision; the result is
+    an array of the base's shape, 0-d for a scalar base.
     """
-    if np.ndim(base) == 0:
-        result = 1.0
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            exponent >>= 1
-            if exponent:
-                base = base * base
-        return result
     squares = np.array(base, order="C").reshape(-1)
     result = np.ones_like(squares)
     for start in range(0, squares.size, _POW_BLOCK):
@@ -128,32 +117,3 @@ def euler_constant(params: RnfParams = DEFAULT_RNF_PARAMS) -> float:
     """
     return rnf_exp(1.0, params)
 
-
-@dataclass(frozen=True)
-class ErrorProfileRow:
-    x: float
-    rnf_value: float
-    reference_value: float
-    relative_error: float
-    error: str | None = None
-
-
-def approx_error_profile(xs, params: RnfParams = DEFAULT_RNF_PARAMS) -> list[ErrorProfileRow]:
-    """Per-input accuracy of rnf_exp against math.exp, in input order.
-
-    Domain and overflow failures are recorded in the row instead of raised.
-    """
-    rows = []
-    for x in xs:
-        x = float(x)
-        try:
-            approx = rnf_exp(x, params)
-            ref = math.exp(x)
-            if ref == 0.0:
-                rel = 0.0 if approx == 0.0 else math.inf
-            else:
-                rel = abs(approx - ref) / abs(ref)
-            rows.append(ErrorProfileRow(x, approx, ref, rel))
-        except (RnfDomainError, OverflowError) as exc:
-            rows.append(ErrorProfileRow(x, math.nan, math.nan, math.nan, error=str(exc)))
-    return rows

@@ -1,9 +1,11 @@
 """End-to-end CLI coverage through main(argv) -> exit code."""
 
+import argparse
+
 import numpy as np
 import pytest
 
-from modhtan.cli import main
+from modhtan.cli import build_parser, main
 from modhtan.network import load_model
 
 
@@ -126,6 +128,12 @@ class TestTrainCommand:
         assert code == 0
         assert "test accuracy" in capsys.readouterr().out
 
+    def test_heart_file_without_rows(self, tmp_path, capsys):
+        path = tmp_path / "empty.dat"
+        path.write_text("\n")
+        assert main(["train", "--fn", "htan", "--data", "heart", "--path", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: no data rows\n"
+
     def test_heart_requires_path(self, capsys):
         assert main(["train", "--fn", "htan", "--data", "heart"]) == 2
         assert "--path" in capsys.readouterr().err
@@ -220,6 +228,12 @@ class TestBenchCommand:
         assert main(["bench", "--fns", "htan,nosuch", "--runs", "1", "--n", "40"]) == 2
         capsys.readouterr()
 
+    def test_heart_file_without_rows(self, tmp_path, capsys):
+        path = tmp_path / "empty.dat"
+        path.write_text("")
+        assert main(["bench", "--runs", "1", "--data", "heart", "--path", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: no data rows\n"
+
     def test_heart_bench(self, heart_file, tmp_path, capsys):
         out = tmp_path / "heart.csv"
         code = main(["bench", "--fns", "modhtan", "--runs", "2", "--data", "heart",
@@ -258,6 +272,48 @@ class TestFitFlags:
         code = main([*command, "--n", "20", "--epochs", "2", "--path", str(heart_file), *flags])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def _float_options():
+    """(subcommand, option) for every float-typed option of every subcommand."""
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        (command, action.option_strings[0])
+        for command, parser in subparsers.choices.items()
+        for action in parser._actions
+        if action.type is float
+    ]
+
+
+REQUIRED = {"curves": ["--fn", "htan"], "train": ["--fn", "htan"]}
+
+
+class TestNegativeNumbers:
+    """argparse alone reads -1e-3 after an option as an unknown option."""
+
+    def test_every_command_has_float_options(self):
+        assert {command for command, _ in _float_options()} == {"curves", "approx-bench", "train", "bench"}
+
+    @pytest.mark.parametrize("command,option", _float_options())
+    def test_negative_values_parse(self, command, option):
+        for value in ("-1e-3", "-1E+2", "-.5e1", "-800", "-2.5"):
+            args = build_parser().parse_args([command, *REQUIRED.get(command, []), option, value])
+            assert getattr(args, option[2:].replace("-", "_")) == float(value)
+
+    @pytest.mark.parametrize("command,option", _float_options())
+    def test_option_like_value_is_usage_error(self, command, option, capsys):
+        assert main([command, *REQUIRED.get(command, []), option, "-x"]) == 2
+        assert "expected one argument" in capsys.readouterr().err
+
+    def test_curves_end_to_end(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert main(["curves", "--fn", "htan", "--lo", "-1e-3", "--hi", "1E-3", "--step", "1e-4", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1].startswith("-0.001,")
+        capsys.readouterr()
+
+    def test_approx_bench_end_to_end(self, capsys):
+        assert main(["approx-bench", "--count", "100", "--lo", "-1e1", "--hi", "-.5e1"]) == 0
+        assert "max relative error" in capsys.readouterr().out
 
 
 class TestParserBasics:

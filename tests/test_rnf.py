@@ -12,7 +12,6 @@ from modhtan.rnf import (
     RnfDomainError,
     RnfParams,
     _ipow,
-    approx_error_profile,
     euler_constant,
     rnf_exp,
 )
@@ -128,30 +127,6 @@ class TestEulerConstant:
 
     def test_cached_instance(self):
         assert euler_constant() is euler_constant()
-
-
-class TestErrorProfile:
-    def test_zero_row(self):
-        rows = approx_error_profile([0.0])
-        assert rows[0].relative_error == 0.0
-        assert rows[0].error is None
-
-    def test_bounds_at_plus_minus_20(self):
-        rows = approx_error_profile([20.0, -20.0])
-        for row in rows:
-            assert row.relative_error <= 5e-5
-
-    def test_rows_preserve_order(self):
-        xs = [3.0, -1.0, 0.5]
-        rows = approx_error_profile(xs)
-        assert [row.x for row in rows] == xs
-
-    def test_domain_error_recorded_per_row(self):
-        rows = approx_error_profile([0.0, 2e7, 1.0])
-        assert rows[0].error is None
-        assert rows[1].error is not None
-        assert math.isnan(rows[1].rnf_value)
-        assert rows[2].error is None
 
 
 def oracle_rnf_exp(x, params=DEFAULT_RNF_PARAMS):
