@@ -360,12 +360,16 @@ def _normalized_input(xs, offset_1, x_cutoff, clamp, center_normalize, out=None)
     with |x| <= x_cutoff pass through raw.  Written to out when given.
     """
     x_norm = np.empty_like(xs) if out is None else out
+    x_lo, x_hi = xs.min(initial=np.inf), xs.max(initial=-np.inf)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         den = np.add(xs, offset_1, x_norm)  # may overflow to inf for huge batches; handled below
-        lo, hi = den.min(initial=np.inf), den.max(initial=-np.inf)
+        lo, hi = x_lo + offset_1, x_hi + offset_1  # den's min and max: rounding is monotone
         # no guard is needed when every den is finite and on one side of zero,
         # at least _TINY away from it; a NaN bound fails these tests
         guarded = not ((lo >= _TINY or hi <= -_TINY) and -np.inf < lo and hi < np.inf)
+        # nor a clamp on centred inputs when max|x| / min|den|, never below a
+        # rounded |x / den|, is within it
+        clamped = guarded or not center_normalize or not max(-x_lo, x_hi) / min(abs(lo), abs(hi)) <= clamp
         if guarded:
             overflowed = np.isinf(den)
             singular = np.abs(den) < _TINY
@@ -378,7 +382,7 @@ def _normalized_input(xs, offset_1, x_cutoff, clamp, center_normalize, out=None)
         np.copyto(x_norm, guard, where=singular)
     if not center_normalize:
         np.copyto(x_norm, xs, where=np.abs(xs) <= x_cutoff)
-    return _clip(x_norm, -clamp, clamp)
+    return _clip(x_norm, -clamp, clamp) if clamped else x_norm
 
 
 def _clip(v, lo, hi):

@@ -116,8 +116,15 @@ def forward(model: MlpModel, X, out: ForwardCache | None = None) -> tuple[np.nda
         raise ValueError(f"expected {model.n_in} input columns, got {X.shape[1]}")
     z1, h, g, y = (None,) * 4 if out is None else (out.z1, out.h, out.g, out.y)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite turns into StallError
-        z1 = np.matmul(X, model.W1.T, out=z1)
-        np.add(z1, model.b1, z1, order=_write_order(model.n_hidden))
+        if model.n_in == 1:
+            # a broadcast product beats numpy's one-column gemm; b1 + 0.0 (never
+            # -0.0) sums its -0.0 products to gemm's +0.0, bit for bit
+            z1 = np.multiply(X, model.W1.T, np.empty((len(X), model.n_hidden)) if z1 is None else z1,
+                             order=_write_order(model.n_hidden))
+            b1 = model.b1 + 0.0
+        else:
+            z1, b1 = np.matmul(X, model.W1.T, out=z1), model.b1
+        np.add(z1, b1, z1, order=_write_order(model.n_hidden))
     if not np.isfinite(z1).all():
         raise StallError("hidden pre-activations contain non-finite values")
     h, g, offset = activate(model.hidden_kind, z1, None if out is None else (h, g))

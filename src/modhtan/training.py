@@ -165,6 +165,7 @@ def train_lm(model: MlpModel, X, T, cfg: LmConfig = LmConfig()) -> tuple[MlpMode
     models = [with_params(model, slot) for slot in slots]
     cur = 0
     J = normal = None
+    J_copy = np.empty((len(X) * model.n_out, P))  # never written when J^T J goes to syrk
     damped = np.empty((2, P, P))
     rhs = np.empty((2, P, 1))
     loss = mse(cache.y, T)
@@ -175,7 +176,7 @@ def train_lm(model: MlpModel, X, T, cfg: LmConfig = LmConfig()) -> tuple[MlpMode
         if np.linalg.norm(gradient) < cfg.grad_tol:
             history.termination = "grad_tol"
             break
-        normal = np.matmul(J.T, J, out=normal)
+        normal = _normal_matrix(J, J_copy, normal)
         np.negative(gradient[:, None], out=rhs)
         accepted = False
         retries = 0
@@ -213,6 +214,18 @@ def train_lm(model: MlpModel, X, T, cfg: LmConfig = LmConfig()) -> tuple[MlpMode
     if not history.mu:
         return model, history
     return with_params(model, slots[cur].copy()), history
+
+
+_SYRK_MIN_PARAMS = 16  # numpy sends J.T @ J to BLAS syrk; below this width a gemm against a copy is faster
+
+
+def _normal_matrix(J, J_copy, out=None):
+    """J^T J into out, by gemm against J_copy (a buffer shaped like J) below
+    _SYRK_MIN_PARAMS columns; the two products differ in their last bits."""
+    if J.shape[1] >= _SYRK_MIN_PARAMS:
+        return np.matmul(J.T, J, out=out)
+    np.copyto(J_copy, J)
+    return np.matmul(J.T, J_copy, out=out)
 
 
 def _damped_steps(identity, normal, rhs, mu, mu_inc, damped) -> list:

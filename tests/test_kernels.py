@@ -26,6 +26,7 @@ from modhtan.activations import (
     ModHtan,
     ModHtanParams,
     SoftStep,
+    _normalized_input,
     activate,
     adaptive_offset,
     htan,
@@ -451,6 +452,69 @@ class TestBiasAddOrder:
             y, cache = forward(model, X, out)
             assert cache.z1.tobytes() == (X @ model.W1.T + model.b1).tobytes()
             assert y.tobytes() == (cache.h @ model.W2.T + model.b2).tobytes()
+
+
+class TestOneInputForward:
+    """With one input column forward forms X * W1^T as a broadcast product.
+    A plain product keeps the -0.0 of 0 * (-w), where numpy's gemm sums it to
+    +0.0; forward adds b1 + 0.0 so that every layer still has the bytes of
+    the matmul form, b1 = -0.0 included."""
+
+    @staticmethod
+    def _signed_zero_problem(kind, width):
+        model, X, _ = _problem(1, width, 1, kind=kind, seed=width)
+        X[::3] = 0.0
+        X[1::3] = -0.0
+        model.W1[::2] = -model.W1[::2]
+        model.W1[1::4] = -0.0
+        model.W1[2::4] = 0.0
+        model.b1[::2] = -0.0
+        model.b1[1::4] = 0.0
+        model.b2[:] = -0.0
+        return model, X
+
+    @pytest.mark.parametrize("width", [1, 2, 7, 8, 50])
+    @pytest.mark.parametrize("kind", [Htan(), Elu(), ModHtan()], ids=_kind_id)
+    def test_layers_bytewise_equal_the_matmul_form(self, kind, width):
+        model, X = self._signed_zero_problem(kind, width)
+        z1 = np.matmul(X, model.W1.T) + model.b1
+        # the plain product plus b1 differs in sign bits: the test can see a dropped + 0.0
+        assert (X * model.W1.T + model.b1).tobytes() != z1.tobytes()
+        h, g, _ = activate(kind, z1)
+        y = np.matmul(h, model.W2.T) + model.b2
+        for out in (None, forward(model, X[::-1])[1]):
+            got, cache = forward(model, X, out)
+            for name, expected in (("z1", z1), ("h", h), ("g", g), ("y", y)):
+                assert getattr(cache, name).tobytes() == expected.tobytes(), name
+            assert got is cache.y
+
+    @pytest.mark.parametrize("n_in", [1, 13])
+    def test_fresh_arrays_are_c_contiguous(self, n_in):
+        model, X, _ = _problem(n_in, 3, 2)
+        _, cache = forward(model, X)
+        for name in ("z1", "h", "g", "y"):
+            assert getattr(cache, name).flags.c_contiguous, name
+
+
+class TestClampSkip:
+    """Centred inputs skip the x_norm clamp when max|x| / min|x + offset_1|
+    is within it; every result keeps the oracle's bytes, clamped or not."""
+
+    @pytest.mark.parametrize("offset_1", [1.0, 1.5, 2.0, 3.0, -1.5, -3.0])
+    @pytest.mark.parametrize("clamp", [0.5, 1.0, 2.0, 50.0])
+    def test_bytewise_on_either_side_of_the_bound(self, offset_1, clamp):
+        xs = np.concatenate([np.linspace(-1.0, 1.0, 201), [0.0, -0.0, 5e-324]])
+        xs = xs if offset_1 > 0 else -xs
+        expected = oracle_normalized_input(xs, offset_1, 10.0, clamp, True)
+        got = _normalized_input(xs.copy(), offset_1, 10.0, clamp, True)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_bound_reached_exactly(self):
+        # max|x| / min|den| = 1 / (2 - 1) = 1 = clamp: skipped, and no value passes 1
+        xs = np.linspace(-1.0, 1.0, 11)
+        got = _normalized_input(xs, 2.0, 10.0, 1.0, True)
+        assert got.tobytes() == oracle_normalized_input(xs, 2.0, 10.0, 1.0, True).tobytes()
+        assert got[0] == -1.0
 
 
 class TestIpowOracle:

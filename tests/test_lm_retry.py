@@ -6,7 +6,8 @@ damping level.  `train_lm` keeps two parameter slots and solves the levels
 mu and mu * mu_inc in one stacked call, which must not change a bit: loss
 and damping histories, termination, stall events and final parameters are
 compared exactly, on an activation x shape x seed matrix and on problems
-that force each way an epoch can end.
+that force each way an epoch can end.  Both loops form J^T J with the same
+`_normal_matrix`, whose product changes its bits with J's width and length.
 """
 
 import numpy as np
@@ -25,7 +26,7 @@ from modhtan.network import (
     pack_params,
     with_params,
 )
-from modhtan.training import LmConfig, TrainHistory, _damped_steps, mse, train_lm
+from modhtan.training import LmConfig, TrainHistory, _damped_steps, _normal_matrix, mse, train_lm
 
 
 def oracle_train_lm(model, X, T, cfg=LmConfig(), forward=forward):
@@ -43,6 +44,7 @@ def oracle_train_lm(model, X, T, cfg=LmConfig(), forward=forward):
         return model, history
     workspace = cache
     J = normal = damped = None
+    J_copy = np.empty((len(X) * model.n_out, n_params(model)))
     loss = mse(cache.y, T)
     for epoch in range(cfg.epochs):
         J, e = jacobian(model, X, T, cache, J)
@@ -50,7 +52,7 @@ def oracle_train_lm(model, X, T, cfg=LmConfig(), forward=forward):
         if np.linalg.norm(gradient) < cfg.grad_tol:
             history.termination = "grad_tol"
             break
-        normal = np.matmul(J.T, J, out=normal)
+        normal = _normal_matrix(J, J_copy, normal)
         accepted = False
         retries = 0
         while True:
@@ -132,6 +134,16 @@ class TestOracleMatrix:
         for seed in range(3):
             model, X, T = _problem(shape, kind, seed)
             assert_matches_oracle(model, X, T, LmConfig(epochs=epochs))
+
+
+    @pytest.mark.parametrize("kind", [Htan(), KINDS["modhtan-adaptive"]], ids=["htan", "modhtan-adaptive"])
+    def test_synthetic_set_size(self, kind):
+        # N = 5000, P = 7: the shape where J^T J goes to gemm and its bits
+        # differ from numpy's J.T @ J
+        data = gen_quadratic(5000)
+        for seed in range(2):
+            model = nguyen_widrow_init(1, 2, 1, kind, seed=seed)
+            assert_matches_oracle(model, data.X, data.T, LmConfig(epochs=60))
 
 
 class TestEpochEndings:

@@ -16,8 +16,10 @@ from modhtan.network import (
     with_params,
 )
 from modhtan.training import (
+    _SYRK_MIN_PARAMS,
     GdmConfig,
     LmConfig,
+    _normal_matrix,
     classification_accuracy,
     history_to_csv,
     mse,
@@ -223,6 +225,43 @@ class TestLm:
             LmConfig(mu_dec=1.5)
         with pytest.raises(ValueError):
             LmConfig(mu_max=1e-9)
+
+
+class TestNormalMatrix:
+    """J^T J for the LM step: numpy's product (BLAS syrk) from
+    _SYRK_MIN_PARAMS columns on, a gemm against a copy of J below that."""
+
+    N = 5000  # the synthetic set's sample count
+
+    def _J(self, P):
+        return np.random.default_rng(P).standard_normal((self.N, P))
+
+    @pytest.mark.parametrize("P", [_SYRK_MIN_PARAMS, 31, 151])
+    def test_wide_is_numpys_product_bytewise(self, P):
+        J = self._J(P)
+        J_copy = np.full_like(J, np.nan)
+        out = np.empty((P, P))
+        assert _normal_matrix(J, J_copy, out) is out
+        assert out.tobytes() == np.matmul(J.T, J).tobytes()
+        assert np.isnan(J_copy).all()  # the copy buffer is not written
+
+    @pytest.mark.parametrize("P", [1, 2, 7, 13, _SYRK_MIN_PARAMS - 1])
+    def test_narrow_is_symmetric_and_within_the_dot_product_bound(self, P):
+        J = self._J(P)
+        J_copy = np.empty_like(J)
+        out = np.full((P, P), np.nan)
+        assert _normal_matrix(J, J_copy, out) is out
+        assert J_copy.tobytes() == J.tobytes()
+        assert np.array_equal(out, out.T)
+        Jl = J.astype(np.longdouble)
+        exact = Jl.T @ Jl
+        # A dot product of length N in floating point is off by at most
+        # N * u * sum|a_k * b_k| (Higham, Accuracy and Stability, 3.1), and
+        # sum|a_k * b_k| <= |a| * |b|.  Doubled for the reference's own
+        # rounding where np.longdouble is plain double.
+        norms = np.sqrt(np.diag(exact).astype(float))
+        bound = 2.0 * self.N * (np.finfo(float).eps / 2.0) * np.outer(norms, norms)
+        assert np.all(np.abs((out - exact).astype(float)) <= bound)
 
 
 class TestHistoryExport:
