@@ -135,7 +135,6 @@ class TestOracleMatrix:
             model, X, T = _problem(shape, kind, seed)
             assert_matches_oracle(model, X, T, LmConfig(epochs=epochs))
 
-
     @pytest.mark.parametrize("kind", [Htan(), KINDS["modhtan-adaptive"]], ids=["htan", "modhtan-adaptive"])
     def test_synthetic_set_size(self, kind):
         # N = 5000, P = 7: the shape where J^T J goes to gemm and its bits
