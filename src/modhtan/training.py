@@ -219,7 +219,7 @@ def train_lm(model: MlpModel, X, T, cfg: LmConfig = LmConfig()) -> tuple[MlpMode
 _SYRK_MIN_PARAMS = 16  # numpy sends J.T @ J to BLAS syrk; below this width a gemm against a copy is faster
 
 
-def _normal_matrix(J, J_copy, out=None):
+def _normal_matrix(J, J_copy, out):
     """J^T J into out, by gemm against J_copy (a buffer shaped like J) below
     _SYRK_MIN_PARAMS columns; the two products differ in their last bits."""
     if J.shape[1] >= _SYRK_MIN_PARAMS:
