@@ -8,65 +8,9 @@ overflowing keeps training from stalling on non-finite values.
 
 Submodules: rnf (exp approximation), activations, network (one-hidden-layer
 MLP), training (gradient descent with momentum + Levenberg-Marquardt),
-datasets (synthetic parabola + Statlog-format heart data), bench, cli.
+datasets (synthetic parabola + Statlog-format heart data), bench, cli.  The
+package root re-exports nothing: import from the submodules, e.g.
+`from modhtan.activations import modhtan`.
 """
-
-from .activations import (
-    ACTIVATION_NAMES,
-    ActivationKind,
-    AdaptiveOffset,
-    BatchActivation,
-    Elu,
-    EluParams,
-    FixedOffset,
-    Htan,
-    ModHtan,
-    ModHtanParams,
-    SoftStep,
-    activate,
-    adaptive_offset,
-    elu,
-    elu_grad,
-    htan,
-    htan_grad,
-    modhtan,
-    modhtan_grad,
-    parse_activation,
-    soft_step,
-    soft_step_grad,
-)
-from .bench import (
-    ApproxBenchResult,
-    BenchReport,
-    BenchRow,
-    ExperimentSpec,
-    approx_bench,
-    dump_curves,
-    emit_report,
-    iter_runs,
-    run_experiment,
-)
-from .datasets import Dataset, SplitSpec, gen_quadratic, load_heart, make_heart_fixture, split
-from .network import (
-    ForwardCache,
-    MlpModel,
-    StallError,
-    backward,
-    forward,
-    jacobian,
-    load_model,
-    nguyen_widrow_init,
-    save_model,
-)
-from .rnf import DEFAULT_RNF_PARAMS, RnfDomainError, RnfParams, euler_constant, rnf_exp
-from .training import (
-    GdmConfig,
-    LmConfig,
-    TrainHistory,
-    classification_accuracy,
-    mse,
-    train_gdm,
-    train_lm,
-)
 
 __version__ = "0.1.0"

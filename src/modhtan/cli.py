@@ -6,12 +6,17 @@ Subcommands:
   train         train one model and print its final metric: run 0 of `bench`
   bench         repeated-seed comparison across activations (report tables)
 
-Exit codes: 0 success, 1 runtime / I-O / stall failure, 2 usage error.
+Exit codes: 0 success, 2 usage error, 1 for a run-time OSError, ValueError
+or MemoryError and for a stalled `train`.  Only `main` maps an exception to a
+code: a command builds what it takes from its flags inside `_usage`, which
+makes a ValueError or OverflowError there a usage error, and otherwise just
+raises.  A stall is a recorded outcome, so `train` reports it itself.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import pathlib
 import re
 import sys
@@ -28,8 +33,21 @@ from .bench import (
     runtime_ordering,
 )
 from .network import StallError, forward, save_model
-from .rnf import RnfDomainError, RnfParams
+from .rnf import RnfParams
 from .training import GdmConfig, LmConfig, history_to_csv, mse
+
+
+class _UsageError(Exception):
+    """A flag value a command cannot be built from; main exits 2 for it."""
+
+
+@contextlib.contextmanager
+def _usage():
+    """Re-raise a ValueError or OverflowError of the block as a _UsageError."""
+    try:
+        yield
+    except (ValueError, OverflowError) as exc:
+        raise _UsageError(exc) from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -108,34 +126,20 @@ def _spec(args: argparse.Namespace, names: list[str], runs: int) -> ExperimentSp
 
 
 def cmd_curves(args: argparse.Namespace) -> int:
-    try:
-        kind = _activation_from_flags(args.fn, args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     lo, hi, step = CURVE_PRESETS[args.preset or "within"]
     lo = lo if args.lo is None else args.lo
     hi = hi if args.hi is None else args.hi
     step = step if args.step is None else args.step
     out = args.out if args.out is not None else f"{args.fn}_curve.csv"
-    try:
-        dump_curves(kind, lo, hi, step, out)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with _usage():  # dump_curves checks the bounds before it samples or writes
+        dump_curves(_activation_from_flags(args.fn, args), lo, hi, step, out)
     print(f"wrote {out} ({args.fn}, [{lo:g}, {hi:g}] step {step:g})")
     return 0
 
 
 def cmd_approx_bench(args: argparse.Namespace) -> int:
-    try:
+    with _usage():  # the sweep's domain is the flags' [lo, hi]
         result = approx_bench(args.count, args.lo, args.hi, RnfParams(a=args.a))
-    except (RnfDomainError, ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     print(
         f"rnf_exp {result.ns_per_op_rnf:.1f} ns/op, "
         f"reference exp {result.ns_per_op_ref:.1f} ns/op, "
@@ -145,22 +149,11 @@ def cmd_approx_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    try:
+    with _usage():
         spec = _spec(args, [args.fn], 1)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        row, model, history, train = next(iter_runs(spec))
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    row, model, history, train = next(iter_runs(spec))
     if args.history is not None:
-        try:
-            history_to_csv(history, args.history)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        history_to_csv(history, args.history)
     error = row.error
     if error is None:
         try:
@@ -177,34 +170,18 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.data == "heart":
         print(f"test accuracy {row.metric_value:.2f}%")
     if args.save is not None:
-        try:
-            save_model(model, args.save)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        save_model(model, args.save)
         print(f"saved model to {args.save}")
     return 0
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    names = [n.strip() for n in args.fns.split(",") if n.strip()]
-    try:
-        spec = _spec(args, names, args.runs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        report = run_experiment(spec)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with _usage():
+        spec = _spec(args, [n.strip() for n in args.fns.split(",") if n.strip()], args.runs)
+    report = run_experiment(spec)
     for path in args.out or ():
         fmt = args.format or ("markdown" if pathlib.PurePath(path).suffix == ".md" else "csv")
-        try:
-            emit_report(report, fmt, path)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        emit_report(report, fmt, path)
         print(f"wrote {path}")
     for row in report.averages:
         print(
@@ -282,7 +259,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (OSError, ValueError, MemoryError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

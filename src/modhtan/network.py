@@ -37,7 +37,10 @@ class MlpModel:
 
 
 def _shapes(n_in: int, n_hidden: int, n_out: int) -> dict[str, tuple[int, ...]]:
-    """Parameter array shapes, in pack_params order."""
+    """Parameter array shapes, in pack_params order; a dimension below 1 is a ValueError."""
+    for name, value in (("n_in", n_in), ("n_hidden", n_hidden), ("n_out", n_out)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     return {"W1": (n_hidden, n_in), "b1": (n_hidden,), "W2": (n_out, n_hidden), "b2": (n_out,)}
 
 
@@ -90,8 +93,7 @@ def nguyen_widrow_init(n_in: int, n_hidden: int, n_out: int, hidden_kind: Activa
     uniform in [-beta, beta].  The linear output layer is uniform in
     [-0.5, 0.5].  Deterministic for a given seed.
     """
-    if min(n_in, n_hidden, n_out) < 1:
-        raise ValueError("all dimensions must be >= 1")
+    _shapes(n_in, n_hidden, n_out)  # rejects a dimension below 1
     rng = np.random.default_rng(seed)
     beta = 0.7 * n_hidden ** (1.0 / n_in)
     W1 = rng.uniform(-1.0, 1.0, size=(n_hidden, n_in))
@@ -231,9 +233,9 @@ def load_model(path) -> MlpModel:
             name: _field(fields, name, lambda text: np.reshape([float(v) for v in text.split()], shape))
             for name, shape in _shapes(*dims).items()
         }
+        return MlpModel(*dims, **arrays, hidden_kind=kind)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return MlpModel(*dims, **arrays, hidden_kind=kind)
 
 
 def _field(fields: dict[str, str], key: str, parse):

@@ -5,6 +5,7 @@ import argparse
 import numpy as np
 import pytest
 
+from modhtan import cli
 from modhtan.cli import build_parser, main
 from modhtan.network import load_model
 
@@ -272,6 +273,24 @@ class TestFitFlags:
         code = main([*command, "--n", "20", "--epochs", "2", "--path", str(heart_file), *flags])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestRuntimeErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [["curves", "--fn", "htan"], ["approx-bench"], ["train", "--fn", "htan"], ["bench"]],
+        ids=["curves", "approx-bench", "train", "bench"],
+    )
+    def test_memory_error_exits_one(self, argv, monkeypatch, capsys):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 EiB for an array")
+
+        for name in ("iter_runs", "run_experiment", "dump_curves", "approx_bench"):
+            monkeypatch.setattr(cli, name, out_of_memory)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: Unable to allocate 8.00 EiB for an array\n"
+        assert captured.out == ""
 
 
 def _float_options():

@@ -262,6 +262,26 @@ class TestSerialization:
         with pytest.raises(ValueError, match=key):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            ({"n_hidden": "0", "W1": "", "b1": "", "W2": ""}, "n_hidden must be >= 1, got 0"),
+            ({"n_in": "-1"}, "n_in must be >= 1, got -1"),
+        ],
+        ids=["no-hidden-units", "negative-inputs"],
+    )
+    def test_bad_dimension_is_value_error_naming_path(self, tmp_path, edits, message):
+        path = tmp_path / "model.txt"
+        save_model(nguyen_widrow_init(1, 2, 1, Htan(), seed=13), path)
+        lines = []
+        for line in path.read_text().splitlines():
+            key = line.partition(" = ")[0]
+            lines.append(f"{key} = {edits[key]}" if key in edits else line)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}: {message}"
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.txt"
         path.write_text("not a model\n")
