@@ -331,7 +331,9 @@ def elu_grad(x, f, p: EluParams = EluParams(), out=None):
     fs = _as_float_array(f)
     g = np.empty_like(fs) if out is None else out
     np.add(fs, p.alpha, g)
-    np.putmask(g, xs > 0, 1.0)
+    # putmask copies an array that is not C-contiguous: mask a sample-minor g through g.T
+    g_c, xs_c = (g.T, xs.T) if g.flags.f_contiguous else (g, xs)
+    np.putmask(g_c, xs_c > 0, 1.0)
     return _scalar_or_array(g, x)
 
 

@@ -61,6 +61,8 @@ class ExperimentSpec:
             raise ValueError(f"trainer must be 'lm' or 'gdm', got {self.trainer!r}")
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         if not self.activations:
             raise ValueError("activation list must be non-empty")
         if self.dataset == "heart" and self.heart_path is None:

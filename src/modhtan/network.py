@@ -4,6 +4,10 @@ Forward, backward, and per-sample residual Jacobian share a fixed parameter
 ordering: W1 row-major, b1, W2 row-major, b2.  The training loss is half the
 mean squared error over all output entries, so the backward gradient equals
 J^T e / (samples * n_out).
+
+Per-sample arrays are sample-minor (F-ordered): z1, h, g and J keep their
+[sample, unit] and [residual, parameter] indexing, with each hidden unit's
+and each parameter's column one contiguous run.  The outputs y stay C-ordered.
 """
 
 from __future__ import annotations
@@ -46,10 +50,10 @@ def _shapes(n_in: int, n_hidden: int, n_out: int) -> dict[str, tuple[int, ...]]:
 
 @dataclass
 class ForwardCache:
-    z1: np.ndarray        # hidden pre-activations, samples x n_hidden
-    h: np.ndarray         # hidden activations
-    g: np.ndarray         # hidden gradients (elementwise, at z1)
-    y: np.ndarray         # outputs, samples x n_out
+    z1: np.ndarray        # hidden pre-activations, samples x n_hidden, F-ordered
+    h: np.ndarray         # hidden activations, laid out as z1
+    g: np.ndarray         # hidden gradients (elementwise, at z1), laid out as z1
+    y: np.ndarray         # outputs, samples x n_out, C-ordered
     offset_1: float | None  # modhtan offset used for this batch, else None
 
 
@@ -111,27 +115,28 @@ def forward(model: MlpModel, X, out: ForwardCache | None = None) -> tuple[np.nda
     and sample count whose arrays receive z1, h, g and y in place of fresh
     ones.  The returned cache then shares those arrays, so the next forward
     into the same workspace overwrites it.  A workspace left half-written by
-    a StallError can be passed again.
+    a StallError can be passed again.  Fresh z1, h and g are F-ordered, a
+    fresh y is C-ordered.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != model.n_in:
         raise ValueError(f"expected {model.n_in} input columns, got {X.shape[1]}")
     z1, h, g, y = (None,) * 4 if out is None else (out.z1, out.h, out.g, out.y)
+    if z1 is None:
+        z1 = np.empty((len(X), model.n_hidden), order="F")  # h and g follow through empty_like
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite turns into StallError
         if model.n_in == 1:
             # a broadcast product beats numpy's one-column gemm; b1 + 0.0 (never
             # -0.0) sums its -0.0 products to gemm's +0.0, bit for bit
-            z1 = np.multiply(X, model.W1.T, np.empty((len(X), model.n_hidden)) if z1 is None else z1,
-                             order=_write_order(model.n_hidden))
-            b1 = model.b1 + 0.0
+            z1, b1 = np.multiply(X, model.W1.T, z1), model.b1 + 0.0
         else:
             z1, b1 = np.matmul(X, model.W1.T, out=z1), model.b1
-        np.add(z1, b1, z1, order=_write_order(model.n_hidden))
+        np.add(z1, b1, z1)
     if not np.isfinite(z1).all():
         raise StallError("hidden pre-activations contain non-finite values")
     h, g, offset = activate(model.hidden_kind, z1, None if out is None else (h, g))
     y = np.matmul(h, model.W2.T, out=y)
-    np.add(y, model.b2, y, order=_write_order(model.n_out))
+    np.add(y, model.b2, y)
     if not np.isfinite(y).all():
         raise StallError("outputs contain non-finite values")
     return y, ForwardCache(z1=z1, h=h, g=g, y=y, offset_1=offset)
@@ -158,9 +163,10 @@ def jacobian(model: MlpModel, X, T, cache: ForwardCache, out: np.ndarray | None 
 
     J has one row per residual (samples major, outputs minor) and one column
     per parameter in pack_params order, so J^T e / e.size equals the
-    backward gradient.  out, when given, is a J returned by an earlier call
-    for the same model shape and sample count: its constant columns (zeros
-    and ones of the output layer) are kept and the rest is overwritten.
+    backward gradient.  J is F-ordered, so every column is contiguous.  out,
+    when given, is a J returned by an earlier call for the same model shape
+    and sample count: its constant columns (zeros and ones of the output
+    layer) are kept and the rest is overwritten.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     T = np.atleast_2d(np.asarray(T, dtype=float))
@@ -171,34 +177,22 @@ def jacobian(model: MlpModel, X, T, cache: ForwardCache, out: np.ndarray | None 
     shape = (samples * n_out, b2_at + n_out)
     J = out
     if J is None:
-        J = np.zeros(shape)
+        J = np.zeros(shape, order="F")
         J.reshape(samples, n_out, -1)[:, :, b2_at:] = np.eye(n_out)
-    elif J.shape != shape or not J.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous array of shape {shape}")
-    rows = J.reshape(samples, n_out, -1)  # views throughout, J being C-contiguous
+    elif J.shape != shape or not J.flags.f_contiguous:
+        raise ValueError(f"out must be an F-contiguous array of shape {shape}")
+    rows = J.reshape(samples, n_out, -1)  # views throughout: only the contiguous row axis is split
     # d y_o / d b1_h = W2[o, h] * g[s, h]; d y_o / d W1[h, i] = that times X[s, i]
     d_b1 = rows[:, :, b1_at:w2_at]
-    np.multiply(model.W2, cache.g[:, None, :], d_b1, order=_write_order(n_hidden))
+    np.multiply(model.W2, cache.g[:, None, :], d_b1)
     d_w1 = rows[:, :, :b1_at].reshape(samples, n_out, n_hidden, n_in)
-    np.multiply(d_b1[:, :, :, None], X[:, None, None, :], d_w1, order=_write_order(b1_at))
+    np.multiply(d_b1[:, :, :, None], X[:, None, None, :], d_w1)
     # d y_o / d W2[p, h] = h[s, h] where p = o, else the constant 0
     d_w2 = rows[:, :, w2_at:b2_at].reshape(samples, n_out, n_out, n_hidden)
     for o in range(n_out):
-        np.positive(cache.h, d_w2[:, o, o, :], order=_write_order(n_hidden))  # a copy
+        np.positive(cache.h, d_w2[:, o, o, :])  # a copy
     e = (cache.y - T).ravel()
     return J, e
-
-
-def _write_order(width: int) -> str:
-    """Iteration order for writing a block `width` entries wide into every row
-    of a C-ordered array: a Jacobian block, or a bias added to each sample.
-
-    In its natural order numpy runs one inner loop per row, and below about
-    8 entries that per-row overhead outweighs the work; such narrow blocks
-    are written column by column instead.  Elementwise results do not depend
-    on the order.
-    """
-    return "F" if width < 8 else "K"
 
 
 def save_model(model: MlpModel, path) -> None:

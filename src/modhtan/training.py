@@ -164,14 +164,15 @@ def train_lm(model: MlpModel, X, T, cfg: LmConfig = LmConfig()) -> tuple[MlpMode
     slots[0] = pack_params(model)
     models = [with_params(model, slot) for slot in slots]
     cur = 0
-    J = normal = None
-    J_copy = np.empty((len(X) * model.n_out, P))  # never written when J^T J goes to syrk
+    J = J_copy = normal = None
     damped = np.empty((2, P, P))
     rhs = np.empty((2, P, 1))
     loss = mse(cache.y, T)
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
         J, e = jacobian(models[cur], X, T, cache, J)
+        if J_copy is None:  # laid out as jacobian's J; never written when J^T J goes to syrk
+            J_copy = np.empty_like(J)
         gradient = J.T @ e
         if np.linalg.norm(gradient) < cfg.grad_tol:
             history.termination = "grad_tol"

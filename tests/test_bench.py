@@ -40,6 +40,11 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             tiny_spec(runs=0)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="base_seed"):
+            tiny_spec(base_seed=-1)
+        tiny_spec(base_seed=0)
+
     def test_rejects_empty_activations(self):
         with pytest.raises(ValueError):
             tiny_spec(activations=())

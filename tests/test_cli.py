@@ -266,13 +266,19 @@ class TestFitFlags:
             ["--n", "1"],
             ["--epochs", "0"],
             ["--hidden", "0"],
+            ["--seed", "-1"],
         ],
-        ids=["mu0", "mu-dec", "lr", "momentum", "test-fraction", "n", "epochs", "hidden"],
+        ids=["mu0", "mu-dec", "lr", "momentum", "test-fraction", "n", "epochs", "hidden", "seed"],
     )
     def test_bad_value_is_usage_error(self, command, flags, heart_file, capsys):
         code = main([*command, "--n", "20", "--epochs", "2", "--path", str(heart_file), *flags])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", [["train", "--fn", "htan"], ["bench", "--runs", "1"]], ids=["train", "bench"])
+    def test_negative_seed_is_named(self, command, capsys):
+        assert main([*command, "--n", "20", "--epochs", "2", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: base_seed must be >= 0, got -1\n"
 
 
 class TestRuntimeErrors:

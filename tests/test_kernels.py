@@ -29,11 +29,13 @@ from modhtan.activations import (
     _normalized_input,
     activate,
     adaptive_offset,
+    elu,
+    elu_grad,
     htan,
     modhtan,
 )
 from modhtan.bench import CURVE_PRESETS
-from modhtan.network import StallError, _write_order, forward, jacobian, nguyen_widrow_init, pack_params
+from modhtan.network import StallError, forward, jacobian, nguyen_widrow_init, pack_params
 from modhtan.rnf import RnfParams, _ipow, euler_constant, rnf_exp
 from modhtan.training import LmConfig, train_lm
 
@@ -210,6 +212,17 @@ class TestActivationOracle:
         assert got.values is values and got.grads is grads
         assert values.tobytes() == expected[0].tobytes()
         assert grads.tobytes() == expected[1].tobytes()
+
+
+    def test_elu_grad_into_a_sample_minor_buffer(self):
+        xs = GRID[:2500].reshape(500, 5)
+        p = EluParams()
+        expected = elu_grad(xs, elu(xs, p), p)
+        xs_f = np.asfortranarray(xs)
+        out = np.full_like(xs_f, np.nan)
+        assert elu_grad(xs_f, elu(xs_f, p), p, out) is out
+        assert out.flags.f_contiguous
+        assert out.tobytes() == expected.tobytes()
 
 
 # |x| beyond this leaves 1 - |tanh x| below 1e-34, under the resolution of an
@@ -395,8 +408,8 @@ class TestWorkspaceReuse:
         model, X, T = _problem(3, 4, 2)
         _, cache = forward(model, X)
         J, _ = jacobian(model, X, T, cache)
-        with pytest.raises(ValueError, match="C-contiguous"):
-            jacobian(model, X, T, cache, np.asfortranarray(J))
+        with pytest.raises(ValueError, match="F-contiguous"):
+            jacobian(model, X, T, cache, np.ascontiguousarray(J))
         with pytest.raises(ValueError, match="shape"):
             jacobian(model, X[:-1], T[:-1], cache, J)
 
@@ -427,20 +440,7 @@ class TestWorkspaceReuse:
 
 
 class TestBiasAddOrder:
-    """forward adds b1 and b2 in the Jacobian's narrow-block order."""
-
-    @pytest.mark.parametrize("width", [1, 2, 7, 8, 50])
-    def test_ordered_add_is_the_plain_add(self, width):
-        rng = np.random.default_rng(width)
-        z = rng.uniform(-1.0, 1.0, size=(301, width))
-        z[::3] = -0.0
-        z[1::3] = 0.0
-        b = rng.uniform(-1.0, 1.0, size=width)
-        b[::2] = -0.0
-        plain = z + b
-        np.add(z, b, z, order=_write_order(width))
-        assert z.tobytes() == plain.tobytes()
-        assert np.signbit(plain[plain == 0.0]).any() and not np.signbit(plain[plain == 0.0]).all()
+    """forward adds b1 and b2 into its sample-minor and C-ordered layers."""
 
     @pytest.mark.parametrize("width", [1, 2, 7, 8, 50])
     def test_forward_layers_bytewise(self, width):
@@ -481,7 +481,7 @@ class TestOneInputForward:
         # the plain product plus b1 differs in sign bits: the test can see a dropped + 0.0
         assert (X * model.W1.T + model.b1).tobytes() != z1.tobytes()
         h, g, _ = activate(kind, z1)
-        y = np.matmul(h, model.W2.T) + model.b2
+        y = np.matmul(np.asfortranarray(h), model.W2.T) + model.b2  # forward's h is sample-minor
         for out in (None, forward(model, X[::-1])[1]):
             got, cache = forward(model, X, out)
             for name, expected in (("z1", z1), ("h", h), ("g", g), ("y", y)):
@@ -489,11 +489,16 @@ class TestOneInputForward:
             assert got is cache.y
 
     @pytest.mark.parametrize("n_in", [1, 13])
-    def test_fresh_arrays_are_c_contiguous(self, n_in):
-        model, X, _ = _problem(n_in, 3, 2)
+    def test_fresh_arrays_are_sample_minor(self, n_in):
+        model, X, T = _problem(n_in, 3, 2)
         _, cache = forward(model, X)
-        for name in ("z1", "h", "g", "y"):
-            assert getattr(cache, name).flags.c_contiguous, name
+        for name in ("z1", "h", "g"):
+            assert getattr(cache, name).flags.f_contiguous, name
+        assert cache.y.flags.c_contiguous
+        J, _ = jacobian(model, X, T, cache)
+        assert J.flags.f_contiguous
+        for column in J.T:
+            assert column.flags.c_contiguous
 
 
 class TestClampSkip:

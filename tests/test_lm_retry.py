@@ -8,13 +8,15 @@ and damping histories, termination, stall events and final parameters are
 compared exactly, on an activation x shape x seed matrix and on problems
 that force each way an epoch can end.  Both loops form J^T J with the same
 `_normal_matrix`, whose product changes its bits with J's width and length.
+`c_ordered_layers` keeps the row-major layer code as the reference for the
+sample-minor z1, h, g and J of `forward` and `jacobian`.
 """
 
 import numpy as np
 import pytest
 
 import modhtan.training as training
-from modhtan.activations import AdaptiveOffset, Elu, FixedOffset, Htan, ModHtan, ModHtanParams, SoftStep
+from modhtan.activations import AdaptiveOffset, Elu, FixedOffset, Htan, ModHtan, ModHtanParams, SoftStep, activate
 from modhtan.datasets import gen_quadratic
 from modhtan.network import (
     MlpModel,
@@ -43,11 +45,11 @@ def oracle_train_lm(model, X, T, cfg=LmConfig(), forward=forward):
         history.termination = "stall"
         return model, history
     workspace = cache
-    J = normal = damped = None
-    J_copy = np.empty((len(X) * model.n_out, n_params(model)))
+    J = J_copy = normal = damped = None
     loss = mse(cache.y, T)
     for epoch in range(cfg.epochs):
         J, e = jacobian(model, X, T, cache, J)
+        J_copy = np.empty_like(J) if J_copy is None else J_copy
         gradient = J.T @ e
         if np.linalg.norm(gradient) < cfg.grad_tol:
             history.termination = "grad_tol"
@@ -143,6 +145,45 @@ class TestOracleMatrix:
         for seed in range(2):
             model = nguyen_widrow_init(1, 2, 1, kind, seed=seed)
             assert_matches_oracle(model, data.X, data.T, LmConfig(epochs=60))
+
+
+def c_ordered_layers(model, X):
+    """z1, h, g and J as the C-ordered forward and jacobian computed them:
+    the same products and sums, into row-major arrays."""
+    if model.n_in == 1:
+        z1 = np.multiply(X, model.W1.T)
+        z1 += model.b1 + 0.0
+    else:
+        z1 = np.matmul(X, model.W1.T) + model.b1
+    h, g, _ = activate(model.hidden_kind, z1)
+    samples, n_out, n_hidden = len(X), model.n_out, model.n_hidden
+    rows = np.zeros((samples, n_out, n_params(model)))
+    b1_at = n_hidden * model.n_in
+    w2_at = b1_at + n_hidden
+    d_b1 = rows[:, :, b1_at:w2_at]
+    np.multiply(model.W2, g[:, None, :], d_b1)
+    d_w1 = rows[:, :, :b1_at].reshape(samples, n_out, n_hidden, -1)
+    np.multiply(d_b1[:, :, :, None], X[:, None, None, :], d_w1)
+    for o in range(n_out):
+        rows[:, o, w2_at + o * n_hidden:w2_at + (o + 1) * n_hidden] = h
+        rows[:, o, w2_at + n_out * n_hidden + o] = 1.0
+    return z1, h, g, rows.reshape(samples * n_out, -1)
+
+
+class TestSampleMinorLayers:
+    """forward and jacobian store z1, h, g and J sample-minor; each entry
+    keeps the bytes of the C-ordered layers."""
+
+    @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
+    @pytest.mark.parametrize("kind", KINDS.values(), ids=KINDS.keys())
+    def test_layers_bytewise_equal_the_c_ordered_forms(self, kind, shape):
+        model, X, T = _problem(shape, kind, 0)
+        _, cache = forward(model, X)
+        J, _ = jacobian(model, X, T, cache)
+        for name, got, expected in zip(("z1", "h", "g", "J"), (cache.z1, cache.h, cache.g, J),
+                                       c_ordered_layers(model, X)):
+            assert got.flags.f_contiguous and expected.flags.c_contiguous, name
+            assert got.tobytes() == expected.tobytes(), name
 
 
 class TestEpochEndings:
