@@ -35,13 +35,13 @@ class EluParams:
 
 @dataclass(frozen=True)
 class FixedOffset:
-    """Constant normalization offset; must be nonzero."""
+    """Constant normalization offset; must be nonzero and finite."""
 
     offset_1: float
 
     def __post_init__(self):
-        if self.offset_1 == 0:
-            raise ValueError("fixed offset_1 must be nonzero")
+        if self.offset_1 == 0 or not math.isfinite(self.offset_1):
+            raise ValueError(f"fixed offset_1 must be nonzero and finite, got {self.offset_1}")
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,10 @@ class AdaptiveOffset:
     kappa: float = 1e-6
 
     def __post_init__(self):
-        if self.delta < 0:
-            raise ValueError(f"delta must be >= 0, got {self.delta}")
-        if not self.kappa > 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
+        if not 0 <= self.delta < math.inf:
+            raise ValueError(f"delta must be >= 0 and finite, got {self.delta}")
+        if not 0 < self.kappa < math.inf:
+            raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
 
 
 OffsetMode = Union[FixedOffset, AdaptiveOffset]
@@ -86,8 +86,8 @@ class ModHtanParams:
     euler_mode: str = "constant"
 
     def __post_init__(self):
-        if not self.k_o > 0:
-            raise ValueError(f"k_o must be positive, got {self.k_o}")
+        if not 0 < self.k_o < math.inf:
+            raise ValueError(f"k_o must be positive and finite, got {self.k_o}")
         if not self.x_cutoff > 0:
             raise ValueError(f"x_cutoff must be positive, got {self.x_cutoff}")
         if not self.x_norm_clamp > 0:

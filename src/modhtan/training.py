@@ -56,8 +56,8 @@ class LmConfig:
             raise ValueError("mu_inc must be > 1")
         if not 0 < self.mu_dec < 1:
             raise ValueError("mu_dec must be in (0, 1)")
-        if not self.mu_max > self.mu0:
-            raise ValueError("mu_max must exceed mu0")
+        if not self.mu0 < self.mu_max < np.inf:  # an overflowed mu then ends the fit before a solve
+            raise ValueError("mu_max must be finite and exceed mu0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
 
@@ -165,8 +165,7 @@ def train_lm(model: MlpModel, X, T, cfg: LmConfig = LmConfig()) -> tuple[MlpMode
     models = [with_params(model, slot) for slot in slots]
     cur = 0
     J = J_copy = normal = None
-    damped = np.empty((2, P, P))
-    rhs = np.empty((2, P, 1))
+    damped = np.empty((P, P))
     loss = mse(cache.y, T)
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
@@ -178,14 +177,16 @@ def train_lm(model: MlpModel, X, T, cfg: LmConfig = LmConfig()) -> tuple[MlpMode
             history.termination = "grad_tol"
             break
         normal = _normal_matrix(J, J_copy, normal)
-        np.negative(gradient[:, None], out=rhs)
+        rhs = -gradient
         accepted = False
         retries = 0
-        steps = []  # solutions for mu and, when paired, mu * mu_inc
         while True:
-            if not steps:
-                steps = _damped_steps(identity, normal, rhs, mu, cfg.mu_inc, damped)
-            delta = steps.pop(0)
+            np.multiply(identity, mu, out=damped)
+            damped += normal
+            try:
+                delta = np.linalg.solve(damped, rhs)
+            except np.linalg.LinAlgError:  # a singular level is a rejected step
+                delta = None
             if delta is not None and np.isfinite(delta).all():
                 other = 1 - cur
                 np.add(slots[cur], delta, out=slots[other])
@@ -227,28 +228,6 @@ def _normal_matrix(J, J_copy, out):
         return np.matmul(J.T, J, out=out)
     np.copyto(J_copy, J)
     return np.matmul(J.T, J_copy, out=out)
-
-
-def _damped_steps(identity, normal, rhs, mu, mu_inc, damped) -> list:
-    """LM steps for the damping levels mu and mu * mu_inc, in that order.
-
-    One stacked solve of (J^T J + mu_k I) delta = -J^T e gives the same bits
-    as one solve per level.  If either level is singular, only mu is solved;
-    None stands for a singular level, which the caller treats as a rejection.
-    """
-    np.multiply(identity, mu, out=damped[0])
-    with np.errstate(invalid="ignore"):  # an overflowed mu * mu_inc gives NaNs, a rejected step
-        np.multiply(identity, mu * mu_inc, out=damped[1])
-    damped += normal
-    try:
-        pair = np.linalg.solve(damped, rhs)  # (2, P, 1) means a column stack on every numpy
-        return [pair[0, :, 0], pair[1, :, 0]]
-    except np.linalg.LinAlgError:
-        pass
-    try:
-        return [np.linalg.solve(damped[0], rhs[0, :, 0])]
-    except np.linalg.LinAlgError:
-        return [None]
 
 
 def history_to_csv(history: TrainHistory, path) -> None:

@@ -263,6 +263,17 @@ class TestModHtan:
             AdaptiveOffset(delta=-0.1)
         with pytest.raises(ValueError):
             AdaptiveOffset(kappa=0.0)
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                ModHtanParams(k_o=bad)
+            with pytest.raises(ValueError):
+                FixedOffset(bad)
+            with pytest.raises(ValueError):
+                AdaptiveOffset(delta=bad)
+            with pytest.raises(ValueError):
+                AdaptiveOffset(kappa=bad)
+        # their outputs stay finite, so these two may be infinite
+        ModHtanParams(x_cutoff=math.inf, x_norm_clamp=math.inf)
 
 
 class TestActivateDispatch:

@@ -267,8 +267,9 @@ class TestFitFlags:
             ["--epochs", "0"],
             ["--hidden", "0"],
             ["--seed", "-1"],
+            ["--mu-max", "inf"],
         ],
-        ids=["mu0", "mu-dec", "lr", "momentum", "test-fraction", "n", "epochs", "hidden", "seed"],
+        ids=["mu0", "mu-dec", "lr", "momentum", "test-fraction", "n", "epochs", "hidden", "seed", "mu-max"],
     )
     def test_bad_value_is_usage_error(self, command, flags, heart_file, capsys):
         code = main([*command, "--n", "20", "--epochs", "2", "--path", str(heart_file), *flags])
@@ -279,6 +280,23 @@ class TestFitFlags:
     def test_negative_seed_is_named(self, command, capsys):
         assert main([*command, "--n", "20", "--epochs", "2", "--seed", "-1"]) == 2
         assert capsys.readouterr().err == "error: base_seed must be >= 0, got -1\n"
+
+
+class TestActivationFlags:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["curves", "--fn", "modhtan", "--k", "inf"], "k_o must be positive and finite, got inf"),
+            (["train", "--fn", "modhtan", "--n", "20", "--epochs", "2", "--delta", "nan"],
+             "delta must be >= 0 and finite, got nan"),
+        ],
+        ids=["curves-k", "train-delta"],
+    )
+    def test_non_finite_modhtan_parameter_is_usage_error(self, argv, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRuntimeErrors:

@@ -282,6 +282,16 @@ class TestSerialization:
             load_model(path)
         assert str(info.value) == f"{path}: {message}"
 
+    def test_infinite_modhtan_parameter_is_value_error_naming_path(self, tmp_path):
+        path = tmp_path / "model.txt"
+        save_model(nguyen_widrow_init(3, 2, 1, ModHtan(), seed=13), path)
+        text = path.read_text()
+        assert "modhtan_k_o = 2.0\n" in text
+        path.write_text(text.replace("modhtan_k_o = 2.0\n", "modhtan_k_o = inf\n"))
+        with pytest.raises(ValueError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}: k_o must be positive and finite, got inf"
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.txt"
         path.write_text("not a model\n")

@@ -225,6 +225,9 @@ class TestLm:
             LmConfig(mu_dec=1.5)
         with pytest.raises(ValueError):
             LmConfig(mu_max=1e-9)
+        for mu_max in (np.inf, np.nan):  # a finite ceiling stops an overflowed mu before it is solved
+            with pytest.raises(ValueError):
+                LmConfig(mu_max=mu_max)
 
 
 class TestNormalMatrix:
