@@ -10,7 +10,7 @@ Submodules: rnf (exp approximation), activations, network (one-hidden-layer
 MLP), training (gradient descent with momentum + Levenberg-Marquardt),
 datasets (synthetic parabola + Statlog-format heart data), bench, cli.  The
 package root re-exports nothing: import from the submodules, e.g.
-`from modhtan.activations import modhtan`.
+`from modhtan.activations import activate`.
 """
 
 __version__ = "0.1.0"

@@ -3,8 +3,8 @@
 Four squashing units: the logistic soft-step, the hyperbolic tangent (htan),
 the exponential linear unit (elu), and modhtan, by default tanh(x_norm * ln E)
 of the normalized input x_norm = x / (x + offset_1), E being a cached
-rational-power approximation of e.  All functions accept a scalar or an
-ndarray and return a matching value; given out= buffers they write there.
+rational-power approximation of e.  activate computes the values and
+gradients of any of them over a batch.
 """
 
 from __future__ import annotations
@@ -239,38 +239,20 @@ def _build(cls: type, values: Mapping[str, Any], label):
     return cls(**kwargs)
 
 
-def _as_float_array(x):
-    return np.asarray(x, dtype=float)
+# Each kernel writes its values to v and their gradients to g through ufunc
+# out= arguments, so that a caller holding buffers (network.forward with a
+# workspace) allocates nothing; g may serve as scratch before the gradients
+# land there.  Their results match the expression forms in
+# tests/test_kernels.py bit for bit, except htan and constant-mode modhtan:
+# tanh forms, held to accuracy.
 
 
-def _scalar_or_array(out, x):
-    return float(out) if np.ndim(x) == 0 else out
-
-
-def _buffers(xs, out):
-    """The (values, gradients) buffer pair a value kernel writes into.
-
-    Each value kernel writes its values to out[0] and may use out[1] as
-    scratch, which the matching gradient kernel then overwrites.  With out
-    None both are fresh arrays shaped like xs.
-    """
-    return (np.empty_like(xs), np.empty_like(xs)) if out is None else out
-
-
-# The kernels below write through ufunc out= arguments so that a caller
-# holding buffers (network.forward with a workspace) allocates nothing.
-# Their results match the expression forms in tests/test_kernels.py bit for
-# bit, except htan and constant-mode modhtan: tanh forms, held to accuracy.
-
-
-def soft_step(x, out=None):
-    """Logistic sigmoid 1 / (1 + exp(-x)), saturating at 0 and 1.
+def soft_step(xs, v, g):
+    """Logistic sigmoid f = 1 / (1 + exp(-x)), saturating at 0 and 1; g = (1 - f) * f.
 
     Computed as exp(min(x, 0)) / (1 + exp(-|x|)): for x >= 0 the numerator
     is exactly 1 and for x < 0 it is exp(-|x|), so neither exp overflows.
     """
-    xs = _as_float_array(x)
-    v, g = _buffers(xs, out)
     np.abs(xs, g)
     np.negative(g, g)
     np.exp(g, g)
@@ -278,90 +260,63 @@ def soft_step(x, out=None):
     np.minimum(xs, 0.0, out=v)
     np.exp(v, v)
     np.divide(v, g, v)
-    return _scalar_or_array(v, x)
+    np.subtract(1.0, v, g)
+    np.multiply(g, v, g)
 
 
-def soft_step_grad(f, out=None):
-    """Gradient (1 - f) * f expressed through the output value f."""
-    fs = _as_float_array(f)
-    g = np.empty_like(fs) if out is None else out
-    np.subtract(1.0, fs, g)
-    np.multiply(g, fs, g)
-    return _scalar_or_array(g, f)
-
-
-def htan(x, out=None):
-    """Hyperbolic tangent 2 / (1 + exp(-2x)) - 1 = tanh(x), saturating at -1 and 1.
+def htan(xs, v, g):
+    """Hyperbolic tangent f = 2 / (1 + exp(-2x)) - 1 = tanh(x), saturating at -1 and 1; g = 1 - f**2.
 
     One np.tanh pass; exactly odd, so x = -0.0 maps to -0.0.
     """
-    v = np.tanh(_as_float_array(x), None if out is None else out[0])
-    return _scalar_or_array(v, x)
-
-
-def htan_grad(f, out=None):
-    """Gradient 1 - f**2 expressed through the output value f."""
-    fs = _as_float_array(f)
-    g = np.empty_like(fs) if out is None else out
-    np.multiply(fs, fs, g)
+    np.tanh(xs, v)
+    np.multiply(v, v, g)
     np.subtract(1.0, g, g)
-    return _scalar_or_array(g, f)
 
 
-def elu(x, p: EluParams = EluParams(), out=None):
-    """x for x > 0, alpha * (exp(x) - 1) for x <= 0.
+def elu(xs, p: EluParams, v, g):
+    """f = x for x > 0, alpha * (exp(x) - 1) for x <= 0; g = 1 for x > 0, f + alpha
+    for x <= 0, vanishing as f -> -alpha.
 
     Computed without a mask as alpha * expm1(min(x, 0)) + max(x, -0.0): for
     x > 0 that is 0.0 + x, and for x <= 0 the negative branch plus -0.0,
     which leaves every value, -0.0 included, unchanged.
     """
-    xs = _as_float_array(x)
-    v, g = _buffers(xs, out)
     np.minimum(xs, 0.0, out=v)
     np.expm1(v, v)
     np.multiply(v, p.alpha, v)
     np.maximum(xs, -0.0, out=g)
     np.add(v, g, v)
-    return _scalar_or_array(v, x)
-
-
-def elu_grad(x, f, p: EluParams = EluParams(), out=None):
-    """1 for x > 0, f + alpha for x <= 0 (f being elu(x)); vanishes as f -> -alpha."""
-    xs = _as_float_array(x)
-    fs = _as_float_array(f)
-    g = np.empty_like(fs) if out is None else out
-    np.add(fs, p.alpha, g)
+    np.add(v, p.alpha, g)
     # putmask copies an array that is not C-contiguous: mask a sample-minor g through g.T
     g_c, xs_c = (g.T, xs.T) if g.flags.f_contiguous else (g, xs)
     np.putmask(g_c, xs_c > 0, 1.0)
-    return _scalar_or_array(g, x)
 
 
-def adaptive_offset(batch, delta: float = 0.05, kappa: float = 1e-6) -> float:
-    """(1 + delta) * max|x| + kappa over the batch.
+def adaptive_offset(xs, delta: float = 0.05, kappa: float = 1e-6) -> float:
+    """(1 + delta) * max|x| + kappa over the batch xs.
 
     Exceeds every |x| in the batch, so x + offset > 0 and the normalized
     input keeps the sign of x.
     """
-    b = _as_float_array(batch)
-    if b.size == 0:
+    if xs.size == 0:
         raise ValueError("adaptive offset needs a non-empty batch")
-    hi, lo = b.max(), b.min()  # both are NaN or infinite when any entry is
+    hi, lo = xs.max(), xs.min()  # both are NaN or infinite when any entry is
     if not (math.isfinite(hi) and math.isfinite(lo)):
         raise ValueError("adaptive offset needs finite batch entries")
     # Python float arithmetic: an inf offset near float max is handled downstream
     return (1.0 + delta) * float(max(hi, -lo)) + kappa
 
 
-def _normalized_input(xs, offset_1, x_cutoff, clamp, center_normalize, out=None):
-    """The normalized input x / (x + offset_1), clamped to [-clamp, clamp].
+def _normalized_input(xs, offset_1, x_cutoff, clamp, center_normalize, x_norm):
+    """The normalized input x / (x + offset_1), clamped to [-clamp, clamp],
+    written to x_norm and returned.
 
     A zero or denormal denominator is replaced by sign(x) * clamp (0 at
     x = 0); a denominator that overflows (both addends huge and positive) is
     rewritten as 1 / (1 + offset_1 / x).  With center_normalize off, inputs
-    with |x| <= x_cutoff pass through raw.  Written to out when given.
+    with |x| <= x_cutoff pass through raw.
     """
-    x_norm = np.empty_like(xs) if out is None else out
     x_lo, x_hi = xs.min(initial=np.inf), xs.max(initial=-np.inf)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         den = np.add(xs, offset_1, x_norm)  # may overflow to inf for huge batches; handled below
@@ -397,8 +352,8 @@ def _clip(v, lo, hi):
     return np.minimum(v, hi, out=v)
 
 
-def modhtan(x, p: ModHtanParams, offset_1: float, out=None):
-    """k_o / (1 + E**(-2 * x_norm)) - 1 with x_norm = x / (x + offset_1).
+def modhtan(xs, p: ModHtanParams, offset_1: float, v, g):
+    """f = k_o / (1 + E**(-2 * x_norm)) - 1 with x_norm = x / (x + offset_1); g = 1 - f**2.
 
     E is the cached rational-power approximation of e.  With c = ln E this
     is (k_o/2) * tanh(c * x_norm) + k_o/2 - 1, the form "constant" mode
@@ -407,9 +362,7 @@ def modhtan(x, p: ModHtanParams, offset_1: float, out=None):
     Outputs stay strictly inside (-1, k_o - 1): rounding lands on a bound
     once |x_norm| passes ~19, which would zero the 1 - f**2 gradient.
     """
-    xs = _as_float_array(x)
-    v = _normalized_input(xs, offset_1, p.x_cutoff, p.x_norm_clamp, p.center_normalize,
-                          None if out is None else out[0])
+    _normalized_input(xs, offset_1, p.x_cutoff, p.x_norm_clamp, p.center_normalize, v)
     if p.euler_mode == "constant":
         np.multiply(v, math.log(euler_constant(p.rnf)), v)
         np.tanh(v, v)
@@ -419,10 +372,9 @@ def modhtan(x, p: ModHtanParams, offset_1: float, out=None):
         np.add(rnf_exp(np.multiply(v, -2.0, v), p.rnf), 1.0, v)
         np.subtract(np.divide(p.k_o, v, v), 1.0, v)
     _clip(v, math.nextafter(-1.0, 0.0), math.nextafter(p.k_o - 1.0, -math.inf))
-    return _scalar_or_array(v, x)
-
-
-modhtan_grad = htan_grad  # a surrogate: 1 - f**2 is not the derivative of modhtan
+    # a surrogate, not the derivative of modhtan: 1 - f**2 leaves out the d(x_norm)/dx factor
+    np.multiply(v, v, g)
+    np.subtract(1.0, g, g)
 
 
 class BatchActivation(NamedTuple):
@@ -439,26 +391,22 @@ def activate(kind: ActivationKind, batch, out=None) -> BatchActivation:
     For modhtan in adaptive mode the offset is derived from this batch (its
     max absolute entry) and reported in the result.
     """
-    xs = _as_float_array(batch)
-    values, grads = buffers = _buffers(xs, out)
+    xs = np.asarray(batch, dtype=float)
+    values, grads = (np.empty_like(xs), np.empty_like(xs)) if out is None else out
     offset = None
     if isinstance(kind, SoftStep):
-        soft_step(xs, buffers)
-        soft_step_grad(values, grads)
+        soft_step(xs, values, grads)
     elif isinstance(kind, Htan):
-        htan(xs, buffers)
-        htan_grad(values, grads)
+        htan(xs, values, grads)
     elif isinstance(kind, Elu):
-        elu(xs, kind.params, buffers)
-        elu_grad(xs, values, kind.params, grads)
+        elu(xs, kind.params, values, grads)
     elif isinstance(kind, ModHtan):
         p = kind.params
         if isinstance(p.offset_mode, AdaptiveOffset):
             offset = adaptive_offset(xs, p.offset_mode.delta, p.offset_mode.kappa)
         else:
             offset = p.offset_mode.offset_1
-        modhtan(xs, p, offset, buffers)
-        modhtan_grad(values, grads)
+        modhtan(xs, p, offset, values, grads)
     else:
         raise TypeError(f"unknown activation kind: {kind!r}")
     return BatchActivation(values, grads, offset)

@@ -65,6 +65,10 @@ class ExperimentSpec:
             raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         if not self.activations:
             raise ValueError("activation list must be non-empty")
+        names = [kind.name for kind in self.activations]
+        for name in names:
+            if names.count(name) > 1:
+                raise ValueError(f"activation {name!r} is listed twice; the report keys its results by name")
         if self.dataset == "heart" and self.heart_path is None:
             raise ValueError("heart dataset needs heart_path")
         if self.n_hidden < 1:

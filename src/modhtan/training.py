@@ -31,8 +31,8 @@ class GdmConfig:
     epochs: int = 500
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must be in [0, 1)")
         if self.epochs < 1:
@@ -52,8 +52,8 @@ class LmConfig:
     def __post_init__(self):
         if not self.mu0 > 0:
             raise ValueError("mu0 must be positive")
-        if not self.mu_inc > 1:
-            raise ValueError("mu_inc must be > 1")
+        if not 1 < self.mu_inc < np.inf:
+            raise ValueError("mu_inc must be finite and > 1")
         if not 0 < self.mu_dec < 1:
             raise ValueError("mu_dec must be in (0, 1)")
         if not self.mu0 < self.mu_max < np.inf:  # an overflowed mu then ends the fit before a solve

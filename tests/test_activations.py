@@ -20,112 +20,117 @@ from modhtan.activations import (
     _normalized_input,
     activate,
     adaptive_offset,
-    elu,
-    elu_grad,
-    htan,
-    htan_grad,
-    modhtan,
-    modhtan_grad,
     parse_activation,
-    soft_step,
-    soft_step_grad,
 )
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
 
+def value(kind, x):
+    """The activation's value at x, through a 0-d batch."""
+    return float(activate(kind, x).values)
+
+
+def grad(kind, x):
+    """The activation's gradient at x, through a 0-d batch."""
+    return float(activate(kind, x).grads)
+
+
+def offset(batch):
+    return adaptive_offset(np.array(batch, dtype=float))
+
+
 class TestSoftStep:
     def test_symmetry_point(self):
-        assert soft_step(0.0) == 0.5
+        assert value(SoftStep(), 0.0) == 0.5
 
     def test_reference_value(self):
-        assert soft_step(1.0) == pytest.approx(0.7310585786300049, rel=1e-14)
+        assert value(SoftStep(), 1.0) == pytest.approx(0.7310585786300049, rel=1e-14)
 
     def test_exploding_input_saturates_at_one(self):
-        assert soft_step(1000.0) == 1.0
+        assert value(SoftStep(), 1000.0) == 1.0
 
     def test_exploding_negative_input_saturates_at_zero(self):
-        assert soft_step(-1000.0) == 0.0
+        assert value(SoftStep(), -1000.0) == 0.0
 
     def test_open_interval_before_saturation(self):
         xs = np.linspace(-30.0, 30.0, 601)
-        f = soft_step(xs)
+        f = activate(SoftStep(), xs).values
         assert np.all((f > 0.0) & (f < 1.0))
 
     @given(st.floats(min_value=-50.0, max_value=50.0))
     @settings(max_examples=200, deadline=None)
     def test_complementary(self, x):
-        assert soft_step(x) + soft_step(-x) == pytest.approx(1.0, abs=1e-12)
+        assert value(SoftStep(), x) + value(SoftStep(), -x) == pytest.approx(1.0, abs=1e-12)
 
     def test_grad_at_half(self):
-        assert soft_step_grad(0.5) == 0.25
+        assert grad(SoftStep(), 0.0) == 0.25  # at f = 0.5
 
     def test_grad_vanishes_at_saturation(self):
-        assert soft_step_grad(1.0) == 0.0
+        assert grad(SoftStep(), 1000.0) == 0.0  # at f = 1
 
     def test_grad_reference_value(self):
-        f = soft_step(1.0)
-        assert soft_step_grad(f) == pytest.approx(0.19661193324148185, rel=1e-12)
+        assert grad(SoftStep(), 1.0) == pytest.approx(0.19661193324148185, rel=1e-12)
 
 
 class TestHtan:
     def test_odd_at_zero(self):
-        assert htan(0.0) == 0.0
+        assert value(Htan(), 0.0) == 0.0
 
     def test_reference_value(self):
-        assert htan(1.0) == pytest.approx(math.tanh(1.0), rel=1e-14)
+        assert value(Htan(), 1.0) == pytest.approx(math.tanh(1.0), rel=1e-14)
 
     def test_exploding_input_saturates(self):
-        assert htan(1000.0) == 1.0
-        assert htan(-1000.0) == -1.0
+        assert value(Htan(), 1000.0) == 1.0
+        assert value(Htan(), -1000.0) == -1.0
 
     @given(st.floats(min_value=-100.0, max_value=100.0))
     @settings(max_examples=200, deadline=None)
     def test_exactly_odd(self, x):
-        assert htan(-x) == -htan(x)
+        assert value(Htan(), -x) == -value(Htan(), x)
 
     def test_matches_scaled_soft_step(self):
         xs = np.linspace(-8.0, 8.0, 161)
-        assert np.max(np.abs(htan(xs) - (2.0 * soft_step(2.0 * xs) - 1.0))) <= 1e-12
+        f = activate(Htan(), xs).values
+        assert np.max(np.abs(f - (2.0 * activate(SoftStep(), 2.0 * xs).values - 1.0))) <= 1e-12
 
     def test_grads(self):
-        assert htan_grad(0.0) == 1.0
-        assert htan_grad(1.0) == 0.0
-        f = htan(1.0)
-        assert htan_grad(f) == pytest.approx(0.41997434161402614, rel=1e-12)
+        assert grad(Htan(), 0.0) == 1.0  # at f = 0
+        assert grad(Htan(), 1000.0) == 0.0  # at f = 1
+        assert grad(Htan(), 1.0) == pytest.approx(0.41997434161402614, rel=1e-12)
 
 
 class TestElu:
     def test_positive_branch_is_identity(self):
-        assert elu(5.0) == 5.0
+        assert value(Elu(), 5.0) == 5.0
 
     def test_zero(self):
-        assert elu(0.0) == 0.0
+        assert value(Elu(), 0.0) == 0.0
 
     def test_deep_negative_limit(self):
-        assert elu(-1000.0) == -1.0
+        assert value(Elu(), -1000.0) == -1.0
 
     def test_alpha_scales_negative_branch(self):
-        p = EluParams(alpha=2.0)
-        assert elu(-1000.0, p) == -2.0
-        assert elu(-1.0, p) == pytest.approx(2.0 * (math.exp(-1.0) - 1.0), rel=1e-14)
+        kind = Elu(EluParams(alpha=2.0))
+        assert value(kind, -1000.0) == -2.0
+        assert value(kind, -1.0) == pytest.approx(2.0 * (math.exp(-1.0) - 1.0), rel=1e-14)
 
     def test_continuous_at_zero(self):
-        assert abs(elu(1e-9) - elu(-1e-9)) <= 1e-8
+        assert abs(value(Elu(), 1e-9) - value(Elu(), -1e-9)) <= 1e-8
 
     def test_monotone(self):
         xs = np.linspace(-10.0, 10.0, 401)
-        assert np.all(np.diff(elu(xs)) >= 0.0)
+        assert np.all(np.diff(activate(Elu(), xs).values) >= 0.0)
 
     def test_grad_positive_branch(self):
-        assert elu_grad(5.0, elu(5.0)) == 1.0
+        assert grad(Elu(), 5.0) == 1.0
 
     def test_grad_at_zero_is_continuous_for_unit_alpha(self):
         # x = 0 goes to the negative branch: f + alpha = 1 when alpha = 1
-        assert elu_grad(0.0, elu(0.0)) == 1.0
+        assert grad(Elu(), 0.0) == 1.0
 
     def test_grad_vanishes_deep_negative(self):
-        assert elu_grad(-1000.0, elu(-1000.0)) == 0.0
+        assert grad(Elu(), -1000.0) == 0.0
 
     def test_alpha_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -138,34 +143,35 @@ class TestElu:
 
 class TestAdaptiveOffset:
     def test_zero_batch_gives_floor(self):
-        assert adaptive_offset([0.0]) == 1e-6
+        assert offset([0.0]) == 1e-6
 
     def test_hand_arithmetic(self):
-        assert adaptive_offset([3.0, -4.0]) == pytest.approx(1.05 * 4.0 + 1e-6, rel=1e-15)
+        assert offset([3.0, -4.0]) == pytest.approx(1.05 * 4.0 + 1e-6, rel=1e-15)
 
     def test_huge_batch_stays_finite(self):
-        off = adaptive_offset([1e300])
+        off = offset([1e300])
         assert off == pytest.approx(1.05e300, rel=1e-12)
         assert math.isfinite(off)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            adaptive_offset([])
+            offset([])
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            adaptive_offset([1.0, float("nan")])
+            offset([1.0, float("nan")])
 
     @given(st.lists(st.floats(min_value=-1e300, max_value=1e300), min_size=1, max_size=20))
     @settings(max_examples=200, deadline=None)
     def test_offset_dominates_batch(self, batch):
         # guarantees x + offset > 0, hence sign(x_norm) = sign(x)
-        off = adaptive_offset(batch)
+        off = offset(batch)
         assert all(x + off > 0.0 for x in batch)
 
 
 def normalize(x, offset_1, x_cutoff=10.0, clamp=50.0, center_normalize=True):
-    return float(_normalized_input(np.array(x), offset_1, x_cutoff, clamp, center_normalize))
+    xs = np.array(x)
+    return float(_normalized_input(xs, offset_1, x_cutoff, clamp, center_normalize, np.empty_like(xs)))
 
 
 class TestNormalize:
@@ -195,56 +201,50 @@ class TestNormalize:
 
 class TestModHtan:
     def test_zero_is_fixed_point(self):
-        p = ModHtanParams()
-        assert modhtan(0.0, p, 1.0) == 0.0
+        assert value(ModHtan(ModHtanParams(offset_mode=FixedOffset(1.0))), 0.0) == 0.0
 
     def test_against_tanh_oracle_fixed_offset(self):
         p = ModHtanParams(offset_mode=FixedOffset(10.0))
-        got = modhtan(1000.0, p, 10.0)
+        got = value(ModHtan(p), 1000.0)
         assert abs(got - math.tanh(1000.0 / 1010.0)) <= 1e-5
 
     def test_adaptive_huge_input(self):
-        p = ModHtanParams()
-        off = adaptive_offset([1e300])
-        got = modhtan(1e300, p, off)
+        got = value(ModHtan(), 1e300)
         # x/(x + 1.05x) = 1/2.05
         assert abs(got - math.tanh(1.0 / 2.05)) <= 1e-5
         assert math.isfinite(got)
 
     def test_grad_is_one_minus_f_squared(self):
-        for f in (0.0, 0.7574, -1.0, 0.3):
-            assert modhtan_grad(f) == 1.0 - f * f
+        for x in (0.0, 1.0, -1.0, 0.3, -1e4):
+            out = activate(ModHtan(ModHtanParams(offset_mode=FixedOffset(10.0))), x)
+            assert out.grads == 1.0 - out.values * out.values
 
     def test_euler_modes_agree(self):
         p_const = ModHtanParams(euler_mode="constant")
         p_direct = ModHtanParams(euler_mode="direct")
         xs = np.linspace(-40.0, 40.0, 81)
-        off = adaptive_offset(xs)
-        a = modhtan(xs, p_const, off)
-        b = modhtan(xs, p_direct, off)
+        a = activate(ModHtan(p_const), xs).values
+        b = activate(ModHtan(p_direct), xs).values
         assert np.max(np.abs(a - b)) <= 1e-5
 
     def test_center_normalize_off_restores_plain_tanh_inside(self):
         p = ModHtanParams(center_normalize=False, offset_mode=FixedOffset(100.0))
-        assert abs(modhtan(1.0, p, 100.0) - math.tanh(1.0)) <= 1e-5
+        assert abs(value(ModHtan(p), 1.0) - math.tanh(1.0)) <= 1e-5
         # outside the cutoff the normalization still applies
-        got = modhtan(1000.0, p, 100.0)
+        got = value(ModHtan(p), 1000.0)
         assert abs(got - math.tanh(1000.0 / 1100.0)) <= 1e-5
 
     def test_tanh_tracking_on_mixed_batch(self):
         p = ModHtanParams()
         xs = np.array([-5e4, -17.0, -1.0, 0.0, 2.5, 300.0, 8e7])
-        off = adaptive_offset(xs)
-        got = modhtan(xs, p, off)
+        got, _, off = activate(ModHtan(p), xs)
         want = np.tanh(xs / (xs + off))
         assert np.max(np.abs(got - want)) <= 1e-5
 
     @given(finite_floats)
     @settings(max_examples=300, deadline=None)
     def test_bounded_open_interval_for_any_finite_input(self, x):
-        p = ModHtanParams()
-        off = adaptive_offset([x])
-        f = modhtan(x, p, off)
+        f = value(ModHtan(), x)
         assert math.isfinite(f)
         assert -1.0 < f < 1.0
 
@@ -308,6 +308,16 @@ class TestActivateDispatch:
         out = activate(ModHtan(), np.linspace(-3.0, 3.0, 7))
         assert np.array_equal(out.grads, 1.0 - out.values**2)
 
+    @pytest.mark.parametrize("kind", [SoftStep(), Htan(), Elu(), ModHtan(),
+                                      ModHtan(ModHtanParams(offset_mode=FixedOffset(-3.0)))])
+    @pytest.mark.parametrize("x", [0.0, -0.0, 5e-324, 1.5, -1000.0])
+    def test_0d_batch_equals_the_1_element_batch_bytewise(self, kind, x):
+        scalar, one = activate(kind, x), activate(kind, [x])
+        assert scalar.values.shape == scalar.grads.shape == ()
+        assert scalar.values.tobytes() == one.values.tobytes()
+        assert scalar.grads.tobytes() == one.grads.tobytes()
+        assert scalar.offset_1 == one.offset_1
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(TypeError):
             activate("htan", [0.0])
@@ -326,13 +336,8 @@ class TestFiniteDifferences:
         rng = np.random.default_rng(2024)
         xs = rng.uniform(-5.0, 5.0, size=100)
         h = 1e-6
-        cases = [
-            (lambda v: soft_step(v), lambda v: soft_step_grad(soft_step(v))),
-            (lambda v: htan(v), lambda v: htan_grad(htan(v))),
-            (lambda v: elu(v), lambda v: elu_grad(v, elu(v))),
-        ]
-        for fn, grad_fn in cases:
-            numeric = (fn(xs + h) - fn(xs - h)) / (2.0 * h)
-            analytic = grad_fn(xs)
+        for kind in (SoftStep(), Htan(), Elu()):
+            numeric = (activate(kind, xs + h).values - activate(kind, xs - h).values) / (2.0 * h)
+            analytic = activate(kind, xs).grads
             rel = np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-12)
             assert rel.max() <= 1e-6

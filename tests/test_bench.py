@@ -49,6 +49,10 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             tiny_spec(activations=())
 
+    def test_rejects_duplicate_activation_names(self):
+        with pytest.raises(ValueError, match="'htan' is listed twice"):
+            tiny_spec(activations=(Htan(), Elu(), Htan()))
+
     def test_rejects_heart_without_path(self):
         with pytest.raises(ValueError):
             tiny_spec(dataset="heart")

@@ -229,6 +229,13 @@ class TestBenchCommand:
         assert main(["bench", "--fns", "htan,nosuch", "--runs", "1", "--n", "40"]) == 2
         capsys.readouterr()
 
+    def test_duplicate_activation_rejected(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = ["bench", "--fns", "htan,htan", "--runs", "1", "--n", "30", "--epochs", "3", "--out", "r.md", "r.csv"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: activation 'htan' is listed twice")
+        assert list(tmp_path.iterdir()) == []
+
     def test_heart_file_without_rows(self, tmp_path, capsys):
         path = tmp_path / "empty.dat"
         path.write_text("")
@@ -268,8 +275,11 @@ class TestFitFlags:
             ["--hidden", "0"],
             ["--seed", "-1"],
             ["--mu-max", "inf"],
+            ["--mu-inc", "inf"],
+            ["--lr", "inf", "--trainer", "gdm"],
         ],
-        ids=["mu0", "mu-dec", "lr", "momentum", "test-fraction", "n", "epochs", "hidden", "seed", "mu-max"],
+        ids=["mu0", "mu-dec", "lr", "momentum", "test-fraction", "n", "epochs", "hidden", "seed", "mu-max",
+             "mu-inc-inf", "lr-inf"],
     )
     def test_bad_value_is_usage_error(self, command, flags, heart_file, capsys):
         code = main([*command, "--n", "20", "--epochs", "2", "--path", str(heart_file), *flags])

@@ -28,11 +28,6 @@ from modhtan.activations import (
     SoftStep,
     _normalized_input,
     activate,
-    adaptive_offset,
-    elu,
-    elu_grad,
-    htan,
-    modhtan,
 )
 from modhtan.bench import CURVE_PRESETS
 from modhtan.network import StallError, forward, jacobian, nguyen_widrow_init, pack_params
@@ -213,16 +208,14 @@ class TestActivationOracle:
         assert values.tobytes() == expected[0].tobytes()
         assert grads.tobytes() == expected[1].tobytes()
 
-
-    def test_elu_grad_into_a_sample_minor_buffer(self):
+    def test_elu_into_sample_minor_buffers(self):
         xs = GRID[:2500].reshape(500, 5)
-        p = EluParams()
-        expected = elu_grad(xs, elu(xs, p), p)
+        expected = activate(Elu(), xs)
         xs_f = np.asfortranarray(xs)
-        out = np.full_like(xs_f, np.nan)
-        assert elu_grad(xs_f, elu(xs_f, p), p, out) is out
-        assert out.flags.f_contiguous
-        assert out.tobytes() == expected.tobytes()
+        values, grads = np.full_like(xs_f, np.nan), np.full_like(xs_f, np.nan)
+        assert activate(Elu(), xs_f, (values, grads)).grads is grads
+        assert grads.flags.f_contiguous
+        assert grads.tobytes() == expected.grads.tobytes()
 
 
 # |x| beyond this leaves 1 - |tanh x| below 1e-34, under the resolution of an
@@ -310,12 +303,16 @@ class TestTanhFormAccuracy:
             assert max_ulp_error(old, reference) > 1e3
 
 
+def htan_values(xs):
+    return activate(Htan(), xs).values
+
+
 class TestTanhForms:
     @pytest.mark.parametrize("k_o", [3.0, 0.5])
     def test_k_o_is_an_affine_map_of_the_default(self, k_o):
         xs = GRIDS["finite_offset"]
-        f2 = modhtan(xs, ModHtanParams(), 2.0)
-        fk = modhtan(xs, ModHtanParams(k_o=k_o), 2.0)
+        f2 = activate(ModHtan(ModHtanParams(offset_mode=FixedOffset(2.0))), xs).values
+        fk = activate(ModHtan(ModHtanParams(k_o=k_o, offset_mode=FixedOffset(2.0))), xs).values
         inside = np.abs(f2) < 0.999  # away from the open-interval clip
         assert inside.sum() > 100
         assert fk[inside].tobytes() == (f2[inside] * (k_o / 2.0) + (k_o / 2.0 - 1.0)).tobytes()
@@ -323,21 +320,22 @@ class TestTanhForms:
     def test_k_o_3_is_three_over_one_plus_e_power_minus_one(self):
         xs = np.linspace(-30.0, 30.0, 601)
         p = ModHtanParams(k_o=3.0)
-        offset_1 = adaptive_offset(xs)
+        got, _, offset_1 = activate(ModHtan(p), xs)
         x_norm = oracle_normalized_input(xs, offset_1, p.x_cutoff, p.x_norm_clamp, p.center_normalize)
         paper = 3.0 / (1.0 + euler_constant() ** (-2.0 * x_norm)) - 1.0
-        assert np.max(np.abs(modhtan(xs, p, offset_1) - paper)) <= 4 * np.finfo(float).eps
+        assert np.max(np.abs(got - paper)) <= 4 * np.finfo(float).eps
 
     def test_htan_is_odd(self):
         xs = GRID[np.isfinite(GRID)]
-        assert htan(-xs).tobytes() == (-htan(xs)).tobytes()
+        assert htan_values(-xs).tobytes() == (-htan_values(xs)).tobytes()
 
     def test_minus_zero_maps_to_minus_zero(self):
-        assert math.copysign(1.0, htan(-0.0)) == -1.0
-        assert math.copysign(1.0, htan(0.0)) == 1.0
+        assert math.copysign(1.0, htan_values(-0.0)) == -1.0
+        assert math.copysign(1.0, htan_values(0.0)) == 1.0
         for p in (ModHtanParams(), ModHtanParams(center_normalize=False)):
             assert math.copysign(1.0, activate(ModHtan(p), np.array([-0.0])).values[0]) == -1.0
-        assert math.copysign(1.0, modhtan(-0.0, ModHtanParams(), -3.0)) == 1.0  # -0.0 / -3.0 is +0.0
+        fixed = ModHtan(ModHtanParams(offset_mode=FixedOffset(-3.0)))
+        assert math.copysign(1.0, activate(fixed, -0.0).values) == 1.0  # -0.0 / -3.0 is +0.0
 
 
 def _problem(n_in, n_hidden, n_out, kind=Htan(), seed=0, samples=60):
@@ -511,13 +509,13 @@ class TestClampSkip:
         xs = np.concatenate([np.linspace(-1.0, 1.0, 201), [0.0, -0.0, 5e-324]])
         xs = xs if offset_1 > 0 else -xs
         expected = oracle_normalized_input(xs, offset_1, 10.0, clamp, True)
-        got = _normalized_input(xs.copy(), offset_1, 10.0, clamp, True)
+        got = _normalized_input(xs, offset_1, 10.0, clamp, True, np.empty_like(xs))
         assert got.tobytes() == expected.tobytes()
 
     def test_bound_reached_exactly(self):
         # max|x| / min|den| = 1 / (2 - 1) = 1 = clamp: skipped, and no value passes 1
         xs = np.linspace(-1.0, 1.0, 11)
-        got = _normalized_input(xs, 2.0, 10.0, 1.0, True)
+        got = _normalized_input(xs, 2.0, 10.0, 1.0, True, np.empty_like(xs))
         assert got.tobytes() == oracle_normalized_input(xs, 2.0, 10.0, 1.0, True).tobytes()
         assert got[0] == -1.0
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from modhtan import activations
 from modhtan.activations import (
     AdaptiveOffset,
     Elu,
@@ -130,6 +131,20 @@ class TestForward:
         _, cache = forward(model, np.array([[1.0], [-2.0]]))
         # max |z1| over the batch is 4
         assert cache.offset_1 == pytest.approx(1.05 * 4.0 + 1e-6, rel=1e-15)
+
+    @pytest.mark.parametrize("offset_mode, offset_calls", [(AdaptiveOffset(), 1), (FixedOffset(2.0), 0)],
+                             ids=["adaptive", "fixed"])
+    def test_activate_calls_the_modhtan_module_globals(self, offset_mode, offset_calls, monkeypatch):
+        # the benchmark's per-layer trace times these two by patching the module globals
+        model = nguyen_widrow_init(2, 3, 1, ModHtan(ModHtanParams(offset_mode=offset_mode)), seed=0)
+        calls = {"modhtan": 0, "adaptive_offset": 0}
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(activations, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(activations, name, counted)
+        forward(model, np.ones((4, 2)))
+        assert calls == {"modhtan": 1, "adaptive_offset": offset_calls}
 
 
 class TestBackward:

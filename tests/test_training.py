@@ -139,8 +139,9 @@ class TestGdm:
         assert len(history.loss) < 50
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            GdmConfig(learning_rate=0.0)
+        for learning_rate in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                GdmConfig(learning_rate=learning_rate)
         with pytest.raises(ValueError):
             GdmConfig(momentum=1.0)
         with pytest.raises(ValueError):
@@ -219,8 +220,9 @@ class TestLm:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             LmConfig(mu0=0.0)
-        with pytest.raises(ValueError):
-            LmConfig(mu_inc=1.0)
+        for mu_inc in (1.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                LmConfig(mu_inc=mu_inc)
         with pytest.raises(ValueError):
             LmConfig(mu_dec=1.5)
         with pytest.raises(ValueError):
