@@ -8,14 +8,14 @@ label rule are synthetic but produce a learnable classification problem.
 
 import argparse
 
-from modhtan.datasets import make_heart_fixture
+from modhtan.datasets import HEART_EXPECTED_ROWS, HEART_FIXTURE_SEED, make_heart_fixture
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("out", nargs="?", default="heart.dat")
-    ap.add_argument("--rows", type=int, default=270)
-    ap.add_argument("--seed", type=int, default=7)
+    ap.add_argument("--rows", type=int, default=HEART_EXPECTED_ROWS)
+    ap.add_argument("--seed", type=int, default=HEART_FIXTURE_SEED)
     args = ap.parse_args()
     make_heart_fixture(args.out, n=args.rows, seed=args.seed)
     print(f"wrote {args.out} ({args.rows} rows, seed {args.seed})")

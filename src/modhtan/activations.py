@@ -293,31 +293,29 @@ def elu(xs, p: EluParams, v, g):
     np.putmask(g_c, xs_c > 0, 1.0)
 
 
-def adaptive_offset(xs, delta: float = 0.05, kappa: float = 1e-6) -> float:
-    """(1 + delta) * max|x| + kappa over the batch xs.
+def adaptive_offset(lo, hi, mode: AdaptiveOffset) -> float:
+    """(1 + delta) * max|x| + kappa over a batch with minimum lo and maximum hi.
 
     Exceeds every |x| in the batch, so x + offset > 0 and the normalized
     input keeps the sign of x.
     """
-    if xs.size == 0:
+    if lo > hi:  # an empty batch's reductions return their initial values
         raise ValueError("adaptive offset needs a non-empty batch")
-    hi, lo = xs.max(), xs.min()  # both are NaN or infinite when any entry is
-    if not (math.isfinite(hi) and math.isfinite(lo)):
+    if not (math.isfinite(hi) and math.isfinite(lo)):  # NaN or infinite when some entry is
         raise ValueError("adaptive offset needs finite batch entries")
     # Python float arithmetic: an inf offset near float max is handled downstream
-    return (1.0 + delta) * float(max(hi, -lo)) + kappa
+    return (1.0 + mode.delta) * float(max(hi, -lo)) + mode.kappa
 
 
-def _normalized_input(xs, offset_1, x_cutoff, clamp, center_normalize, x_norm):
-    """The normalized input x / (x + offset_1), clamped to [-clamp, clamp],
-    written to x_norm and returned.
+def _normalized_input(xs, x_lo, x_hi, offset_1, x_cutoff, clamp, center_normalize, x_norm):
+    """The normalized input x / (x + offset_1) of xs, whose minimum and maximum are
+    x_lo and x_hi, clamped to [-clamp, clamp], written to x_norm and returned.
 
     A zero or denormal denominator is replaced by sign(x) * clamp (0 at
     x = 0); a denominator that overflows (both addends huge and positive) is
     rewritten as 1 / (1 + offset_1 / x).  With center_normalize off, inputs
     with |x| <= x_cutoff pass through raw.
     """
-    x_lo, x_hi = xs.min(initial=np.inf), xs.max(initial=-np.inf)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         den = np.add(xs, offset_1, x_norm)  # may overflow to inf for huge batches; handled below
         lo, hi = x_lo + offset_1, x_hi + offset_1  # den's min and max: rounding is monotone
@@ -352,17 +350,21 @@ def _clip(v, lo, hi):
     return np.minimum(v, hi, out=v)
 
 
-def modhtan(xs, p: ModHtanParams, offset_1: float, v, g):
+def modhtan(xs, p: ModHtanParams, v, g) -> float:
     """f = k_o / (1 + E**(-2 * x_norm)) - 1 with x_norm = x / (x + offset_1); g = 1 - f**2.
 
-    E is the cached rational-power approximation of e.  With c = ln E this
-    is (k_o/2) * tanh(c * x_norm) + k_o/2 - 1, the form "constant" mode
-    computes: one np.tanh pass at k_o = 2, accurate near f = 0, -0.0 kept.
+    Returns offset_1, fixed or adaptive to this batch.  E is the cached
+    rational-power approximation of e.  With c = ln E this is (k_o/2) *
+    tanh(c * x_norm) + k_o/2 - 1, the form "constant" mode computes: one
+    np.tanh pass at k_o = 2, accurate near f = 0, -0.0 kept.
     "direct" mode evaluates the rational formula at -2 * x_norm per input.
     Outputs stay strictly inside (-1, k_o - 1): rounding lands on a bound
     once |x_norm| passes ~19, which would zero the 1 - f**2 gradient.
     """
-    _normalized_input(xs, offset_1, p.x_cutoff, p.x_norm_clamp, p.center_normalize, v)
+    lo, hi = xs.min(initial=np.inf), xs.max(initial=-np.inf)  # the one pass over the batch for both
+    mode = p.offset_mode
+    offset_1 = adaptive_offset(lo, hi, mode) if isinstance(mode, AdaptiveOffset) else mode.offset_1
+    _normalized_input(xs, lo, hi, offset_1, p.x_cutoff, p.x_norm_clamp, p.center_normalize, v)
     if p.euler_mode == "constant":
         np.multiply(v, math.log(euler_constant(p.rnf)), v)
         np.tanh(v, v)
@@ -375,6 +377,7 @@ def modhtan(xs, p: ModHtanParams, offset_1: float, v, g):
     # a surrogate, not the derivative of modhtan: 1 - f**2 leaves out the d(x_norm)/dx factor
     np.multiply(v, v, g)
     np.subtract(1.0, g, g)
+    return offset_1
 
 
 class BatchActivation(NamedTuple):
@@ -388,8 +391,7 @@ def activate(kind: ActivationKind, batch, out=None) -> BatchActivation:
 
     out, when given, is a (values, grads) pair of float arrays shaped like
     the batch; the results are written there instead of to fresh arrays.
-    For modhtan in adaptive mode the offset is derived from this batch (its
-    max absolute entry) and reported in the result.
+    The result carries modhtan's offset_1, fixed or adaptive to this batch.
     """
     xs = np.asarray(batch, dtype=float)
     values, grads = (np.empty_like(xs), np.empty_like(xs)) if out is None else out
@@ -401,12 +403,7 @@ def activate(kind: ActivationKind, batch, out=None) -> BatchActivation:
     elif isinstance(kind, Elu):
         elu(xs, kind.params, values, grads)
     elif isinstance(kind, ModHtan):
-        p = kind.params
-        if isinstance(p.offset_mode, AdaptiveOffset):
-            offset = adaptive_offset(xs, p.offset_mode.delta, p.offset_mode.kappa)
-        else:
-            offset = p.offset_mode.offset_1
-        modhtan(xs, p, offset, values, grads)
+        offset = modhtan(xs, kind.params, values, grads)
     else:
         raise TypeError(f"unknown activation kind: {kind!r}")
     return BatchActivation(values, grads, offset)

@@ -52,7 +52,7 @@ class ExperimentSpec:
     n_points: int = 5000  # synthetic sample count
     random_x: bool = False  # synthetic: sample x uniformly instead of linspace
     heart_path: str | None = None
-    test_fraction: float = 0.2
+    test_fraction: float = SplitSpec.test_fraction
 
     def __post_init__(self):
         if self.dataset not in ("synthetic", "heart"):

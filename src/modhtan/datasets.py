@@ -13,6 +13,7 @@ import numpy as np
 
 HEART_FEATURES = 13
 HEART_EXPECTED_ROWS = 270
+HEART_FIXTURE_SEED = 7  # make_heart_fixture's default, also the fixture script's
 
 
 @dataclass
@@ -128,7 +129,7 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     return Dataset(x_train, ds.T[train_idx]), Dataset(x_test, ds.T[test_idx])
 
 
-def make_heart_fixture(path, n: int = HEART_EXPECTED_ROWS, seed: int = 7) -> None:
+def make_heart_fixture(path, n: int = HEART_EXPECTED_ROWS, seed: int = HEART_FIXTURE_SEED) -> None:
     """Write a heart-like stand-in file in the Statlog format.
 
     The canonical UCI file cannot be fetched here, so tests and offline runs

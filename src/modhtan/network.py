@@ -134,7 +134,10 @@ def forward(model: MlpModel, X, out: ForwardCache | None = None) -> tuple[np.nda
         np.add(z1, b1, z1)
     if not np.isfinite(z1).all():
         raise StallError("hidden pre-activations contain non-finite values")
-    h, g, offset = activate(model.hidden_kind, z1, None if out is None else (h, g))
+    try:
+        h, g, offset = activate(model.hidden_kind, z1, None if out is None else (h, g))
+    except OverflowError as exc:  # direct-mode modhtan's rnf_exp past the double range
+        raise StallError(f"hidden activations: {exc}") from None
     y = np.matmul(h, model.W2.T, out=y)
     np.add(y, model.b2, y)
     if not np.isfinite(y).all():

@@ -147,7 +147,6 @@ def train_lm(model: MlpModel, X, T, cfg: LmConfig = LmConfig()) -> tuple[MlpMode
     history = TrainHistory()
     mu = cfg.mu0
     P = n_params(model)
-    identity = np.eye(P)
     try:
         _, cache = forward(model, X)
     except StallError as exc:
@@ -181,8 +180,8 @@ def train_lm(model: MlpModel, X, T, cfg: LmConfig = LmConfig()) -> tuple[MlpMode
         accepted = False
         retries = 0
         while True:
-            np.multiply(identity, mu, out=damped)
-            damped += normal
+            np.copyto(damped, normal)
+            damped.flat[:: P + 1] += mu  # the diagonal
             try:
                 delta = np.linalg.solve(damped, rhs)
             except np.linalg.LinAlgError:  # a singular level is a rejected step

@@ -37,7 +37,9 @@ def grad(kind, x):
 
 
 def offset(batch):
-    return adaptive_offset(np.array(batch, dtype=float))
+    """The default adaptive offset of a batch, from the batch's min and max as modhtan takes them."""
+    xs = np.array(batch, dtype=float)
+    return adaptive_offset(xs.min(initial=np.inf), xs.max(initial=-np.inf), AdaptiveOffset())
 
 
 class TestSoftStep:
@@ -171,7 +173,8 @@ class TestAdaptiveOffset:
 
 def normalize(x, offset_1, x_cutoff=10.0, clamp=50.0, center_normalize=True):
     xs = np.array(x)
-    return float(_normalized_input(xs, offset_1, x_cutoff, clamp, center_normalize, np.empty_like(xs)))
+    return float(_normalized_input(xs, xs.min(), xs.max(), offset_1, x_cutoff, clamp, center_normalize,
+                                   np.empty_like(xs)))
 
 
 class TestNormalize:
@@ -298,6 +301,14 @@ class TestActivateDispatch:
         assert out.offset_1 == pytest.approx(1.05e300, rel=1e-12)
         assert np.all(np.isfinite(out.values))
         assert np.all(np.abs(out.values) < 1.0)
+
+    @pytest.mark.parametrize("batch, message", [
+        ([], "adaptive offset needs a non-empty batch"),
+        ([1.0, float("nan")], "adaptive offset needs finite batch entries"),
+    ], ids=["empty", "nan"])
+    def test_modhtan_adaptive_offset_rejects_the_batch(self, batch, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            activate(ModHtan(), batch)
 
     def test_modhtan_fixed_offset_recorded(self):
         kind = ModHtan(ModHtanParams(offset_mode=FixedOffset(7.0)))

@@ -10,6 +10,10 @@ from modhtan.cli import build_parser, main
 from modhtan.network import load_model
 
 
+# direct-mode modhtan whose clamp lets rnf_exp(-2 * x_norm) leave the double range
+DIRECT_OVERFLOW = ["--euler-mode", "direct", "--delta", "0", "--clamp", "1000"]
+
+
 def strip_runtime(path):
     """CSV cells of a bench report without the runtime_s column."""
     return [[c for i, c in enumerate(l.split(",")) if i != 2] for l in path.read_text().splitlines()]
@@ -33,6 +37,12 @@ class TestCurvesCommand:
         monkeypatch.chdir(tmp_path)
         assert main(["curves", "--fn", "elu", "--lo", "0", "--hi", "1", "--step", "1"]) == 0
         assert (tmp_path / "elu_curve.csv").exists()
+
+    def test_direct_modhtan_overflow_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["curves", "--fn", "modhtan", *DIRECT_OVERFLOW, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: rnf_exp result exceeds the double-precision range\n"
+        assert not out.exists()
 
     def test_unknown_fn_is_usage_error(self, capsys):
         assert main(["curves", "--fn", "nosuch"]) == 2
@@ -169,8 +179,22 @@ class TestTrainCommand:
         assert code == 1
         assert "stalled" in capsys.readouterr().err
 
+    def test_direct_modhtan_overflow_is_a_stall(self, capsys):
+        code = main(["train", "--fn", "modhtan", *DIRECT_OVERFLOW, "--n", "50", "--epochs", "3"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "stalled after 0 epochs: hidden activations: rnf_exp result exceeds the double-precision range\n")
+
 
 class TestBenchCommand:
+    def test_direct_modhtan_overflow_is_a_stall_row(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        code = main(["bench", "--fns", "modhtan", *DIRECT_OVERFLOW, "--runs", "1", "--n", "50",
+                     "--epochs", "3", "--out", str(out)])
+        assert code == 0
+        capsys.readouterr()
+        assert out.read_text().splitlines()[1].split(",")[-2:] == ["mse", "nan"]
+
     def test_csv_report(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
         code = main(["bench", "--fns", "htan", "--runs", "2", "--n", "40",

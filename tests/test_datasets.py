@@ -1,7 +1,10 @@
 """Dataset construction, scaling, heart-file parsing, splitting."""
 
 import math
+import runpy
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,6 +297,16 @@ class TestFixture:
         make_heart_fixture(a)
         make_heart_fixture(b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_script_writes_the_default_fixture(self, tmp_path, monkeypatch, capsys):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "make_heart_fixture.py"
+        out, lib = tmp_path / "script.dat", tmp_path / "lib.dat"
+        monkeypatch.setattr(sys, "argv", [str(script), str(out)])
+        runpy.run_path(str(script), run_name="__main__")
+        make_heart_fixture(lib)
+        assert out.read_bytes() == lib.read_bytes()
+        assert len(load_heart(out).T) == 270
+        assert capsys.readouterr().out == f"wrote {out} (270 rows, seed 7)\n"
 
     def test_fixture_has_both_classes(self, heart_file):
         ds = load_heart(heart_file)

@@ -509,13 +509,13 @@ class TestClampSkip:
         xs = np.concatenate([np.linspace(-1.0, 1.0, 201), [0.0, -0.0, 5e-324]])
         xs = xs if offset_1 > 0 else -xs
         expected = oracle_normalized_input(xs, offset_1, 10.0, clamp, True)
-        got = _normalized_input(xs, offset_1, 10.0, clamp, True, np.empty_like(xs))
+        got = _normalized_input(xs, xs.min(), xs.max(), offset_1, 10.0, clamp, True, np.empty_like(xs))
         assert got.tobytes() == expected.tobytes()
 
     def test_bound_reached_exactly(self):
         # max|x| / min|den| = 1 / (2 - 1) = 1 = clamp: skipped, and no value passes 1
         xs = np.linspace(-1.0, 1.0, 11)
-        got = _normalized_input(xs, 2.0, 10.0, 1.0, True, np.empty_like(xs))
+        got = _normalized_input(xs, xs.min(), xs.max(), 2.0, 10.0, 1.0, True, np.empty_like(xs))
         assert got.tobytes() == oracle_normalized_input(xs, 2.0, 10.0, 1.0, True).tobytes()
         assert got[0] == -1.0
 

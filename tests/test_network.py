@@ -121,6 +121,13 @@ class TestForward:
         with pytest.raises(StallError):
             forward(model, np.array([[10.0]]))
 
+    def test_direct_modhtan_overflow_is_a_stall(self):
+        # with delta = 0 the max |x| input reaches x_norm = +-clamp, and rnf_exp(2 * 1000) overflows
+        params = ModHtanParams(offset_mode=AdaptiveOffset(delta=0.0), x_norm_clamp=1000.0, euler_mode="direct")
+        model = make_111(kind=ModHtan(params))
+        with pytest.raises(StallError, match="^hidden activations: rnf_exp result exceeds"):
+            forward(model, np.array([[-1.0], [0.5]]))
+
     def test_modhtan_offset_lands_in_cache(self):
         model = MlpModel(
             1, 2, 1,
@@ -137,14 +144,16 @@ class TestForward:
     def test_activate_calls_the_modhtan_module_globals(self, offset_mode, offset_calls, monkeypatch):
         # the benchmark's per-layer trace times these two by patching the module globals
         model = nguyen_widrow_init(2, 3, 1, ModHtan(ModHtanParams(offset_mode=offset_mode)), seed=0)
-        calls = {"modhtan": 0, "adaptive_offset": 0}
+        calls = {"modhtan": [], "adaptive_offset": []}
         for name in calls:
-            def counted(*args, _name=name, _original=getattr(activations, name)):
-                calls[_name] += 1
+            def recorded(*args, _name=name, _original=getattr(activations, name)):
+                calls[_name].append(args)
                 return _original(*args)
-            monkeypatch.setattr(activations, name, counted)
-        forward(model, np.ones((4, 2)))
-        assert calls == {"modhtan": 1, "adaptive_offset": offset_calls}
+            monkeypatch.setattr(activations, name, recorded)
+        _, cache = forward(model, np.random.default_rng(2).normal(size=(4, 2)))
+        assert len(calls["modhtan"]) == 1
+        # the adaptive offset takes the batch's exact min and max and the model's AdaptiveOffset
+        assert calls["adaptive_offset"] == [(cache.z1.min(), cache.z1.max(), offset_mode)] * offset_calls
 
 
 class TestBackward:
