@@ -1,0 +1,97 @@
+#!/usr/bin/env python3
+"""Print one `family sha256` line for each family of the program's outputs:
+`activate` values, gradients and offset_1 over several grids; LM and GDM fits
+(losses, mu, termination, stall events, parameter bytes); bench CSVs without
+runtime_s; curves CSVs; a saved model file.  Kinds are built from model-file
+keys, which do not change between versions, so running
+
+    PYTHONPATH=src python scripts/output_digest.py
+
+in two checkouts and comparing the lines shows whether every output byte is kept.
+"""
+
+import hashlib
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from modhtan.activations import PARAMS, activate, kind_from_fields
+from modhtan.bench import CURVE_PRESETS, ExperimentSpec, dump_curves, emit_report, run_experiment
+from modhtan.datasets import SplitSpec, gen_quadratic, load_heart, make_heart_fixture, split
+from modhtan.network import nguyen_widrow_init, pack_params, save_model
+from modhtan.training import GdmConfig, LmConfig, train_gdm, train_lm
+
+DEFAULTS = {p.key: p.default for p in PARAMS if p.default is not None}
+
+
+def kind(name, **rows):
+    return kind_from_fields({**DEFAULTS, "hidden_kind": name, **{k: str(v) for k, v in rows.items()}})
+
+
+# the activation configurations of tests/test_kernels.py
+KERNEL_KINDS = [kind("softstep"), kind("htan"), kind("elu"), kind("elu", elu_alpha=0.3), *(
+    kind("modhtan", modhtan_offset_mode=mode, modhtan_offset_value=value, modhtan_euler_mode=euler,
+         modhtan_center_normalize=center)
+    for mode, value in (("adaptive", 1.0), ("fixed", 1.0), ("fixed", -3.0))
+    for euler in ("constant", "direct") for center in ("on", "off")
+), kind("modhtan", modhtan_k_o=3.0, modhtan_x_norm_clamp=5.0)]
+FIT_KINDS = [kind("htan"), kind("elu"), kind("modhtan"),
+             kind("modhtan", modhtan_offset_mode="fixed", modhtan_offset_value=2.0),
+             kind("modhtan", modhtan_euler_mode="direct")]
+LM, GDM = LmConfig(epochs=80), GdmConfig(epochs=80)
+
+
+def digest(*parts):
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else repr(part).encode())
+    return h.hexdigest()
+
+
+def activations():
+    rng = np.random.default_rng(7)
+    grids = [np.linspace(-30.0, 30.0, 601), np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e308, -1e308]),
+             np.asfortranarray(rng.standard_normal((500, 50)) * 5.0), np.asfortranarray(rng.standard_normal((216, 2)))]
+    return [(r.values.tobytes(), r.grads.tobytes(), r.offset_1)
+            for r in (activate(k, xs) for k in KERNEL_KINDS for xs in grids)]
+
+
+def fit(trainer, cfg, k, X, T, seed, n_hidden):
+    model, history = trainer(nguyen_widrow_init(X.shape[1], n_hidden, T.shape[1], k, seed=seed), X, T, cfg)
+    return model, (history.loss, history.mu, history.termination, history.stall_events, pack_params(model).tobytes())
+
+
+def main():
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        make_heart_fixture(tmp / "heart.dat")
+        data, heart = gen_quadratic(400), load_heart(tmp / "heart.dat")
+        lm_fits = [fit(train_lm, LM, k, data.X, data.T, seed, 3) for k in FIT_KINDS for seed in (0, 1, 2)]
+        for k, seed in ((FIT_KINDS[0], 3), (FIT_KINDS[2], 4)):
+            train, _ = split(heart, SplitSpec(seed=seed))
+            lm_fits.append(fit(train_lm, LM, k, train.X, train.T, seed, 2))
+        gdm_fits = [fit(train_gdm, GDM, k, data.X, data.T, 0, 3)[1] for k in (FIT_KINDS[0], FIT_KINDS[2])]
+        bench = []
+        for dataset in ("synthetic", "heart"):
+            spec = ExperimentSpec(dataset, tuple(FIT_KINDS[:3]), runs=2, n_points=200, lm=LmConfig(epochs=30),
+                                  heart_path=str(tmp / "heart.dat"))
+            emit_report(run_experiment(spec), "csv", tmp / "bench.csv")
+            bench += [[c for i, c in enumerate(line.split(",")) if i != 2]
+                      for line in (tmp / "bench.csv").read_text().splitlines()]
+        curves = []
+        for k in (*KERNEL_KINDS[:3], FIT_KINDS[2], FIT_KINDS[4]):
+            for lo, hi, step in CURVE_PRESETS.values():
+                dump_curves(k, lo, hi, step, tmp / "curve.csv")
+                curves.append((tmp / "curve.csv").read_bytes())
+        save_model(lm_fits[3 * 3][0], tmp / "model.txt")  # the first fixed-offset modhtan fit
+        print("activate", digest(*activations()))
+        print("train_lm", digest(*(record for _, record in lm_fits)))
+        print("train_gdm", digest(*gdm_fits))
+        print("bench", digest(bench))
+        print("curves", digest(*curves))
+        print("save_model", digest((tmp / "model.txt").read_bytes()))
+
+
+if __name__ == "__main__":
+    main()

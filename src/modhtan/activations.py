@@ -23,17 +23,6 @@ _TINY = sys.float_info.min  # smallest normal double; below this the x + offset_
 
 
 @dataclass(frozen=True)
-class EluParams:
-    """Scale of the elu negative branch alpha * (exp(x) - 1)."""
-
-    alpha: float = 1.0
-
-    def __post_init__(self):
-        if not 0 < self.alpha < math.inf:
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
-
-
-@dataclass(frozen=True)
 class FixedOffset:
     """Constant normalization offset; must be nonzero and finite."""
 
@@ -64,8 +53,30 @@ EULER_MODES = ("constant", "direct")
 
 
 @dataclass(frozen=True)
-class ModHtanParams:
-    """Configuration of the normalized hyperbolic tangent.
+class SoftStep:
+    name: ClassVar[str] = "softstep"
+
+
+@dataclass(frozen=True)
+class Htan:
+    name: ClassVar[str] = "htan"
+
+
+@dataclass(frozen=True)
+class Elu:
+    """Exponential linear unit; alpha scales its negative branch alpha * (exp(x) - 1)."""
+
+    alpha: float = 1.0
+    name: ClassVar[str] = "elu"
+
+    def __post_init__(self):
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+
+
+@dataclass(frozen=True)
+class ModHtan:
+    """The normalized hyperbolic tangent and its configuration.
 
     k_o is the squashing numerator; 2 is the unique value for which a branch
     with zeroed input contributes exactly k_o/2 - 1 = 0.  x_norm_clamp bounds
@@ -84,6 +95,7 @@ class ModHtanParams:
     x_norm_clamp: float = 50.0
     center_normalize: bool = True
     euler_mode: str = "constant"
+    name: ClassVar[str] = "modhtan"
 
     def __post_init__(self):
         if not 0 < self.k_o < math.inf:
@@ -94,28 +106,12 @@ class ModHtanParams:
             raise ValueError(f"x_norm_clamp must be positive, got {self.x_norm_clamp}")
         if self.euler_mode not in EULER_MODES:
             raise ValueError(f"euler_mode must be one of {EULER_MODES}, got {self.euler_mode!r}")
-
-
-@dataclass(frozen=True)
-class SoftStep:
-    name: ClassVar[str] = "softstep"
-
-
-@dataclass(frozen=True)
-class Htan:
-    name: ClassVar[str] = "htan"
-
-
-@dataclass(frozen=True)
-class Elu:
-    params: EluParams = EluParams()
-    name: ClassVar[str] = "elu"
-
-
-@dataclass(frozen=True)
-class ModHtan:
-    params: ModHtanParams = ModHtanParams()
-    name: ClassVar[str] = "modhtan"
+        try:
+            e = euler_constant(self.rnf)  # an RnfDomainError is a ValueError already
+        except OverflowError:
+            e = math.inf
+        if not 1 < e < math.inf:  # ln E <= 0 flattens or mirrors the curve
+            raise ValueError(f"modhtan needs a finite Euler constant E > 1; {self.rnf} gives E = {e}")
 
 
 ActivationKind = Union[SoftStep, Htan, Elu, ModHtan]
@@ -170,22 +166,22 @@ class Param(NamedTuple):
 # The one place activation parameters are declared: the CLI flags and the
 # model-file keys both come from these rows, listed in model-file order.
 PARAMS = (
-    Param("elu_alpha", "alpha", EluParams, "alpha", "elu scale"),
-    Param("modhtan_k_o", "k", ModHtanParams, "k_o", "modhtan squashing numerator"),
-    Param("modhtan_x_cutoff", "cutoff", ModHtanParams, "x_cutoff",
+    Param("elu_alpha", "alpha", Elu, "alpha", "elu scale"),
+    Param("modhtan_k_o", "k", ModHtan, "k_o", "modhtan squashing numerator"),
+    Param("modhtan_x_cutoff", "cutoff", ModHtan, "x_cutoff",
           "inputs with |x| <= cutoff stay raw when --center-normalize off"),
-    Param("modhtan_offset_mode", "offset-mode", ModHtanParams, "offset_mode",
+    Param("modhtan_offset_mode", "offset-mode", ModHtan, "offset_mode",
           "modhtan offset_1 source", choices={"adaptive": AdaptiveOffset, "fixed": FixedOffset}),
     Param("modhtan_offset_value", "offset", FixedOffset, "offset_1",
           "offset_1 when --offset-mode fixed"),
     Param("modhtan_offset_delta", "delta", AdaptiveOffset, "delta",
           "adaptive offset headroom factor"),
     Param("modhtan_offset_kappa", "kappa", AdaptiveOffset, "kappa", "adaptive offset floor"),
-    Param("modhtan_x_norm_clamp", "clamp", ModHtanParams, "x_norm_clamp",
+    Param("modhtan_x_norm_clamp", "clamp", ModHtan, "x_norm_clamp",
           "normalized-input clamp"),
-    Param("modhtan_center_normalize", "center-normalize", ModHtanParams, "center_normalize",
+    Param("modhtan_center_normalize", "center-normalize", ModHtan, "center_normalize",
           "normalize the central region too", choices={"on": True, "off": False}),
-    Param("modhtan_euler_mode", "euler-mode", ModHtanParams, "euler_mode",
+    Param("modhtan_euler_mode", "euler-mode", ModHtan, "euler_mode",
           "tanh with slope ln E of the cached Euler constant, or the rational formula per input",
           choices={mode: mode for mode in EULER_MODES}),
     Param("rnf_a", "rnf-a", RnfParams, "a", "rational-power exponent a", type=int),
@@ -229,7 +225,7 @@ def _build(cls: type, values: Mapping[str, Any], label):
     kwargs = {}
     for f in fields(cls):
         p = _PARAM_AT.get((cls, f.name))
-        if p is None:  # a nested parameter group such as ModHtan.params
+        if p is None:  # a nested parameter group such as ModHtan.rnf
             value = type(f.default)
         elif p.key not in values:
             raise ValueError(f"missing {label(p)}")
@@ -274,7 +270,7 @@ def htan(xs, v, g):
     np.subtract(1.0, g, g)
 
 
-def elu(xs, p: EluParams, v, g):
+def elu(xs, kind: Elu, v, g):
     """f = x for x > 0, alpha * (exp(x) - 1) for x <= 0; g = 1 for x > 0, f + alpha
     for x <= 0, vanishing as f -> -alpha.
 
@@ -284,10 +280,10 @@ def elu(xs, p: EluParams, v, g):
     """
     np.minimum(xs, 0.0, out=v)
     np.expm1(v, v)
-    np.multiply(v, p.alpha, v)
+    np.multiply(v, kind.alpha, v)
     np.maximum(xs, -0.0, out=g)
     np.add(v, g, v)
-    np.add(v, p.alpha, g)
+    np.add(v, kind.alpha, g)
     # putmask copies an array that is not C-contiguous: mask a sample-minor g through g.T
     g_c, xs_c = (g.T, xs.T) if g.flags.f_contiguous else (g, xs)
     np.putmask(g_c, xs_c > 0, 1.0)
@@ -350,7 +346,7 @@ def _clip(v, lo, hi):
     return np.minimum(v, hi, out=v)
 
 
-def modhtan(xs, p: ModHtanParams, v, g) -> float:
+def modhtan(xs, kind: ModHtan, v, g) -> float:
     """f = k_o / (1 + E**(-2 * x_norm)) - 1 with x_norm = x / (x + offset_1); g = 1 - f**2.
 
     Returns offset_1, fixed or adaptive to this batch.  E is the cached
@@ -362,18 +358,18 @@ def modhtan(xs, p: ModHtanParams, v, g) -> float:
     once |x_norm| passes ~19, which would zero the 1 - f**2 gradient.
     """
     lo, hi = xs.min(initial=np.inf), xs.max(initial=-np.inf)  # the one pass over the batch for both
-    mode = p.offset_mode
+    mode = kind.offset_mode
     offset_1 = adaptive_offset(lo, hi, mode) if isinstance(mode, AdaptiveOffset) else mode.offset_1
-    _normalized_input(xs, lo, hi, offset_1, p.x_cutoff, p.x_norm_clamp, p.center_normalize, v)
-    if p.euler_mode == "constant":
-        np.multiply(v, math.log(euler_constant(p.rnf)), v)
+    _normalized_input(xs, lo, hi, offset_1, kind.x_cutoff, kind.x_norm_clamp, kind.center_normalize, v)
+    if kind.euler_mode == "constant":
+        np.multiply(v, math.log(euler_constant(kind.rnf)), v)
         np.tanh(v, v)
-        if p.k_o != 2.0:
-            np.add(np.multiply(v, p.k_o / 2.0, v), p.k_o / 2.0 - 1.0, v)
+        if kind.k_o != 2.0:
+            np.add(np.multiply(v, kind.k_o / 2.0, v), kind.k_o / 2.0 - 1.0, v)
     else:
-        np.add(rnf_exp(np.multiply(v, -2.0, v), p.rnf), 1.0, v)
-        np.subtract(np.divide(p.k_o, v, v), 1.0, v)
-    _clip(v, math.nextafter(-1.0, 0.0), math.nextafter(p.k_o - 1.0, -math.inf))
+        np.add(rnf_exp(np.multiply(v, -2.0, v), kind.rnf), 1.0, v)
+        np.subtract(np.divide(kind.k_o, v, v), 1.0, v)
+    _clip(v, math.nextafter(-1.0, 0.0), math.nextafter(kind.k_o - 1.0, -math.inf))
     # a surrogate, not the derivative of modhtan: 1 - f**2 leaves out the d(x_norm)/dx factor
     np.multiply(v, v, g)
     np.subtract(1.0, g, g)
@@ -401,9 +397,9 @@ def activate(kind: ActivationKind, batch, out=None) -> BatchActivation:
     elif isinstance(kind, Htan):
         htan(xs, values, grads)
     elif isinstance(kind, Elu):
-        elu(xs, kind.params, values, grads)
+        elu(xs, kind, values, grads)
     elif isinstance(kind, ModHtan):
-        offset = modhtan(xs, kind.params, values, grads)
+        offset = modhtan(xs, kind, values, grads)
     else:
         raise TypeError(f"unknown activation kind: {kind!r}")
     return BatchActivation(values, grads, offset)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import ActivationKind, activate, kind_from_fields, kind_to_fields
+from .rnf import RnfDomainError
 
 
 class StallError(RuntimeError):
@@ -136,7 +137,7 @@ def forward(model: MlpModel, X, out: ForwardCache | None = None) -> tuple[np.nda
         raise StallError("hidden pre-activations contain non-finite values")
     try:
         h, g, offset = activate(model.hidden_kind, z1, None if out is None else (h, g))
-    except OverflowError as exc:  # direct-mode modhtan's rnf_exp past the double range
+    except (OverflowError, RnfDomainError) as exc:  # direct-mode modhtan's rnf_exp out of range
         raise StallError(f"hidden activations: {exc}") from None
     y = np.matmul(h, model.W2.T, out=y)
     np.add(y, model.b2, y)

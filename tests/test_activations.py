@@ -11,17 +11,16 @@ from hypothesis import strategies as st
 from modhtan.activations import (
     AdaptiveOffset,
     Elu,
-    EluParams,
     FixedOffset,
     Htan,
     ModHtan,
-    ModHtanParams,
     SoftStep,
     _normalized_input,
     activate,
     adaptive_offset,
     parse_activation,
 )
+from modhtan.rnf import RnfParams
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -113,7 +112,7 @@ class TestElu:
         assert value(Elu(), -1000.0) == -1.0
 
     def test_alpha_scales_negative_branch(self):
-        kind = Elu(EluParams(alpha=2.0))
+        kind = Elu(alpha=2.0)
         assert value(kind, -1000.0) == -2.0
         assert value(kind, -1.0) == pytest.approx(2.0 * (math.exp(-1.0) - 1.0), rel=1e-14)
 
@@ -136,11 +135,11 @@ class TestElu:
 
     def test_alpha_must_be_positive(self):
         with pytest.raises(ValueError):
-            EluParams(alpha=0.0)
+            Elu(alpha=0.0)
         with pytest.raises(ValueError):
-            EluParams(alpha=-1.0)
+            Elu(alpha=-1.0)
         with pytest.raises(ValueError):
-            EluParams(alpha=math.inf)  # inf * expm1(0) would be NaN
+            Elu(alpha=math.inf)  # inf * expm1(0) would be NaN
 
 
 class TestAdaptiveOffset:
@@ -204,11 +203,10 @@ class TestNormalize:
 
 class TestModHtan:
     def test_zero_is_fixed_point(self):
-        assert value(ModHtan(ModHtanParams(offset_mode=FixedOffset(1.0))), 0.0) == 0.0
+        assert value(ModHtan(offset_mode=FixedOffset(1.0)), 0.0) == 0.0
 
     def test_against_tanh_oracle_fixed_offset(self):
-        p = ModHtanParams(offset_mode=FixedOffset(10.0))
-        got = value(ModHtan(p), 1000.0)
+        got = value(ModHtan(offset_mode=FixedOffset(10.0)), 1000.0)
         assert abs(got - math.tanh(1000.0 / 1010.0)) <= 1e-5
 
     def test_adaptive_huge_input(self):
@@ -219,28 +217,25 @@ class TestModHtan:
 
     def test_grad_is_one_minus_f_squared(self):
         for x in (0.0, 1.0, -1.0, 0.3, -1e4):
-            out = activate(ModHtan(ModHtanParams(offset_mode=FixedOffset(10.0))), x)
+            out = activate(ModHtan(offset_mode=FixedOffset(10.0)), x)
             assert out.grads == 1.0 - out.values * out.values
 
     def test_euler_modes_agree(self):
-        p_const = ModHtanParams(euler_mode="constant")
-        p_direct = ModHtanParams(euler_mode="direct")
         xs = np.linspace(-40.0, 40.0, 81)
-        a = activate(ModHtan(p_const), xs).values
-        b = activate(ModHtan(p_direct), xs).values
+        a = activate(ModHtan(euler_mode="constant"), xs).values
+        b = activate(ModHtan(euler_mode="direct"), xs).values
         assert np.max(np.abs(a - b)) <= 1e-5
 
     def test_center_normalize_off_restores_plain_tanh_inside(self):
-        p = ModHtanParams(center_normalize=False, offset_mode=FixedOffset(100.0))
-        assert abs(value(ModHtan(p), 1.0) - math.tanh(1.0)) <= 1e-5
+        kind = ModHtan(center_normalize=False, offset_mode=FixedOffset(100.0))
+        assert abs(value(kind, 1.0) - math.tanh(1.0)) <= 1e-5
         # outside the cutoff the normalization still applies
-        got = value(ModHtan(p), 1000.0)
+        got = value(kind, 1000.0)
         assert abs(got - math.tanh(1000.0 / 1100.0)) <= 1e-5
 
     def test_tanh_tracking_on_mixed_batch(self):
-        p = ModHtanParams()
         xs = np.array([-5e4, -17.0, -1.0, 0.0, 2.5, 300.0, 8e7])
-        got, _, off = activate(ModHtan(p), xs)
+        got, _, off = activate(ModHtan(), xs)
         want = np.tanh(xs / (xs + off))
         assert np.max(np.abs(got - want)) <= 1e-5
 
@@ -253,13 +248,13 @@ class TestModHtan:
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
-            ModHtanParams(k_o=0.0)
+            ModHtan(k_o=0.0)
         with pytest.raises(ValueError):
-            ModHtanParams(x_cutoff=-1.0)
+            ModHtan(x_cutoff=-1.0)
         with pytest.raises(ValueError):
-            ModHtanParams(x_norm_clamp=0.0)
+            ModHtan(x_norm_clamp=0.0)
         with pytest.raises(ValueError):
-            ModHtanParams(euler_mode="fast")
+            ModHtan(euler_mode="fast")
         with pytest.raises(ValueError):
             FixedOffset(0.0)
         with pytest.raises(ValueError):
@@ -268,7 +263,7 @@ class TestModHtan:
             AdaptiveOffset(kappa=0.0)
         for bad in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError):
-                ModHtanParams(k_o=bad)
+                ModHtan(k_o=bad)
             with pytest.raises(ValueError):
                 FixedOffset(bad)
             with pytest.raises(ValueError):
@@ -276,7 +271,16 @@ class TestModHtan:
             with pytest.raises(ValueError):
                 AdaptiveOffset(kappa=bad)
         # their outputs stay finite, so these two may be infinite
-        ModHtanParams(x_cutoff=math.inf, x_norm_clamp=math.inf)
+        ModHtan(x_cutoff=math.inf, x_norm_clamp=math.inf)
+
+    @pytest.mark.parametrize("rnf, euler", [
+        (RnfParams(a=10**17), "1.0"),  # (a - 1) / (a - 2) rounds to 1
+        (RnfParams(n=3.0), "0.367"),
+        (RnfParams(a=1000, n=-1e10), "inf"),  # rnf_exp(1) overflows
+    ], ids=["one", "below_one", "overflow"])
+    def test_euler_constant_must_exceed_one(self, rnf, euler):
+        with pytest.raises(ValueError, match=f"^modhtan needs a finite Euler constant E > 1; .* gives E = {euler}"):
+            ModHtan(rnf=rnf)
 
 
 class TestActivateDispatch:
@@ -292,7 +296,7 @@ class TestActivateDispatch:
         assert out.grads.tolist() == [0.25, 0.25]
 
     def test_elu_uses_params(self):
-        out = activate(Elu(EluParams(alpha=2.0)), [-1000.0, 3.0])
+        out = activate(Elu(alpha=2.0), [-1000.0, 3.0])
         assert out.values.tolist() == [-2.0, 3.0]
         assert out.grads.tolist() == [0.0, 1.0]
 
@@ -311,7 +315,7 @@ class TestActivateDispatch:
             activate(ModHtan(), batch)
 
     def test_modhtan_fixed_offset_recorded(self):
-        kind = ModHtan(ModHtanParams(offset_mode=FixedOffset(7.0)))
+        kind = ModHtan(offset_mode=FixedOffset(7.0))
         out = activate(kind, [1.0])
         assert out.offset_1 == 7.0
 
@@ -320,7 +324,7 @@ class TestActivateDispatch:
         assert np.array_equal(out.grads, 1.0 - out.values**2)
 
     @pytest.mark.parametrize("kind", [SoftStep(), Htan(), Elu(), ModHtan(),
-                                      ModHtan(ModHtanParams(offset_mode=FixedOffset(-3.0)))])
+                                      ModHtan(offset_mode=FixedOffset(-3.0))])
     @pytest.mark.parametrize("x", [0.0, -0.0, 5e-324, 1.5, -1000.0])
     def test_0d_batch_equals_the_1_element_batch_bytewise(self, kind, x):
         scalar, one = activate(kind, x), activate(kind, [x])

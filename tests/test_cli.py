@@ -12,6 +12,15 @@ from modhtan.network import load_model
 
 # direct-mode modhtan whose clamp lets rnf_exp(-2 * x_norm) leave the double range
 DIRECT_OVERFLOW = ["--euler-mode", "direct", "--delta", "0", "--clamp", "1000"]
+OVERFLOW_MESSAGE = "rnf_exp result exceeds the double-precision range"
+# direct-mode modhtan whose -2 * x_norm, near 40 under the default offset, leaves rnf_exp's domain m + x < a
+DIRECT_DOMAIN = ["--euler-mode", "direct", "--rnf-a", "30"]
+DOMAIN_MESSAGE = "m + x must stay strictly below a = 30"
+DIRECT_FAILURES = pytest.mark.parametrize(
+    "flags, message",
+    [(DIRECT_OVERFLOW, OVERFLOW_MESSAGE), (DIRECT_DOMAIN, DOMAIN_MESSAGE)],
+    ids=["overflow", "domain"],
+)
 
 
 def strip_runtime(path):
@@ -179,17 +188,18 @@ class TestTrainCommand:
         assert code == 1
         assert "stalled" in capsys.readouterr().err
 
-    def test_direct_modhtan_overflow_is_a_stall(self, capsys):
-        code = main(["train", "--fn", "modhtan", *DIRECT_OVERFLOW, "--n", "50", "--epochs", "3"])
+    @DIRECT_FAILURES
+    def test_direct_modhtan_overflow_is_a_stall(self, flags, message, capsys):
+        code = main(["train", "--fn", "modhtan", *flags, "--n", "50", "--epochs", "3"])
         assert code == 1
-        assert capsys.readouterr().err == (
-            "stalled after 0 epochs: hidden activations: rnf_exp result exceeds the double-precision range\n")
+        assert capsys.readouterr().err == f"stalled after 0 epochs: hidden activations: {message}\n"
 
 
 class TestBenchCommand:
-    def test_direct_modhtan_overflow_is_a_stall_row(self, tmp_path, capsys):
+    @DIRECT_FAILURES
+    def test_direct_modhtan_overflow_is_a_stall_row(self, flags, message, tmp_path, capsys):
         out = tmp_path / "r.csv"
-        code = main(["bench", "--fns", "modhtan", *DIRECT_OVERFLOW, "--runs", "1", "--n", "50",
+        code = main(["bench", "--fns", "modhtan", *flags, "--runs", "1", "--n", "50",
                      "--epochs", "3", "--out", str(out)])
         assert code == 0
         capsys.readouterr()
@@ -320,11 +330,25 @@ class TestActivationFlags:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["curves", "--fn", "modhtan", "--k", "inf"], "k_o must be positive and finite, got inf"),
-            (["train", "--fn", "modhtan", "--n", "20", "--epochs", "2", "--delta", "nan"],
-             "delta must be >= 0 and finite, got nan"),
+            pytest.param(["curves", "--fn", "modhtan", "--k", "inf"], "k_o must be positive and finite, got inf",
+                         id="curves-k"),
+            pytest.param(["train", "--fn", "modhtan", "--n", "20", "--epochs", "2", "--delta", "nan"],
+                         "delta must be >= 0 and finite, got nan", id="train-delta"),
+            # an Euler constant E <= 1 fails before any fit or file
+            *(
+                pytest.param([*command, "--rnf-a", a], message, id=f"{command[0]}-rnf-a-{label}")
+                for a, label, message in [
+                    ("2", "2", "m + x must stay strictly below a = 2"),
+                    ("100000000000000000", "1e17", "modhtan needs a finite Euler constant E > 1; "
+                                                   "RnfParams(a=100000000000000000, n=1.0, m=1.0) gives E = 1.0"),
+                ]
+                for command in [
+                    ["curves", "--fn", "modhtan"],
+                    ["train", "--fn", "modhtan", "--n", "20", "--epochs", "2", "--save", "m.txt"],
+                    ["bench", "--fns", "htan,modhtan", "--runs", "1", "--n", "20", "--epochs", "2", "--out", "r.csv"],
+                ]
+            ),
         ],
-        ids=["curves-k", "train-delta"],
     )
     def test_non_finite_modhtan_parameter_is_usage_error(self, argv, message, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -20,11 +20,9 @@ import pytest
 from modhtan.activations import (
     AdaptiveOffset,
     Elu,
-    EluParams,
     FixedOffset,
     Htan,
     ModHtan,
-    ModHtanParams,
     SoftStep,
     _normalized_input,
     activate,
@@ -48,12 +46,12 @@ def oracle_htan(xs):
     return np.where(xs >= 0, mag, -mag)
 
 
-def oracle_elu(xs, p):
-    return np.where(xs > 0, xs, p.alpha * np.expm1(np.minimum(xs, 0.0)))
+def oracle_elu(xs, kind):
+    return np.where(xs > 0, xs, kind.alpha * np.expm1(np.minimum(xs, 0.0)))
 
 
-def oracle_elu_grad(xs, f, p):
-    return np.where(xs > 0, 1.0, f + p.alpha)
+def oracle_elu_grad(xs, f, kind):
+    return np.where(xs > 0, 1.0, f + kind.alpha)
 
 
 def oracle_adaptive_offset(b, delta, kappa):
@@ -78,14 +76,14 @@ def oracle_normalized_input(xs, offset_1, x_cutoff, clamp, center_normalize):
     return np.clip(x_norm, -clamp, clamp)
 
 
-def oracle_modhtan(xs, p, offset_1):
-    x_norm = oracle_normalized_input(xs, offset_1, p.x_cutoff, p.x_norm_clamp, p.center_normalize)
-    if p.euler_mode == "constant":
-        t = euler_constant(p.rnf) ** (-2.0 * x_norm)
+def oracle_modhtan(xs, kind, offset_1):
+    x_norm = oracle_normalized_input(xs, offset_1, kind.x_cutoff, kind.x_norm_clamp, kind.center_normalize)
+    if kind.euler_mode == "constant":
+        t = euler_constant(kind.rnf) ** (-2.0 * x_norm)
     else:
-        t = rnf_exp(-2.0 * x_norm, p.rnf)
-    out = p.k_o / (1.0 + t) - 1.0
-    return np.clip(out, np.nextafter(-1.0, 0.0), np.nextafter(p.k_o - 1.0, -np.inf))
+        t = rnf_exp(-2.0 * x_norm, kind.rnf)
+    out = kind.k_o / (1.0 + t) - 1.0
+    return np.clip(out, np.nextafter(-1.0, 0.0), np.nextafter(kind.k_o - 1.0, -np.inf))
 
 
 def oracle_activate(kind, xs):
@@ -97,14 +95,13 @@ def oracle_activate(kind, xs):
         f = oracle_htan(xs)
         return f, 1.0 - f * f, None
     if isinstance(kind, Elu):
-        f = oracle_elu(xs, kind.params)
-        return f, oracle_elu_grad(xs, f, kind.params), None
-    p = kind.params
-    if isinstance(p.offset_mode, AdaptiveOffset):
-        offset = oracle_adaptive_offset(xs, p.offset_mode.delta, p.offset_mode.kappa)
+        f = oracle_elu(xs, kind)
+        return f, oracle_elu_grad(xs, f, kind), None
+    if isinstance(kind.offset_mode, AdaptiveOffset):
+        offset = oracle_adaptive_offset(xs, kind.offset_mode.delta, kind.offset_mode.kappa)
     else:
-        offset = p.offset_mode.offset_1
-    f = oracle_modhtan(xs, p, offset)
+        offset = kind.offset_mode.offset_1
+    f = oracle_modhtan(xs, kind, offset)
     return f, 1.0 - f * f, offset
 
 
@@ -155,27 +152,26 @@ KINDS = [
     SoftStep(),
     Htan(),
     Elu(),
-    Elu(EluParams(alpha=0.3)),
+    Elu(alpha=0.3),
     *(
-        ModHtan(ModHtanParams(offset_mode=mode, euler_mode=euler, center_normalize=center))
+        ModHtan(offset_mode=mode, euler_mode=euler, center_normalize=center)
         for mode in (AdaptiveOffset(), FixedOffset(1.0), FixedOffset(-3.0))
         for euler in ("constant", "direct")
         for center in (True, False)
     ),
-    ModHtan(ModHtanParams(k_o=3.0, x_norm_clamp=5.0)),
+    ModHtan(k_o=3.0, x_norm_clamp=5.0),
 ]
 
 
 def _kind_id(kind):
     if not isinstance(kind, ModHtan):
         return repr(kind)
-    p = kind.params
-    return f"modhtan-{type(p.offset_mode).__name__}-{p.euler_mode}-center{p.center_normalize}-k{p.k_o}"
+    return f"modhtan-{type(kind.offset_mode).__name__}-{kind.euler_mode}-center{kind.center_normalize}-k{kind.k_o}"
 
 
 def _tanh_form(kind):
     """Whether the kernel computes its expression as a tanh instead."""
-    return isinstance(kind, Htan) or (isinstance(kind, ModHtan) and kind.params.euler_mode == "constant")
+    return isinstance(kind, Htan) or (isinstance(kind, ModHtan) and kind.euler_mode == "constant")
 
 
 BYTEWISE_KINDS = [kind for kind in KINDS if not _tanh_form(kind)]
@@ -248,9 +244,8 @@ def reference_values(kind, xs, offset_1):
     double inputs: x for htan, x_norm and E for modhtan."""
     if isinstance(kind, Htan):
         return longdouble_formula(np.clip(xs, -_SATURATED, _SATURATED), 2.0, np.longdouble(1.0))
-    p = kind.params
-    x_norm = oracle_normalized_input(xs, offset_1, p.x_cutoff, p.x_norm_clamp, p.center_normalize)
-    return longdouble_formula(x_norm, p.k_o, np.log(np.longdouble(euler_constant(p.rnf))))
+    x_norm = oracle_normalized_input(xs, offset_1, kind.x_cutoff, kind.x_norm_clamp, kind.center_normalize)
+    return longdouble_formula(x_norm, kind.k_o, np.log(np.longdouble(euler_constant(kind.rnf))))
 
 
 def max_ulp_error(values, reference, k_o=2.0):
@@ -279,7 +274,7 @@ class TestTanhFormAccuracy:
         assert got.offset_1 == offset_1
         assert got.grads.tobytes() == (1.0 - got.values * got.values).tobytes()
         reference = reference_values(kind, grid, offset_1)
-        k_o = kind.params.k_o if isinstance(kind, ModHtan) else 2.0
+        k_o = kind.k_o if isinstance(kind, ModHtan) else 2.0
         error = max_ulp_error(got.values, reference, k_o)
         assert error <= max_ulp_error(old_values, reference, k_o)
         assert error <= (ULP_BOUND if k_o == 2.0 else ULP_BOUND_AFFINE)
@@ -311,17 +306,17 @@ class TestTanhForms:
     @pytest.mark.parametrize("k_o", [3.0, 0.5])
     def test_k_o_is_an_affine_map_of_the_default(self, k_o):
         xs = GRIDS["finite_offset"]
-        f2 = activate(ModHtan(ModHtanParams(offset_mode=FixedOffset(2.0))), xs).values
-        fk = activate(ModHtan(ModHtanParams(k_o=k_o, offset_mode=FixedOffset(2.0))), xs).values
+        f2 = activate(ModHtan(offset_mode=FixedOffset(2.0)), xs).values
+        fk = activate(ModHtan(k_o=k_o, offset_mode=FixedOffset(2.0)), xs).values
         inside = np.abs(f2) < 0.999  # away from the open-interval clip
         assert inside.sum() > 100
         assert fk[inside].tobytes() == (f2[inside] * (k_o / 2.0) + (k_o / 2.0 - 1.0)).tobytes()
 
     def test_k_o_3_is_three_over_one_plus_e_power_minus_one(self):
         xs = np.linspace(-30.0, 30.0, 601)
-        p = ModHtanParams(k_o=3.0)
-        got, _, offset_1 = activate(ModHtan(p), xs)
-        x_norm = oracle_normalized_input(xs, offset_1, p.x_cutoff, p.x_norm_clamp, p.center_normalize)
+        kind = ModHtan(k_o=3.0)
+        got, _, offset_1 = activate(kind, xs)
+        x_norm = oracle_normalized_input(xs, offset_1, kind.x_cutoff, kind.x_norm_clamp, kind.center_normalize)
         paper = 3.0 / (1.0 + euler_constant() ** (-2.0 * x_norm)) - 1.0
         assert np.max(np.abs(got - paper)) <= 4 * np.finfo(float).eps
 
@@ -332,9 +327,9 @@ class TestTanhForms:
     def test_minus_zero_maps_to_minus_zero(self):
         assert math.copysign(1.0, htan_values(-0.0)) == -1.0
         assert math.copysign(1.0, htan_values(0.0)) == 1.0
-        for p in (ModHtanParams(), ModHtanParams(center_normalize=False)):
-            assert math.copysign(1.0, activate(ModHtan(p), np.array([-0.0])).values[0]) == -1.0
-        fixed = ModHtan(ModHtanParams(offset_mode=FixedOffset(-3.0)))
+        for kind in (ModHtan(), ModHtan(center_normalize=False)):
+            assert math.copysign(1.0, activate(kind, np.array([-0.0])).values[0]) == -1.0
+        fixed = ModHtan(offset_mode=FixedOffset(-3.0))
         assert math.copysign(1.0, activate(fixed, -0.0).values) == 1.0  # -0.0 / -3.0 is +0.0
 
 
@@ -376,7 +371,7 @@ class TestWorkspaceReuse:
     @pytest.mark.parametrize("kind", KINDS[:4] + [ModHtan()], ids=_kind_id)
     def test_forward_into_workspace_bytewise(self, kind):
         model, X, _ = _problem(13, 3, 1, kind=kind, seed=1)
-        other, _, _ = _problem(13, 3, 1, kind=ModHtan(ModHtanParams(offset_mode=FixedOffset(2.0))), seed=2)
+        other, _, _ = _problem(13, 3, 1, kind=ModHtan(offset_mode=FixedOffset(2.0)), seed=2)
         _, workspace = forward(other, X)  # last held another kind's data
         y_ref, ref = forward(model, X)
         y, cache = forward(model, X, workspace)

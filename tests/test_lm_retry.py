@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import modhtan.training as training
-from modhtan.activations import AdaptiveOffset, Elu, FixedOffset, Htan, ModHtan, ModHtanParams, SoftStep, activate
+from modhtan.activations import AdaptiveOffset, Elu, FixedOffset, Htan, ModHtan, SoftStep, activate
 from modhtan.datasets import gen_quadratic
 from modhtan.network import (
     MlpModel,
@@ -107,9 +107,9 @@ KINDS = {
     "softstep": SoftStep(),
     "htan": Htan(),
     "elu": Elu(),
-    "modhtan-adaptive": ModHtan(ModHtanParams(offset_mode=AdaptiveOffset())),
-    "modhtan-fixed": ModHtan(ModHtanParams(offset_mode=FixedOffset(2.0))),
-    "modhtan-direct": ModHtan(ModHtanParams(euler_mode="direct")),
+    "modhtan-adaptive": ModHtan(offset_mode=AdaptiveOffset()),
+    "modhtan-fixed": ModHtan(offset_mode=FixedOffset(2.0)),
+    "modhtan-direct": ModHtan(euler_mode="direct"),
 }
 
 

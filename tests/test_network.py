@@ -10,11 +10,9 @@ from modhtan import activations
 from modhtan.activations import (
     AdaptiveOffset,
     Elu,
-    EluParams,
     FixedOffset,
     Htan,
     ModHtan,
-    ModHtanParams,
     SoftStep,
 )
 from modhtan.network import (
@@ -121,11 +119,20 @@ class TestForward:
         with pytest.raises(StallError):
             forward(model, np.array([[10.0]]))
 
-    def test_direct_modhtan_overflow_is_a_stall(self):
-        # with delta = 0 the max |x| input reaches x_norm = +-clamp, and rnf_exp(2 * 1000) overflows
-        params = ModHtanParams(offset_mode=AdaptiveOffset(delta=0.0), x_norm_clamp=1000.0, euler_mode="direct")
-        model = make_111(kind=ModHtan(params))
-        with pytest.raises(StallError, match="^hidden activations: rnf_exp result exceeds"):
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            # with delta = 0 the max |x| input reaches x_norm = +-clamp, and rnf_exp(2 * 1000) overflows
+            (ModHtan(offset_mode=AdaptiveOffset(delta=0.0), x_norm_clamp=1000.0, euler_mode="direct"),
+             "rnf_exp result exceeds"),
+            # x = -1 gives x_norm ~ -20 under the default offset, and m - 2 * x_norm ~ 41 >= a = 30
+            (ModHtan(rnf=RnfParams(a=30), euler_mode="direct"), "m \\+ x must stay strictly below a = 30"),
+        ],
+        ids=["overflow", "domain"],
+    )
+    def test_direct_modhtan_overflow_is_a_stall(self, kind, message):
+        model = make_111(kind=kind)
+        with pytest.raises(StallError, match=f"^hidden activations: {message}"):
             forward(model, np.array([[-1.0], [0.5]]))
 
     def test_modhtan_offset_lands_in_cache(self):
@@ -143,7 +150,7 @@ class TestForward:
                              ids=["adaptive", "fixed"])
     def test_activate_calls_the_modhtan_module_globals(self, offset_mode, offset_calls, monkeypatch):
         # the benchmark's per-layer trace times these two by patching the module globals
-        model = nguyen_widrow_init(2, 3, 1, ModHtan(ModHtanParams(offset_mode=offset_mode)), seed=0)
+        model = nguyen_widrow_init(2, 3, 1, ModHtan(offset_mode=offset_mode), seed=0)
         calls = {"modhtan": [], "adaptive_offset": []}
         for name in calls:
             def recorded(*args, _name=name, _original=getattr(activations, name)):
@@ -176,7 +183,7 @@ class TestBackward:
         assert grads[3] == pytest.approx(math.tanh(1.0), rel=1e-12)
 
     @pytest.mark.parametrize(
-        "kind", [SoftStep(), Htan(), Elu(EluParams(alpha=1.0))], ids=["softstep", "htan", "elu"]
+        "kind", [SoftStep(), Htan(), Elu(alpha=1.0)], ids=["softstep", "htan", "elu"]
     )
     def test_matches_finite_differences(self, kind):
         rng = np.random.default_rng(23)
@@ -240,16 +247,14 @@ class TestSerialization:
         [
             Htan(),
             SoftStep(),
-            Elu(EluParams(alpha=0.7)),
-            ModHtan(ModHtanParams(offset_mode=FixedOffset(3.5), euler_mode="direct")),
+            Elu(alpha=0.7),
+            ModHtan(offset_mode=FixedOffset(3.5), euler_mode="direct"),
             ModHtan(
-                ModHtanParams(
-                    k_o=2.5,
-                    x_cutoff=25.0,
-                    offset_mode=AdaptiveOffset(delta=0.1, kappa=1e-5),
-                    rnf=RnfParams(a=1024),
-                    center_normalize=False,
-                )
+                k_o=2.5,
+                x_cutoff=25.0,
+                offset_mode=AdaptiveOffset(delta=0.1, kappa=1e-5),
+                rnf=RnfParams(a=1024),
+                center_normalize=False,
             ),
         ],
         ids=["htan", "softstep", "elu", "modhtan-fixed", "modhtan-adaptive"],

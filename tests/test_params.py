@@ -9,10 +9,8 @@ from modhtan.activations import (
     PARAMS,
     AdaptiveOffset,
     Elu,
-    EluParams,
     FixedOffset,
     ModHtan,
-    ModHtanParams,
     kind_from_fields,
     kind_to_fields,
 )
@@ -20,18 +18,18 @@ from modhtan.cli import _activation_from_flags, build_parser
 from modhtan.network import load_model, nguyen_widrow_init, save_model
 from modhtan.rnf import RnfParams
 
-# ModHtanParams.rnf is a nested group: its own fields are the rows
-GROUP_FIELDS = {(ModHtanParams, "rnf")}
+# ModHtan.rnf is a nested group: its own fields are the rows
+GROUP_FIELDS = {(ModHtan, "rnf")}
 
 LEAF_FIELDS = [
     (cls, f.name)
-    for cls in (EluParams, ModHtanParams, FixedOffset, AdaptiveOffset, RnfParams)
+    for cls in (Elu, ModHtan, FixedOffset, AdaptiveOffset, RnfParams)
     for f in fields(cls)
     if (cls, f.name) not in GROUP_FIELDS
 ]
 
 # Default kinds that between them use every row of the table
-BASE_KINDS = (Elu(), ModHtan(), ModHtan(ModHtanParams(offset_mode=FixedOffset(1.5))))
+BASE_KINDS = (Elu(), ModHtan(), ModHtan(offset_mode=FixedOffset(1.5)))
 
 OLD_MODEL_FILE = """\
 modhtan-mlp v1
@@ -77,7 +75,9 @@ def _changed_kind(param):
         if k.name == base.name:
             values.update(kind_to_fields(k))
     values.update(kind_to_fields(base))
-    values[param.key] = next(c for c in param.choices if c != values[param.key]) if param.choices else "3"
+    # rnf_n = 3 would put the Euler constant below 1, which ModHtan rejects
+    number = "0.5" if param.key == "rnf_n" else "3"
+    values[param.key] = next(c for c in param.choices if c != values[param.key]) if param.choices else number
     return kind_from_fields(values)
 
 
@@ -105,7 +105,7 @@ def test_model_file_format_is_unchanged(tmp_path):
     path = tmp_path / "model.txt"
     path.write_text(OLD_MODEL_FILE)
     model = load_model(path)
-    assert model.hidden_kind == ModHtan(ModHtanParams(offset_mode=FixedOffset(3.5), euler_mode="direct"))
+    assert model.hidden_kind == ModHtan(offset_mode=FixedOffset(3.5), euler_mode="direct")
     again = tmp_path / "again.txt"
     save_model(model, again)
     assert again.read_text() == OLD_MODEL_FILE

@@ -4,7 +4,7 @@ stall handling."""
 import numpy as np
 import pytest
 
-from modhtan.activations import Elu, EluParams, Htan, ModHtan
+from modhtan.activations import Elu, Htan, ModHtan
 from modhtan.datasets import gen_quadratic
 from modhtan.network import (
     MlpModel,
