@@ -72,6 +72,8 @@ def main():
             train, _ = split(heart, SplitSpec(seed=seed))
             lm_fits.append(fit(train_lm, LM, k, train.X, train.T, seed, 2))
         gdm_fits = [fit(train_gdm, GDM, k, data.X, data.T, 0, 3)[1] for k in (FIT_KINDS[0], FIT_KINDS[2])]
+        train, _ = split(heart, SplitSpec(seed=3))  # 13 inputs: the gradient's multi-input W1 block
+        gdm_fits.append(fit(train_gdm, GDM, FIT_KINDS[0], train.X, train.T, 3, 2)[1])
         bench = []
         for dataset in ("synthetic", "heart"):
             spec = ExperimentSpec(dataset, tuple(FIT_KINDS[:3]), runs=2, n_points=200, lm=LmConfig(epochs=30),

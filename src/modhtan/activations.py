@@ -112,6 +112,10 @@ class ModHtan:
             e = math.inf
         if not 1 < e < math.inf:  # ln E <= 0 flattens or mirrors the curve
             raise ValueError(f"modhtan needs a finite Euler constant E > 1; {self.rnf} gives E = {e}")
+        a, n, m = self.rnf.a, self.rnf.n, self.rnf.m
+        exact = a * math.log1p((m + 1 - n) / (a - (m + 1)))  # ln E before the base (a-n)/(a-m-1) rounds
+        if abs(math.log(e) - exact) > 1e-3 * exact:
+            raise ValueError(f"{self.rnf} rounds modhtan's ln E = {exact} to {math.log(e)}")
 
 
 ActivationKind = Union[SoftStep, Htan, Elu, ModHtan]

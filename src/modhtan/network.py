@@ -1,9 +1,9 @@
 """One-hidden-layer feed-forward network with a linear output layer.
 
-Forward, backward, and per-sample residual Jacobian share a fixed parameter
-ordering: W1 row-major, b1, W2 row-major, b2.  The training loss is half the
-mean squared error over all output entries, so the backward gradient equals
-J^T e / (samples * n_out).
+Forward pass and per-sample residual Jacobian share a fixed parameter
+ordering: W1 row-major, b1, W2 row-major, b2.  The Jacobian is the network's
+only derivative: the training loss is half the mean squared error over all
+output entries, so its gradient is J^T e / e.size.
 
 Per-sample arrays are sample-minor (F-ordered): z1, h, g and J keep their
 [sample, unit] and [residual, parameter] indexing, with each hidden unit's
@@ -146,28 +146,12 @@ def forward(model: MlpModel, X, out: ForwardCache | None = None) -> tuple[np.nda
     return y, ForwardCache(z1=z1, h=h, g=g, y=y, offset_1=offset)
 
 
-def backward(model: MlpModel, X, T, cache: ForwardCache) -> np.ndarray:
-    """Gradient of 0.5 * mean((y - t)**2) over all output entries, flat in
-    pack_params order."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    T = np.atleast_2d(np.asarray(T, dtype=float))
-    residual = cache.y - T
-    d_y = residual / residual.size
-    d_w2 = d_y.T @ cache.h
-    d_b2 = d_y.sum(axis=0)
-    d_h = d_y @ model.W2
-    d_z1 = d_h * cache.g
-    d_w1 = d_z1.T @ X
-    d_b1 = d_z1.sum(axis=0)
-    return np.concatenate([d_w1.ravel(), d_b1, d_w2.ravel(), d_b2])
-
-
 def jacobian(model: MlpModel, X, T, cache: ForwardCache, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Residual Jacobian J and residual vector e = (y - t) flattened.
 
     J has one row per residual (samples major, outputs minor) and one column
-    per parameter in pack_params order, so J^T e / e.size equals the
-    backward gradient.  J is F-ordered, so every column is contiguous.  out,
+    per parameter in pack_params order, so J^T e / e.size is the gradient of
+    the training loss.  J is F-ordered, so every column is contiguous.  out,
     when given, is a J returned by an earlier call for the same model shape
     and sample count: its constant columns (zeros and ones of the output
     layer) are kept and the rest is overwritten.

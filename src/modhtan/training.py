@@ -15,7 +15,6 @@ import numpy as np
 from .network import (
     MlpModel,
     StallError,
-    backward,
     forward,
     jacobian,
     n_params,
@@ -94,7 +93,8 @@ def classification_accuracy(Y, labels) -> float:
 def train_gdm(model: MlpModel, X, T, cfg: GdmConfig = GdmConfig()) -> tuple[MlpModel, TrainHistory]:
     """Full-batch gradient descent with momentum.
 
-    Update: v <- momentum * v - lr * grad; theta <- theta + v.  Runs exactly
+    Update: v <- momentum * v - lr * grad; theta <- theta + v, with grad =
+    J^T e / e.size from the per-fit residual Jacobian J.  Runs exactly
     cfg.epochs epochs unless a stall aborts training early.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -102,6 +102,7 @@ def train_gdm(model: MlpModel, X, T, cfg: GdmConfig = GdmConfig()) -> tuple[MlpM
     history = TrainHistory()
     theta = pack_params(model)
     velocity = np.zeros_like(theta)
+    J = None
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
         try:
@@ -117,7 +118,8 @@ def train_gdm(model: MlpModel, X, T, cfg: GdmConfig = GdmConfig()) -> tuple[MlpM
             history.stall_events.append((epoch, "training loss is non-finite"))
             history.termination = "stall"
             break
-        grad = backward(model, X, T, cache)
+        J, e = jacobian(model, X, T, cache, J)
+        grad = J.T @ e / e.size
         with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is the stall below
             velocity = cfg.momentum * velocity - cfg.learning_rate * grad
             theta = theta + velocity

@@ -282,6 +282,11 @@ class TestModHtan:
         with pytest.raises(ValueError, match=f"^modhtan needs a finite Euler constant E > 1; .* gives E = {euler}"):
             ModHtan(rnf=rnf)
 
+    def test_euler_constant_must_follow_its_formula(self):
+        ModHtan(rnf=RnfParams(a=10**14))  # ln E off by 8.0e-4 of itself, inside the 1e-3 tolerance
+        with pytest.raises(ValueError, match=r"^RnfParams\(a=1000000000000000, n=1.0, m=1.0\) rounds modhtan's ln E"):
+            ModHtan(rnf=RnfParams(a=10**15))  # ln E = 1.11
+
 
 class TestActivateDispatch:
     def test_htan_batch(self):

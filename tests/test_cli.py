@@ -334,13 +334,16 @@ class TestActivationFlags:
                          id="curves-k"),
             pytest.param(["train", "--fn", "modhtan", "--n", "20", "--epochs", "2", "--delta", "nan"],
                          "delta must be >= 0 and finite, got nan", id="train-delta"),
-            # an Euler constant E <= 1 fails before any fit or file
+            # an Euler constant E <= 1, or one far from its formula, fails before any fit or file
             *(
                 pytest.param([*command, "--rnf-a", a], message, id=f"{command[0]}-rnf-a-{label}")
                 for a, label, message in [
                     ("2", "2", "m + x must stay strictly below a = 2"),
                     ("100000000000000000", "1e17", "modhtan needs a finite Euler constant E > 1; "
                                                    "RnfParams(a=100000000000000000, n=1.0, m=1.0) gives E = 1.0"),
+                    # E > 1 but the rounded base doubles ln E
+                    ("9007199254740992", "2^53", "RnfParams(a=9007199254740992, n=1.0, m=1.0) rounds modhtan's "
+                                                 "ln E = 1.0000000000000002 to 1.999999985081332"),
                 ]
                 for command in [
                     ["curves", "--fn", "modhtan"],

@@ -1,5 +1,5 @@
-"""One-hidden-layer MLP: init scaling, forward/backward/Jacobian, stalls,
-serialization."""
+"""One-hidden-layer MLP: init scaling, forward pass, Jacobian and the gradient
+J^T e / e.size, stalls, serialization."""
 
 import math
 
@@ -18,7 +18,6 @@ from modhtan.activations import (
 from modhtan.network import (
     MlpModel,
     StallError,
-    backward,
     forward,
     jacobian,
     load_model,
@@ -38,6 +37,28 @@ def make_111(w1=1.0, b1=0.0, w2=1.0, b2=0.0, kind=Htan()):
         np.array([[w2]]), np.array([b2]),
         kind,
     )
+
+
+def gradient(model, X, T, cache):
+    """Training-loss gradient as the trainers take it: J^T e / e.size."""
+    J, e = jacobian(model, X, T, cache)
+    return J.T @ e / e.size
+
+
+def assert_matches_finite_differences(analytic, model, X, T, h=1e-6):
+    """analytic against central differences of half the mean squared error."""
+    theta = pack_params(model)
+
+    def loss_at(vec):
+        y, _ = forward(with_params(model, vec), X)
+        return 0.5 * float(np.mean((y - T) ** 2))
+
+    for i in range(theta.size):
+        up, down = theta.copy(), theta.copy()
+        up[i] += h
+        down[i] -= h
+        numeric = (loss_at(up) - loss_at(down)) / (2.0 * h)
+        assert analytic[i] == pytest.approx(numeric, rel=1e-5, abs=1e-10)
 
 
 class TestInit:
@@ -163,12 +184,12 @@ class TestForward:
         assert calls["adaptive_offset"] == [(cache.z1.min(), cache.z1.max(), offset_mode)] * offset_calls
 
 
-class TestBackward:
+class TestGradient:
     def test_zero_residual_zero_grads(self):
         model = nguyen_widrow_init(2, 3, 2, Htan(), seed=7)
         X = np.random.default_rng(1).normal(size=(6, 2))
         y, cache = forward(model, X)
-        grads = backward(model, X, y, cache)
+        grads = gradient(model, X, y, cache)
         assert np.max(np.abs(grads)) == 0.0
 
     def test_hand_chain_rule_output_weight(self):
@@ -176,7 +197,7 @@ class TestBackward:
         X = np.array([[1.0]])
         T = np.array([[0.0]])
         y, cache = forward(model, X)
-        grads = backward(model, X, T, cache)
+        grads = gradient(model, X, T, cache)
         # dL/dw2 = residual * h = tanh(1)**2 for the half-mean-square loss
         # flat order W1, b1, W2, b2: W2[0, 0] is entry 2, b2[0] entry 3
         assert grads[2] == pytest.approx(math.tanh(1.0) ** 2, rel=1e-12)
@@ -191,20 +212,7 @@ class TestBackward:
         X = rng.normal(size=(10, 2))
         T = rng.normal(size=(10, 1))
         _, cache = forward(model, X)
-        analytic = backward(model, X, T, cache)
-        theta = pack_params(model)
-        h = 1e-6
-
-        def loss_at(vec):
-            y, _ = forward(with_params(model, vec), X)
-            return 0.5 * float(np.mean((y - T) ** 2))
-
-        for i in range(theta.size):
-            up, down = theta.copy(), theta.copy()
-            up[i] += h
-            down[i] -= h
-            numeric = (loss_at(up) - loss_at(down)) / (2.0 * h)
-            assert analytic[i] == pytest.approx(numeric, rel=1e-5, abs=1e-10)
+        assert_matches_finite_differences(gradient(model, X, T, cache), model, X, T)
 
 
 class TestJacobian:
@@ -215,7 +223,7 @@ class TestJacobian:
         _, e = jacobian(model, X, y, cache)
         assert np.array_equal(e, np.zeros(5))
 
-    def test_consistent_with_backward(self):
+    def test_multi_output_gradient_matches_finite_differences(self):
         model = nguyen_widrow_init(3, 4, 2, Htan(), seed=8)
         rng = np.random.default_rng(8)
         X = rng.normal(size=(7, 3))
@@ -223,8 +231,7 @@ class TestJacobian:
         _, cache = forward(model, X)
         J, e = jacobian(model, X, T, cache)
         assert J.shape == (7 * 2, n_params(model))
-        grad = backward(model, X, T, cache)
-        assert np.max(np.abs(J.T @ e / e.size - grad)) <= 1e-10
+        assert_matches_finite_differences(J.T @ e / e.size, model, X, T)
 
     def test_hand_chain_rule_single_sample(self):
         model = make_111(w1=0.8, b1=0.1, w2=-1.2, b2=0.3)

@@ -4,11 +4,11 @@ stall handling."""
 import numpy as np
 import pytest
 
+from modhtan import training
 from modhtan.activations import Elu, Htan, ModHtan
 from modhtan.datasets import gen_quadratic
 from modhtan.network import (
     MlpModel,
-    backward,
     forward,
     jacobian,
     nguyen_widrow_init,
@@ -119,7 +119,8 @@ class TestGdm:
         model = start
         for _ in range(cfg.epochs):
             _, cache = forward(model, ds.X)
-            theta = theta - cfg.learning_rate * backward(model, ds.X, ds.T, cache)
+            J, e = jacobian(model, ds.X, ds.T, cache)
+            theta = theta - cfg.learning_rate * (J.T @ e / e.size)
             model = with_params(model, theta)
         assert np.array_equal(pack_params(trained), theta)
 
@@ -129,6 +130,23 @@ class TestGdm:
                                GdmConfig(epochs=7))
         assert len(history.loss) == 7
         assert len(history.epoch_time_s) == 7
+
+    def test_one_jacobian_per_epoch_into_one_workspace(self, monkeypatch):
+        # the benchmark's per-layer trace times jacobian by patching training's module global
+        ds = gen_quadratic(16)
+        passed, returned = [], []
+
+        def recorded(*args):
+            passed.append(args[4])
+            J, e = jacobian(*args)
+            returned.append(J)
+            return J, e
+
+        monkeypatch.setattr(training, "jacobian", recorded)
+        train_gdm(nguyen_widrow_init(1, 2, 1, Htan(), seed=0), ds.X, ds.T, GdmConfig(epochs=7))
+        assert len(passed) == 7
+        assert passed[0] is None
+        assert all(J is returned[0] for J in passed[1:] + returned)
 
     def test_stall_aborts_with_partial_history(self):
         ds = gen_quadratic(16)
