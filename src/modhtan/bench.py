@@ -263,9 +263,8 @@ def dump_curves(kind: ActivationKind, lo: float, hi: float, step: float, path) -
     """
     xs = curve_grid(lo, hi, step)
     result = activate(kind, xs)
-    lines = ["x,value,gradient"]
-    for x, v, g in zip(xs, result.values, result.grads):
-        lines.append(f"{float(x)!r},{float(v)!r},{float(g)!r}")
+    rows = zip(xs.tolist(), result.values.tolist(), result.grads.tolist())  # Python floats: repr as float(x)
+    lines = ["x,value,gradient"] + [f"{x!r},{v!r},{g!r}" for x, v, g in rows]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

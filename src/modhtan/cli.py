@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import pathlib
 import re
 import sys
@@ -253,10 +254,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built on the first call.  Reusing it is safe because a parse
+# leaves no state in it: prog is fixed, the one list-valued default (bench
+# --out) is None, and each cmd_* function looks up its helpers by module
+# global when it runs.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:

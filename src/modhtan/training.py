@@ -102,11 +102,11 @@ def train_gdm(model: MlpModel, X, T, cfg: GdmConfig = GdmConfig()) -> tuple[MlpM
     history = TrainHistory()
     theta = pack_params(model)
     velocity = np.zeros_like(theta)
-    J = None
+    J = cache = None  # per-fit buffers: every forward after the first writes into the first cache
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
         try:
-            _, cache = forward(model, X)
+            _, cache = forward(model, X, cache)
         except StallError as exc:
             history.stall_events.append((epoch, str(exc)))
             history.termination = "stall"

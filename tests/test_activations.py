@@ -5,8 +5,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from modhtan.activations import (
     AdaptiveOffset,
@@ -20,7 +21,7 @@ from modhtan.activations import (
     adaptive_offset,
     parse_activation,
 )
-from modhtan.rnf import RnfParams
+from modhtan.rnf import RnfParams, euler_constant
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -286,6 +287,49 @@ class TestModHtan:
         ModHtan(rnf=RnfParams(a=10**14))  # ln E off by 8.0e-4 of itself, inside the 1e-3 tolerance
         with pytest.raises(ValueError, match=r"^RnfParams\(a=1000000000000000, n=1.0, m=1.0\) rounds modhtan's ln E"):
             ModHtan(rnf=RnfParams(a=10**15))  # ln E = 1.11
+
+
+class TestNormalizationGeometry:
+    """Two consequences of the adaptive offset (1 + delta) * M + kappa, M = max|x|.
+
+    x + offset_1 >= delta * M + kappa > 0, so x_norm = x / (x + offset_1) lies
+    in (-1/delta, 1/(2 + delta)): bounded and one-sided.  And x_norm(s * x) =
+    x / (x + (1 + delta) * M + kappa / s): scaling the batch moves only
+    kappa's share of the offset.
+    """
+
+    C = math.log(euler_constant(RnfParams()))
+    ROUNDING = 16 * np.finfo(float).eps
+
+    @given(
+        arrays(float, array_shapes(max_dims=2, max_side=20), elements=st.floats(-1e300, 1e300)),
+        st.floats(0.0, 2.0),
+        st.floats(1e-12, 1e3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_values_stay_in_one_sided_range(self, batch, delta, kappa):
+        values = activate(ModHtan(offset_mode=AdaptiveOffset(delta, kappa)), batch).values
+        top = math.tanh(self.C / (2.0 + delta))
+        assert values.min() >= math.nextafter(-1.0, 0.0)
+        assert values.max() <= top + self.ROUNDING
+
+    def test_default_range_top(self):
+        assert math.tanh(self.C / 2.05) == pytest.approx(0.4525, abs=5e-5)
+
+    @given(
+        arrays(float, st.integers(1, 20), elements=st.floats(-1e4, 1e4)),
+        st.floats(1e-2, 1e2),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_scale_invariance_up_to_kappa(self, batch, s):
+        big = np.abs(batch).max()
+        assume(min(big, s * big) >= 1.0)  # max|x| well above kappa = 1e-6 on both sides
+        mode = ModHtan().offset_mode
+        # |d x_norm| = |x| kappa |1 - 1/s| / ((x + offset_1)(x + offset_1(s x) / s)) <= this, with |tanh'| <= 1
+        bound = self.C * mode.kappa * abs(1.0 / big - 1.0 / (s * big)) / mode.delta**2
+        got = activate(ModHtan(), s * batch).values
+        want = activate(ModHtan(), batch).values
+        assert np.max(np.abs(got - want)) <= bound + self.ROUNDING
 
 
 class TestActivateDispatch:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from modhtan.activations import Elu, Htan, ModHtan, SoftStep
+from modhtan.activations import Elu, Htan, ModHtan, SoftStep, activate
 from modhtan.bench import (
     CURVE_PRESETS,
     ApproxBenchResult,
@@ -233,6 +233,20 @@ class TestCurves:
         rows = np.genfromtxt(path, delimiter=",", names=True)
         assert np.all(np.isfinite(rows["value"]))
         assert np.all(np.abs(rows["value"]) < 1.0)
+
+    @pytest.mark.parametrize("preset", CURVE_PRESETS)
+    @pytest.mark.parametrize(
+        "kind",
+        [SoftStep(), Htan(), Elu(), ModHtan(), ModHtan(euler_mode="direct")],
+        ids=["softstep", "htan", "elu", "modhtan", "modhtan-direct"],
+    )
+    def test_rows_match_numpy_scalar_oracle(self, kind, preset, tmp_path):
+        path = tmp_path / "curve.csv"
+        dump_curves(kind, *CURVE_PRESETS[preset], path)
+        xs = curve_grid(*CURVE_PRESETS[preset])
+        result = activate(kind, xs)
+        rows = [f"{float(x)!r},{float(v)!r},{float(g)!r}" for x, v, g in zip(xs, result.values, result.grads)]
+        assert path.read_bytes() == "\n".join(["x,value,gradient", *rows]).encode("utf-8") + b"\n"
 
     def test_byte_identical_across_calls(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

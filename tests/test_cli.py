@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from modhtan import cli
+from modhtan.activations import Htan, ModHtan
+from modhtan.bench import dump_curves
 from modhtan.cli import build_parser, main
 from modhtan.network import load_model
 
@@ -418,6 +420,37 @@ class TestNegativeNumbers:
     def test_approx_bench_end_to_end(self, capsys):
         assert main(["approx-bench", "--count", "100", "--lo", "-1e1", "--hi", "-.5e1"]) == 0
         assert "max relative error" in capsys.readouterr().out
+
+
+class TestParserReuse:
+    """main parses every call with one parser; no call may leave state in it for the next."""
+
+    GRID = ["--lo", "-5", "--hi", "5", "--step", "0.5"]
+
+    def test_flags_of_one_call_do_not_reach_the_next(self, tmp_path, capsys):
+        fixed, default, want = tmp_path / "fixed.csv", tmp_path / "default.csv", tmp_path / "want.csv"
+        argv = ["curves", "--fn", "modhtan", "--k", "3", "--offset-mode", "fixed", "--offset", "2"]
+        assert main([*argv, *self.GRID, "--out", str(fixed)]) == 0
+        assert main(["curves", "--fn", "modhtan", *self.GRID, "--out", str(default)]) == 0
+        dump_curves(ModHtan(), -5.0, 5.0, 0.5, want)
+        assert default.read_bytes() == want.read_bytes()
+        assert fixed.read_bytes() != want.read_bytes()
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [["--k", "three"], ["--lo", "5", "--hi", "-5"]],
+        ids=["argparse", "command"],
+    )
+    def test_usage_error_then_valid_call(self, bad, tmp_path, capsys):
+        out, want = tmp_path / "htan.csv", tmp_path / "want.csv"
+        assert main(["curves", "--fn", "modhtan", *bad, "--out", str(tmp_path / "bad.csv")]) == 2
+        capsys.readouterr()
+        assert main(["curves", "--fn", "htan", *self.GRID, "--out", str(out)]) == 0
+        assert capsys.readouterr() == (f"wrote {out} (htan, [-5, 5] step 0.5)\n", "")
+        dump_curves(Htan(), -5.0, 5.0, 0.5, want)
+        assert out.read_bytes() == want.read_bytes()
+        assert not (tmp_path / "bad.csv").exists()
 
 
 class TestParserBasics:
