@@ -263,7 +263,7 @@ def dump_curves(kind: ActivationKind, lo: float, hi: float, step: float, path) -
     """
     xs = curve_grid(lo, hi, step)
     result = activate(kind, xs)
-    rows = zip(xs.tolist(), result.values.tolist(), result.grads.tolist())  # Python floats: repr as float(x)
+    rows = zip(xs.tolist(), result.values.tolist(), result.grads.tolist())  # Python floats: the repr of float() of each numpy scalar
     lines = ["x,value,gradient"] + [f"{x!r},{v!r},{g!r}" for x, v, g in rows]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -254,10 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# main's parser, built on the first call.  Reusing it is safe because a parse
-# leaves no state in it: prog is fixed, the one list-valued default (bench
-# --out) is None, and each cmd_* function looks up its helpers by module
-# global when it runs.
+# main's parser, built on its first call.  A parse leaves no state in it: no
+# default is mutable, and each cmd_* looks its helpers up as module globals.
 _parser = functools.cache(build_parser)
 
 

@@ -325,7 +325,7 @@ class TestNormalizationGeometry:
         big = np.abs(batch).max()
         assume(min(big, s * big) >= 1.0)  # max|x| well above kappa = 1e-6 on both sides
         mode = ModHtan().offset_mode
-        # |d x_norm| = |x| kappa |1 - 1/s| / ((x + offset_1)(x + offset_1(s x) / s)) <= this, with |tanh'| <= 1
+        # |d x_norm| <= M kappa |1 - 1/s| / (delta M)**2 as x + (1 + delta) M >= delta M; |d tanh(c v)| <= c |dv|
         bound = self.C * mode.kappa * abs(1.0 / big - 1.0 / (s * big)) / mode.delta**2
         got = activate(ModHtan(), s * batch).values
         want = activate(ModHtan(), batch).values
