@@ -23,6 +23,12 @@ from .network import (
 )
 
 
+_MU_MIN = 1e-20  # floor of an accepted step's decayed mu: from 0, mu * mu_inc would never grow
+_GRAD_TOL = 1e-12  # a gradient norm below this ends an LM fit
+_MAX_CANDIDATES = 1000  # most candidates LmConfig lets one epoch try before mu passes mu_max
+_SYRK_MIN_PARAMS = 16  # numpy sends J.T @ J to BLAS syrk; below this width a gemm against a copy is faster
+
+
 @dataclass(frozen=True)
 class GdmConfig:
     learning_rate: float = 0.01
@@ -45,8 +51,6 @@ class LmConfig:
     mu_dec: float = 0.1
     mu_max: float = 1e10
     epochs: int = 500
-    grad_tol: float = 1e-12
-    max_retries: int = 20  # damping increases allowed within one epoch
 
     def __post_init__(self):
         if not self.mu0 > 0:
@@ -59,6 +63,10 @@ class LmConfig:
             raise ValueError("mu_max must be finite and exceed mu0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        # candidates one epoch can try: the mu levels from its lowest start up to mu_max (31 at the defaults)
+        bound = 1 + int(np.ceil((np.log(self.mu_max) - np.log(min(self.mu0, _MU_MIN))) / np.log(self.mu_inc)))
+        if bound > _MAX_CANDIDATES:
+            raise ValueError(f"mu_inc {self.mu_inc!r} lets an epoch try {bound} candidates, over {_MAX_CANDIDATES}")
 
 
 @dataclass
@@ -67,7 +75,7 @@ class TrainHistory:
     epoch_time_s: list[float] = field(default_factory=list)
     stall_events: list[tuple[int, str]] = field(default_factory=list)
     mu: list[float] = field(default_factory=list)  # damping after each accepted LM epoch
-    termination: str = "epochs"
+    termination: str = "epochs"  # "epochs", "stall"; LM also "mu_max" or "grad_tol"
 
 
 def mse(Y, T) -> float:
@@ -136,13 +144,13 @@ def train_lm(model: MlpModel, X, T, cfg: LmConfig = LmConfig()) -> tuple[MlpMode
     """Levenberg-Marquardt with adaptive damping.
 
     Per epoch, solve (J^T J + mu I) delta = -J^T e and evaluate the step: an
-    accepted step (loss strictly decreased) shrinks mu by mu_dec, a rejected
-    one grows it by mu_inc and retries within the epoch.  Training stops at
-    cfg.epochs, when mu exceeds mu_max, when the gradient norm drops below
-    grad_tol, or after max_retries rejections in one epoch.  Intended for
-    dense normal equations, i.e. up to a few thousand parameters.  The
-    caller's model is never written; it is returned when no step was
-    accepted, and otherwise the returned model owns its parameters.
+    accepted step (loss strictly decreased) shrinks mu by mu_dec to no less
+    than _MU_MIN; a rejected one grows it by mu_inc and tries again, at most
+    LmConfig's derived candidate bound per epoch.  history.termination is
+    "epochs", "mu_max" (a rejection lifted mu past it), "grad_tol" (|J^T e| <
+    _GRAD_TOL) or "stall".  Intended for dense normal equations, i.e. up to a
+    few thousand parameters.  The caller's model is never written; it is
+    returned when no step was accepted, else the result owns its parameters.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     T = np.atleast_2d(np.asarray(T, dtype=float))
@@ -174,13 +182,12 @@ def train_lm(model: MlpModel, X, T, cfg: LmConfig = LmConfig()) -> tuple[MlpMode
         if J_copy is None:  # laid out as jacobian's J; never written when J^T J goes to syrk
             J_copy = np.empty_like(J)
         gradient = J.T @ e
-        if np.linalg.norm(gradient) < cfg.grad_tol:
+        if np.linalg.norm(gradient) < _GRAD_TOL:
             history.termination = "grad_tol"
             break
         normal = _normal_matrix(J, J_copy, normal)
         rhs = -gradient
         accepted = False
-        retries = 0
         while True:
             np.copyto(damped, normal)
             damped.flat[:: P + 1] += mu  # the diagonal
@@ -198,16 +205,12 @@ def train_lm(model: MlpModel, X, T, cfg: LmConfig = LmConfig()) -> tuple[MlpMode
                     candidate_loss = np.inf
                 if np.isfinite(candidate_loss) and candidate_loss < loss:
                     cur, cache, loss = other, candidate_cache, candidate_loss
-                    mu = mu * cfg.mu_dec
+                    mu = max(mu * cfg.mu_dec, _MU_MIN)
                     accepted = True
                     break
             mu = mu * cfg.mu_inc
-            retries += 1
             if mu > cfg.mu_max:
                 history.termination = "mu_max"
-                break
-            if retries >= cfg.max_retries:
-                history.termination = "no_improvement"
                 break
         history.loss.append(loss)
         history.epoch_time_s.append(time.perf_counter() - t0)
@@ -217,9 +220,6 @@ def train_lm(model: MlpModel, X, T, cfg: LmConfig = LmConfig()) -> tuple[MlpMode
     if not history.mu:
         return model, history
     return with_params(model, slots[cur].copy()), history
-
-
-_SYRK_MIN_PARAMS = 16  # numpy sends J.T @ J to BLAS syrk; below this width a gemm against a copy is faster
 
 
 def _normal_matrix(J, J_copy, out):

@@ -316,6 +316,24 @@ class TestNormalizationGeometry:
     def test_default_range_top(self):
         assert math.tanh(self.C / 2.05) == pytest.approx(0.4525, abs=5e-5)
 
+    # x <= -a * offset_1 gives x_norm <= -a / (1 - a) = -T / c, so f <= -tanh(T) and 1 - f**2 <= 1e-3
+    T = math.atanh(math.sqrt(1.0 - 1e-3))
+    A = T / (C + T)
+
+    @given(
+        arrays(float, array_shapes(max_dims=2, max_side=20), elements=st.floats(-1e300, 1e300)),
+        st.floats(0.0, 2.0),
+        st.floats(1e-12, 1e3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_saturated_below_a_fixed_share_of_the_offset(self, batch, delta, kappa):
+        out = activate(ModHtan(offset_mode=AdaptiveOffset(delta, kappa)), batch)
+        saturated = batch <= -self.A * out.offset_1
+        assert np.all(out.grads[saturated] < 1e-3 + self.ROUNDING)
+
+    def test_default_saturation_share(self):
+        assert self.A == pytest.approx(0.8057, abs=5e-5)
+
     @given(
         arrays(float, st.integers(1, 20), elements=st.floats(-1e4, 1e4)),
         st.floats(1e-2, 1e2),

@@ -312,10 +312,11 @@ class TestFitFlags:
             ["--seed", "-1"],
             ["--mu-max", "inf"],
             ["--mu-inc", "inf"],
+            ["--mu-inc", "1.01"],
             ["--lr", "inf", "--trainer", "gdm"],
         ],
         ids=["mu0", "mu-dec", "lr", "momentum", "test-fraction", "n", "epochs", "hidden", "seed", "mu-max",
-             "mu-inc-inf", "lr-inf"],
+             "mu-inc-inf", "mu-inc-near-1", "lr-inf"],
     )
     def test_bad_value_is_usage_error(self, command, flags, heart_file, capsys):
         code = main([*command, "--n", "20", "--epochs", "2", "--path", str(heart_file), *flags])

@@ -51,12 +51,11 @@ def oracle_train_lm(model, X, T, cfg=LmConfig(), forward=forward):
         J, e = jacobian(model, X, T, cache, J)
         J_copy = np.empty_like(J) if J_copy is None else J_copy
         gradient = J.T @ e
-        if np.linalg.norm(gradient) < cfg.grad_tol:
+        if np.linalg.norm(gradient) < training._GRAD_TOL:
             history.termination = "grad_tol"
             break
         normal = _normal_matrix(J, J_copy, normal)
         accepted = False
-        retries = 0
         while True:
             damped = np.multiply(identity, mu, out=damped)
             damped += normal
@@ -74,16 +73,12 @@ def oracle_train_lm(model, X, T, cfg=LmConfig(), forward=forward):
                     candidate_loss = np.inf
                 if np.isfinite(candidate_loss) and candidate_loss < loss:
                     theta, model, cache, loss = candidate_theta, candidate, candidate_cache, candidate_loss
-                    mu = mu * cfg.mu_dec
+                    mu = max(mu * cfg.mu_dec, training._MU_MIN)
                     accepted = True
                     break
             mu = mu * cfg.mu_inc
-            retries += 1
             if mu > cfg.mu_max:
                 history.termination = "mu_max"
-                break
-            if retries >= cfg.max_retries:
-                history.termination = "no_improvement"
                 break
         history.loss.append(loss)
         if not accepted:
@@ -197,14 +192,6 @@ class TestEpochEndings:
         assert termination == "mu_max"
         assert len(loss) == 1 and mu == []
 
-    @pytest.mark.parametrize("max_retries", [1, 2])
-    def test_no_improvement_after_max_retries(self, max_retries):
-        model, X, T = _problem((13, 2, 1), Htan(), 0)
-        _, _, termination, *_ = assert_matches_oracle(
-            model, X, T, LmConfig(max_retries=max_retries, epochs=200)
-        )
-        assert termination == "no_improvement"
-
     def test_first_candidate_accepted(self):
         # an epoch that ends at mu * mu_dec took its first candidate, the one
         # solve at mu
@@ -212,6 +199,14 @@ class TestEpochEndings:
         cfg = LmConfig(epochs=40)
         _, mu, *_ = assert_matches_oracle(model, X, T, cfg)
         assert any(after == before * cfg.mu_dec for before, after in zip(mu, mu[1:]))
+
+    def test_accepted_streak_stops_at_the_mu_floor(self):
+        # each acceptance divides mu by 1e9, so from mu0 = 1e-3 the third
+        # accepted epoch would take mu below _MU_MIN
+        model, X, T = _problem((1, 50, 1), KINDS["modhtan-adaptive"], 1)
+        _, mu, *_ = assert_matches_oracle(model, X, T, LmConfig(mu_dec=1e-9, epochs=10))
+        assert min(mu) == training._MU_MIN
+        assert mu.count(training._MU_MIN) > 1
 
     def test_singular_damped_matrix_grows_mu(self):
         # two identical hidden units give J two equal columns; a damping far
@@ -223,7 +218,7 @@ class TestEpochEndings:
             Htan(),
         )
         data = gen_quadratic(50)
-        cfg = LmConfig(mu0=1e-30, max_retries=40, epochs=20)
+        cfg = LmConfig(mu0=1e-30, epochs=20)
         _, cache = forward(model, data.X)
         J, _ = jacobian(model, data.X, data.T, cache)
         damped = J.T @ J + cfg.mu0 * np.eye(n_params(model))

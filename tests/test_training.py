@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from modhtan import training
-from modhtan.activations import Elu, Htan, ModHtan
-from modhtan.datasets import gen_quadratic
+from modhtan.activations import Elu, Htan, ModHtan, SoftStep
+from modhtan.datasets import SplitSpec, gen_quadratic, load_heart, make_heart_fixture, split
 from modhtan.network import (
     MlpModel,
     forward,
@@ -224,16 +224,39 @@ class TestLm:
         assert history.termination == "grad_tol"
         assert history.loss == []
 
-    def test_mu_max_termination_when_no_step_helps(self):
-        # zero hidden weights with zero targets already at a stationary
-        # plateau: crank mu0 near the ceiling so rejects exhaust it fast
-        ds = gen_quadratic(8)
-        model = nguyen_widrow_init(1, 2, 1, Htan(), seed=12)
-        _, history = train_lm(
-            model, ds.X, ds.T, LmConfig(mu0=1e9, mu_inc=10.0, mu_max=1e10, epochs=50,
-                                         max_retries=3)
-        )
-        assert history.termination in ("mu_max", "no_improvement", "epochs", "grad_tol")
+    def test_mu_max_termination_when_no_step_helps(self, monkeypatch):
+        # a converged fit: mu decays toward 1e-15, then the last epoch rejects
+        # every level on its way up past mu_max
+        calls = []
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(training, "forward", counting("forward", forward))
+        monkeypatch.setattr(training, "jacobian", counting("jacobian", jacobian))
+        ds = gen_quadratic(16)
+        model = nguyen_widrow_init(1, 2, 1, SoftStep(), seed=8)
+        _, history = train_lm(model, ds.X, ds.T, LmConfig(mu0=1e-12, epochs=200))
+        assert history.termination == "mu_max"
+        assert len(history.loss) < 200
+        last_epoch = calls[len(calls) - calls[::-1].index("jacobian"):]  # after the epoch's one jacobian
+        # 31 is LmConfig's derived bound at the default mu_inc and mu_max
+        assert 20 < last_epoch.count("forward") <= 31
+
+    def test_converged_heart_fit_runs_every_epoch(self, tmp_path):
+        # htan on this fixture drives mu to the floor; one epoch then rejects
+        # 17 levels before a step helps, and the fit goes on
+        seed = 1001008
+        make_heart_fixture(tmp_path / "heart.dat", seed=seed)
+        train, _ = split(load_heart(tmp_path / "heart.dat"), SplitSpec(seed=seed))
+        model = nguyen_widrow_init(13, 2, 1, Htan(), seed=seed)
+        _, history = train_lm(model, train.X, train.T, LmConfig())
+        assert history.termination == "epochs"
+        assert len(history.loss) == 500
+        assert min(history.mu) == training._MU_MIN
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -248,6 +271,12 @@ class TestLm:
         for mu_max in (np.inf, np.nan):  # a finite ceiling stops an overflowed mu before it is solved
             with pytest.raises(ValueError):
                 LmConfig(mu_max=mu_max)
+        # an epoch may try the mu levels from 1e-20 up to mu_max: at most 1000
+        with pytest.raises(ValueError, match=r"^mu_inc 1\.01 lets an epoch try 6944 candidates, over 1000$"):
+            LmConfig(mu_inc=1.01)
+        with pytest.raises(ValueError, match="try 1022 candidates"):
+            LmConfig(mu_inc=1.07)
+        LmConfig(mu_inc=1.075)  # 957 candidates
 
 
 class TestNormalMatrix:
