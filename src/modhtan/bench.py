@@ -137,7 +137,7 @@ def iter_runs(spec: ExperimentSpec) -> Iterator[Run]:
             error = None
             value = math.nan
             if history.termination == "stall":
-                error = history.stall_events[-1][1] if history.stall_events else "stall"
+                error = history.stall_events[-1][1]
             else:
                 try:
                     y, _ = forward(model, eval_ds.X)

@@ -168,7 +168,6 @@ def make_heart_fixture(path, n: int = HEART_EXPECTED_ROWS, seed: int = HEART_FIX
     )
     noise = rng.logistic(0.0, 0.35, n)
     label = np.where(logit + noise > 0.0, 2, 1)
+    row_format = " ".join(["%.1f"] * len(cols)) + " %d\n"
     with open(path, "w", encoding="utf-8") as fh:
-        for i in range(n):
-            row = " ".join(f"{col[i]:.1f}" for col in cols)
-            fh.write(f"{row} {label[i]}\n")
+        fh.write("".join(row_format % tuple(values) for values in np.column_stack([*cols, label]).tolist()))

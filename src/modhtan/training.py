@@ -1,8 +1,8 @@
 """Full-batch trainers: gradient descent with momentum and Levenberg-Marquardt.
 
 Both trainers minimize half the mean squared error per output entry, record a
-per-epoch loss and wall-time history, and abort with a recorded stall event
-when parameters or activations leave the finite range.
+per-epoch loss and wall-time history, and stop by one rule: a stalled forward,
+a non-finite loss or non-finite parameters is recorded as one stall event.
 """
 
 from __future__ import annotations
@@ -102,8 +102,8 @@ def train_gdm(model: MlpModel, X, T, cfg: GdmConfig = GdmConfig()) -> tuple[MlpM
     """Full-batch gradient descent with momentum.
 
     Update: v <- momentum * v - lr * grad; theta <- theta + v, with grad =
-    J^T e / e.size from the per-fit residual Jacobian J.  Runs exactly
-    cfg.epochs epochs unless a stall aborts training early.
+    J^T e / e.size from the per-fit Jacobian J, for cfg.epochs epochs unless a
+    stall ends the fit: a stalled forward, a non-finite loss or parameters.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     T = np.atleast_2d(np.asarray(T, dtype=float))
@@ -115,42 +115,39 @@ def train_gdm(model: MlpModel, X, T, cfg: GdmConfig = GdmConfig()) -> tuple[MlpM
         t0 = time.perf_counter()
         try:
             _, cache = forward(model, X, cache)
+            history.loss.append(mse(cache.y, T))
+            if not np.isfinite(history.loss[-1]):
+                raise StallError("training loss is non-finite")
+            J, e = jacobian(model, X, T, cache, J)
+            grad = J.T @ e / e.size
+            with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is the stall below
+                velocity = cfg.momentum * velocity - cfg.learning_rate * grad
+                theta = theta + velocity
+            model = with_params(model, theta)
+            if not np.isfinite(theta).all():
+                raise StallError("parameters contain non-finite values")
         except StallError as exc:
             history.stall_events.append((epoch, str(exc)))
             history.termination = "stall"
             break
-        loss = mse(cache.y, T)
-        history.loss.append(loss)
-        if not np.isfinite(loss):
-            history.epoch_time_s.append(time.perf_counter() - t0)
-            history.stall_events.append((epoch, "training loss is non-finite"))
-            history.termination = "stall"
-            break
-        J, e = jacobian(model, X, T, cache, J)
-        grad = J.T @ e / e.size
-        with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is the stall below
-            velocity = cfg.momentum * velocity - cfg.learning_rate * grad
-            theta = theta + velocity
-        model = with_params(model, theta)
-        history.epoch_time_s.append(time.perf_counter() - t0)
-        if not np.isfinite(theta).all():
-            history.stall_events.append((epoch, "parameters contain non-finite values"))
-            history.termination = "stall"
-            break
+        finally:
+            if len(history.epoch_time_s) < len(history.loss):  # a stalled forward records neither
+                history.epoch_time_s.append(time.perf_counter() - t0)
     return model, history
 
 
 def train_lm(model: MlpModel, X, T, cfg: LmConfig = LmConfig()) -> tuple[MlpModel, TrainHistory]:
     """Levenberg-Marquardt with adaptive damping.
 
-    Per epoch, solve (J^T J + mu I) delta = -J^T e and evaluate the step: an
-    accepted step (loss strictly decreased) shrinks mu by mu_dec to no less
-    than _MU_MIN; a rejected one grows it by mu_inc and tries again, at most
-    LmConfig's derived candidate bound per epoch.  history.termination is
-    "epochs", "mu_max" (a rejection lifted mu past it), "grad_tol" (|J^T e| <
-    _GRAD_TOL) or "stall".  Intended for dense normal equations, i.e. up to a
-    few thousand parameters.  The caller's model is never written; it is
-    returned when no step was accepted, else the result owns its parameters.
+    Per epoch, solve (J^T J + mu I) delta = -J^T e and try the step.  A
+    candidate is rejected in one place: its loss stays inf unless the solve,
+    the finite-step check and the forward succeed, and a loss not below the
+    current one grows mu by mu_inc (at most LmConfig's candidate bound per
+    epoch); a lower one is accepted and shrinks mu by mu_dec, to _MU_MIN.
+    Stalls follow train_gdm's rule, and the starting loss is checked too.
+    history.termination is "epochs", "mu_max", "grad_tol" (|J^T e| <
+    _GRAD_TOL) or "stall".  Dense: up to a few thousand parameters.  The
+    caller's model is returned when no step was accepted, and never written.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     T = np.atleast_2d(np.asarray(T, dtype=float))
@@ -159,6 +156,9 @@ def train_lm(model: MlpModel, X, T, cfg: LmConfig = LmConfig()) -> tuple[MlpMode
     P = n_params(model)
     try:
         _, cache = forward(model, X)
+        loss = mse(cache.y, T)
+        if not np.isfinite(loss):  # every later loss is below it, so finite too
+            raise StallError("training loss is non-finite")
     except StallError as exc:
         history.stall_events.append((0, str(exc)))
         history.termination = "stall"
@@ -175,7 +175,6 @@ def train_lm(model: MlpModel, X, T, cfg: LmConfig = LmConfig()) -> tuple[MlpMode
     cur = 0
     J = J_copy = normal = None
     damped = np.empty((P, P))
-    loss = mse(cache.y, T)
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
         J, e = jacobian(models[cur], X, T, cache, J)
@@ -187,34 +186,29 @@ def train_lm(model: MlpModel, X, T, cfg: LmConfig = LmConfig()) -> tuple[MlpMode
             break
         normal = _normal_matrix(J, J_copy, normal)
         rhs = -gradient
-        accepted = False
         while True:
             np.copyto(damped, normal)
             damped.flat[:: P + 1] += mu  # the diagonal
+            candidate_loss = np.inf  # unless the solve, the step and the forward all succeed
             try:
                 delta = np.linalg.solve(damped, rhs)
-            except np.linalg.LinAlgError:  # a singular level is a rejected step
-                delta = None
-            if delta is not None and np.isfinite(delta).all():
-                other = 1 - cur
-                np.add(slots[cur], delta, out=slots[other])
-                try:
-                    _, candidate_cache = forward(models[other], X, workspace)
+                if np.isfinite(delta).all():
+                    np.add(slots[cur], delta, out=slots[1 - cur])
+                    _, candidate_cache = forward(models[1 - cur], X, workspace)
                     candidate_loss = mse(candidate_cache.y, T)
-                except StallError:
-                    candidate_loss = np.inf
-                if np.isfinite(candidate_loss) and candidate_loss < loss:
-                    cur, cache, loss = other, candidate_cache, candidate_loss
-                    mu = max(mu * cfg.mu_dec, _MU_MIN)
-                    accepted = True
-                    break
+            except (np.linalg.LinAlgError, StallError):  # a singular level or a stalled forward
+                pass
+            if candidate_loss < loss:
+                cur, cache, loss = 1 - cur, candidate_cache, candidate_loss
+                mu = max(mu * cfg.mu_dec, _MU_MIN)
+                break
             mu = mu * cfg.mu_inc
             if mu > cfg.mu_max:
                 history.termination = "mu_max"
                 break
         history.loss.append(loss)
         history.epoch_time_s.append(time.perf_counter() - t0)
-        if not accepted:
+        if history.termination == "mu_max":
             break
         history.mu.append(mu)
     if not history.mu:

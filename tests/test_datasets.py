@@ -1,5 +1,6 @@
 """Dataset construction, scaling, heart-file parsing, splitting."""
 
+import hashlib
 import math
 import runpy
 import sys
@@ -297,6 +298,14 @@ class TestFixture:
         make_heart_fixture(a)
         make_heart_fixture(b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_default_fixture_bytes_are_pinned(self, tmp_path):
+        # every heart number in README and the benchmark is measured on this file
+        path = tmp_path / "heart.dat"
+        make_heart_fixture(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "20e0d67d1d6e2039b4a360e9d0b6aeb7dfcf21a6e6ca718e44516df67db04e7c"
+        )
 
     def test_script_writes_the_default_fixture(self, tmp_path, monkeypatch, capsys):
         script = Path(__file__).resolve().parents[1] / "scripts" / "make_heart_fixture.py"

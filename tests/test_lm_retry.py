@@ -40,13 +40,15 @@ def oracle_train_lm(model, X, T, cfg=LmConfig(), forward=forward):
     identity = np.eye(n_params(model))
     try:
         _, cache = forward(model, X)
+        loss = mse(cache.y, T)
+        if not np.isfinite(loss):
+            raise StallError("training loss is non-finite")
     except StallError as exc:
         history.stall_events.append((0, str(exc)))
         history.termination = "stall"
         return model, history
     workspace = cache
     J = J_copy = normal = damped = None
-    loss = mse(cache.y, T)
     for epoch in range(cfg.epochs):
         J, e = jacobian(model, X, T, cache, J)
         J_copy = np.empty_like(J) if J_copy is None else J_copy
@@ -234,6 +236,16 @@ class TestEpochEndings:
         cfg = LmConfig(mu0=1e9, mu_inc=1e300, mu_max=1e10, epochs=3)
         loss, *_ = assert_matches_oracle(model, X, T, cfg)
         assert len(loss) == 3
+
+    @pytest.mark.parametrize("target", [np.inf, np.nan], ids=["overflow", "nan"])
+    def test_non_finite_start_is_a_stall(self, target):
+        # the oracle applies train_lm's starting rule: a non-finite first loss
+        # stalls the fit before its first Jacobian
+        model, X, T = _problem((3, 4, 2), Htan(), 0)
+        T = T.copy()
+        T[5, 1] = target
+        loss, mu, termination, events, _ = assert_matches_oracle(model, X, T, LmConfig(epochs=10))
+        assert (loss, mu, termination, events) == ([], [], "stall", [(0, "training loss is non-finite")])
 
     @pytest.mark.parametrize("stalls", [(1,), (1, 2), (3, 6)], ids=["first", "pair", "later"])
     def test_stalled_candidate_is_rejected(self, monkeypatch, stalls):

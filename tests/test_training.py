@@ -1,6 +1,8 @@
 """Trainers: gradient descent with momentum, Levenberg-Marquardt, metrics,
 stall handling."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,42 @@ class TestGdmStall:
         _, history = train_gdm(model, np.array([[1.0]]), np.zeros((1, 1)), GdmConfig(epochs=5))
         assert history.termination == "epochs"
         assert history.stall_events == []
+
+
+def overflowing_model():
+    # finite weights whose outputs square past the float range: the first loss is inf
+    return MlpModel(1, 2, 1, np.array([[1.0], [0.5]]), np.zeros(2), np.array([[1e200, 1e200]]), np.zeros(1), Htan())
+
+
+class TestNonFiniteStart:
+    """Both trainers stall on a non-finite starting loss, before any Jacobian."""
+
+    def _lm_stalls_at_once(self, model, X, T):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fitted, history = train_lm(model, X, T)
+        assert fitted is model
+        assert history.termination == "stall"
+        assert history.stall_events == [(0, "training loss is non-finite")]
+        assert history.loss == history.epoch_time_s == history.mu == []
+
+    def test_lm_overflowing_loss(self):
+        ds = gen_quadratic(16)
+        self._lm_stalls_at_once(overflowing_model(), ds.X, ds.T)
+
+    def test_lm_nan_target(self):
+        ds = gen_quadratic(16)
+        T = ds.T.copy()
+        T[3, 0] = np.nan
+        self._lm_stalls_at_once(nguyen_widrow_init(1, 2, 1, Htan(), seed=0), ds.X, T)
+
+    def test_gdm_overflowing_loss(self):
+        ds = gen_quadratic(16)
+        _, history = train_gdm(overflowing_model(), ds.X, ds.T)
+        assert history.termination == "stall"
+        assert history.stall_events == [(0, "training loss is non-finite")]
+        assert history.loss == [np.inf]
+        assert len(history.epoch_time_s) == 1
 
 
 class TestGdm:
