@@ -76,7 +76,7 @@ def main():
         gdm_fits.append(fit(train_gdm, GDM, FIT_KINDS[0], train.X, train.T, 3, 2)[1])
         bench = []
         for dataset in ("synthetic", "heart"):
-            spec = ExperimentSpec(dataset, tuple(FIT_KINDS[:3]), runs=2, n_points=200, lm=LmConfig(epochs=30),
+            spec = ExperimentSpec(dataset, tuple(FIT_KINDS[:3]), runs=2, n_points=200, trainer=LmConfig(epochs=30),
                                   heart_path=str(tmp / "heart.dat"))
             emit_report(run_experiment(spec), "csv", tmp / "bench.csv")
             bench += [[c for i, c in enumerate(line.split(",")) if i != 2]

@@ -45,9 +45,7 @@ class ExperimentSpec:
     activations: tuple[ActivationKind, ...]
     runs: int = 10
     base_seed: int = 0
-    trainer: str = "lm"  # "lm" | "gdm"
-    gdm: GdmConfig = GdmConfig()
-    lm: LmConfig = LmConfig()
+    trainer: LmConfig | GdmConfig = LmConfig()  # its type picks the trainer
     n_hidden: int = 2
     n_points: int = 5000  # synthetic sample count
     random_x: bool = False  # synthetic: sample x uniformly instead of linspace
@@ -57,8 +55,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.dataset not in ("synthetic", "heart"):
             raise ValueError(f"dataset must be 'synthetic' or 'heart', got {self.dataset!r}")
-        if self.trainer not in ("lm", "gdm"):
-            raise ValueError(f"trainer must be 'lm' or 'gdm', got {self.trainer!r}")
+        if not isinstance(self.trainer, (LmConfig, GdmConfig)):
+            raise ValueError(f"trainer must be an LmConfig or a GdmConfig, got {self.trainer!r}")
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
         if self.base_seed < 0:
@@ -94,12 +92,6 @@ class BenchReport:
     averages: list[BenchRow] = field(default_factory=list)
 
 
-def _fit(spec: ExperimentSpec, model, X, T):
-    if spec.trainer == "gdm":
-        return train_gdm(model, X, T, spec.gdm)
-    return train_lm(model, X, T, spec.lm)
-
-
 class Run(NamedTuple):
     row: BenchRow
     model: MlpModel  # as trained, also when the row records a stall
@@ -132,7 +124,8 @@ def iter_runs(spec: ExperimentSpec) -> Iterator[Run]:
                 train_ds, eval_ds = split(data, SplitSpec(spec.test_fraction, seed=seed))
             model = nguyen_widrow_init(n_in, spec.n_hidden, n_out, kind, seed=seed)
             t0 = time.perf_counter()
-            model, history = _fit(spec, model, train_ds.X, train_ds.T)
+            fit = train_gdm if isinstance(spec.trainer, GdmConfig) else train_lm
+            model, history = fit(model, train_ds.X, train_ds.T, spec.trainer)
             runtime = time.perf_counter() - t0
             error = None
             value = math.nan

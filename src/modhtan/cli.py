@@ -72,7 +72,7 @@ def _add_activation_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_trainer_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("training parameters")
-    g.add_argument("--trainer", choices=("lm", "gdm"), default=ExperimentSpec.trainer)
+    g.add_argument("--trainer", choices=("lm", "gdm"), default="lm")
     g.add_argument("--epochs", type=int, default=LmConfig.epochs)
     g.add_argument("--hidden", type=int, default=ExperimentSpec.n_hidden,
                    help=f"hidden units (default {ExperimentSpec.n_hidden})")
@@ -110,14 +110,15 @@ def _spec(args: argparse.Namespace, names: list[str], runs: int) -> ExperimentSp
     """The experiment the flags describe; a bad value is a ValueError."""
     if args.data == "heart" and args.path is None:
         raise ValueError("--data heart requires --path")
+    # both configs are built from the flags, so a bad --lr is a usage error under lm too
+    gdm = GdmConfig(learning_rate=args.lr, momentum=args.momentum, epochs=args.epochs)
+    lm = LmConfig(mu0=args.mu0, mu_inc=args.mu_inc, mu_dec=args.mu_dec, mu_max=args.mu_max, epochs=args.epochs)
     return ExperimentSpec(
         dataset=args.data,
         activations=tuple(_activation_from_flags(n, args) for n in names),
         runs=runs,
         base_seed=args.seed,
-        trainer=args.trainer,
-        gdm=GdmConfig(learning_rate=args.lr, momentum=args.momentum, epochs=args.epochs),
-        lm=LmConfig(mu0=args.mu0, mu_inc=args.mu_inc, mu_dec=args.mu_dec, mu_max=args.mu_max, epochs=args.epochs),
+        trainer=gdm if args.trainer == "gdm" else lm,
         n_hidden=args.hidden,
         n_points=args.n,
         random_x=args.random_x,

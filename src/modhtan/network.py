@@ -133,14 +133,14 @@ def forward(model: MlpModel, X, out: ForwardCache | None = None) -> tuple[np.nda
         else:
             z1, b1 = np.matmul(X, model.W1.T, out=z1), model.b1
         np.add(z1, b1, z1)
-    if not np.isfinite(z1).all():
-        raise StallError("hidden pre-activations contain non-finite values")
-    try:
-        h, g, offset = activate(model.hidden_kind, z1, None if out is None else (h, g))
-    except (OverflowError, RnfDomainError) as exc:  # direct-mode modhtan's rnf_exp out of range
-        raise StallError(f"hidden activations: {exc}") from None
-    y = np.matmul(h, model.W2.T, out=y)
-    np.add(y, model.b2, y)
+        if not np.isfinite(z1).all():
+            raise StallError("hidden pre-activations contain non-finite values")
+        try:
+            h, g, offset = activate(model.hidden_kind, z1, None if out is None else (h, g))
+        except (OverflowError, RnfDomainError) as exc:  # direct-mode modhtan's rnf_exp out of range
+            raise StallError(f"hidden activations: {exc}") from None
+        y = np.matmul(h, model.W2.T, out=y)
+        np.add(y, model.b2, y)
     if not np.isfinite(y).all():
         raise StallError("outputs contain non-finite values")
     return y, ForwardCache(z1=z1, h=h, g=g, y=y, offset_1=offset)

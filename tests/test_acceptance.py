@@ -119,10 +119,9 @@ def test_synthetic_lm_convergence():
         dataset="synthetic",
         activations=(Htan(), Elu(), ModHtan()),
         runs=10,
-        trainer="lm",
         n_hidden=2,
         n_points=5000,
-        lm=LmConfig(epochs=500),
+        trainer=LmConfig(epochs=500),
     )
     t0 = time.perf_counter()
     report = run_experiment(spec)
@@ -146,7 +145,7 @@ def test_heart_classification_accuracy(heart_file):
         activations=(Htan(), Elu(), ModHtan()),
         runs=10,
         heart_path=str(heart_file),
-        lm=LmConfig(epochs=500),
+        trainer=LmConfig(epochs=500),
     )
     t0 = time.perf_counter()
     report = run_experiment(spec)
@@ -167,7 +166,7 @@ def test_report_table_fidelity(tmp_path):
         activations=(Htan(), Elu(), ModHtan()),
         runs=10,
         n_points=200,
-        lm=LmConfig(epochs=30),
+        trainer=LmConfig(epochs=30),
     )
     report = run_experiment(spec)
     assert len(report.rows) == 30

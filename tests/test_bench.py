@@ -16,11 +16,12 @@ from modhtan.bench import (
     curve_grid,
     dump_curves,
     emit_report,
+    iter_runs,
     run_experiment,
     runtime_ordering,
 )
 from modhtan.rnf import RnfDomainError, RnfParams
-from modhtan.training import LmConfig
+from modhtan.training import GdmConfig, LmConfig
 
 
 def tiny_spec(**overrides):
@@ -29,7 +30,7 @@ def tiny_spec(**overrides):
         activations=(Htan(),),
         runs=1,
         n_points=50,
-        lm=LmConfig(epochs=20),
+        trainer=LmConfig(epochs=20),
     )
     base.update(overrides)
     return ExperimentSpec(**base)
@@ -56,6 +57,10 @@ class TestExperimentSpec:
     def test_rejects_heart_without_path(self):
         with pytest.raises(ValueError):
             tiny_spec(dataset="heart")
+
+    def test_rejects_unknown_dataset(self):
+        with pytest.raises(ValueError, match="^dataset must be 'synthetic' or 'heart', got 'mnist'$"):
+            tiny_spec(dataset="mnist")
 
     def test_rejects_unknown_trainer(self):
         with pytest.raises(ValueError):
@@ -86,7 +91,7 @@ class TestRunExperiment:
             activations=(Htan(), Elu(), ModHtan()),
             runs=10,
             heart_path=str(heart_file),
-            lm=LmConfig(epochs=30),
+            trainer=LmConfig(epochs=30),
         )
         report = run_experiment(spec)
         assert len(report.rows) == 30
@@ -95,13 +100,14 @@ class TestRunExperiment:
             mine = [r.metric_value for r in report.rows if r.activation == avg.activation]
             assert avg.metric_value == pytest.approx(float(np.mean(mine)), abs=1e-9)
 
-    def test_average_arithmetic(self):
-        rows = [
-            BenchRow(0, "htan", 0.1, "mse", 4.0),
-            BenchRow(1, "htan", 0.1, "mse", 6.0),
-        ]
-        avg = float(np.mean([r.metric_value for r in rows]))
-        assert avg == 5.0
+    def test_average_of_a_block_where_every_run_stalled(self):
+        # one step at lr 1e306 leaves finite weights whose outputs overflow
+        cfg = GdmConfig(learning_rate=1e306, momentum=0.0, epochs=3)
+        report = run_experiment(tiny_spec(activations=(Elu(),), runs=3, trainer=cfg))
+        assert [r.error for r in report.rows] == ["outputs contain non-finite values"] * 3
+        (average,) = report.averages
+        assert math.isnan(average.metric_value)
+        assert average.runtime_s == float(np.mean([r.runtime_s for r in report.rows]))
 
     def test_metric_names_per_dataset(self, heart_file):
         synth = run_experiment(tiny_spec())
@@ -112,7 +118,7 @@ class TestRunExperiment:
                 activations=(Htan(),),
                 runs=1,
                 heart_path=str(heart_file),
-                lm=LmConfig(epochs=10),
+                trainer=LmConfig(epochs=10),
             )
         )
         assert heart.rows[0].metric_name == "accuracy_pct"
@@ -128,8 +134,9 @@ class TestRunExperiment:
             assert ra.error == rb.error
 
     def test_gdm_trainer_selectable(self):
-        report = run_experiment(tiny_spec(trainer="gdm"))
-        assert math.isfinite(report.rows[0].metric_value)
+        (run,) = iter_runs(tiny_spec(trainer=GdmConfig(epochs=20)))
+        assert len(run.history.loss) == 20
+        assert math.isfinite(run.row.metric_value)
 
 
 class TestEmitReport:
@@ -151,7 +158,7 @@ class TestEmitReport:
             activations=(Htan(), Elu(), ModHtan()),
             runs=10,
             heart_path=str(heart_file),
-            lm=LmConfig(epochs=15),
+            trainer=LmConfig(epochs=15),
         )
         report = run_experiment(spec)
         path = tmp_path / "report.md"
@@ -163,6 +170,15 @@ class TestEmitReport:
         assert sum(1 for l in table_rows if l.startswith("| AVERAGE")) == 2
         assert "| run | htan | elu | modhtan |" in text
         assert "Runtime ordering" in text
+
+    def test_markdown_leaves_a_missing_row_blank(self, tmp_path):
+        report = BenchReport(
+            rows=[BenchRow(0, "htan", 0.5, "mse", 0.25)],
+            averages=[BenchRow("average", "htan", 0.5, "mse", 0.25), BenchRow("average", "elu", 0.0, "mse", 0.0)],
+        )
+        path = tmp_path / "partial.md"
+        emit_report(report, "markdown", path)
+        assert "| 0 | 0.25 |  |" in path.read_text().splitlines()
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):

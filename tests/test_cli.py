@@ -190,6 +190,13 @@ class TestTrainCommand:
         assert code == 1
         assert "stalled" in capsys.readouterr().err
 
+    def test_output_overflow_is_a_stall_without_a_warning(self, capsys):
+        # one step at lr 1e306 leaves finite weights whose outputs overflow in the evaluation forward
+        code = main(["train", "--fn", "elu", "--trainer", "gdm", "--epochs", "1", "--lr", "1e306",
+                     "--n", "40", "--momentum", "0"])
+        assert code == 1
+        assert capsys.readouterr().err == "stalled after 1 epochs: outputs contain non-finite values\n"
+
     @DIRECT_FAILURES
     def test_direct_modhtan_overflow_is_a_stall(self, flags, message, capsys):
         code = main(["train", "--fn", "modhtan", *flags, "--n", "50", "--epochs", "3"])
@@ -206,6 +213,27 @@ class TestBenchCommand:
         assert code == 0
         capsys.readouterr()
         assert out.read_text().splitlines()[1].split(",")[-2:] == ["mse", "nan"]
+
+    @DIRECT_FAILURES
+    def test_stalled_runs_in_the_markdown_report(self, flags, message, tmp_path, capsys):
+        out = tmp_path / "r.md"
+        code = main(["bench", "--fns", "htan,modhtan", *flags, "--runs", "3", "--n", "50",
+                     "--epochs", "3", "--out", str(out)])
+        assert code == 0
+        capsys.readouterr()
+        lines = out.read_text().splitlines()
+        metric_table = lines[lines.index("## mse") + 4 : lines.index("## runtime_s") - 1]
+        cells = [l.rsplit("|", 2)[1].strip() for l in metric_table]  # the modhtan column
+        # runs 0 and 2 stall; run 1 is the one clean row, so it is the average
+        assert cells[0] == cells[2] == "stall"
+        assert cells[3] == cells[1] != "stall"
+        failed = lines.index("## failed runs")
+        assert lines[failed + 1 : failed + 5] == [
+            "",
+            f"- run 0, modhtan: hidden activations: {message}",
+            f"- run 2, modhtan: hidden activations: {message}",
+            "",
+        ]
 
     def test_csv_report(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
@@ -277,6 +305,11 @@ class TestBenchCommand:
         path.write_text("")
         assert main(["bench", "--runs", "1", "--data", "heart", "--path", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {path}: no data rows\n"
+
+    def test_heart_split_with_an_empty_side(self, heart_file, capsys):
+        argv = ["bench", "--runs", "1", "--data", "heart", "--path", str(heart_file), "--test-fraction", "0.001"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: split of 270 rows at fraction 0.001 leaves an empty side\n"
 
     def test_heart_bench(self, heart_file, tmp_path, capsys):
         out = tmp_path / "heart.csv"

@@ -130,6 +130,10 @@ class TestForward:
                 want += model.W2[0, j] * hidden[j]
             assert abs(y[s, 0] - want) <= 1e-12
 
+    def test_wrong_input_column_count_rejected(self):
+        with pytest.raises(ValueError, match="^expected 1 input columns, got 2$"):
+            forward(make_111(), np.zeros((3, 2)))
+
     def test_saturating_activation_does_not_stall(self):
         model = make_111(w1=1e6)
         y, _ = forward(model, np.array([[1.0]]))

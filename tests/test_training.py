@@ -80,6 +80,15 @@ class TestGdmStall:
         assert len(history.loss) == len(history.epoch_time_s) == 6
         assert np.isfinite(history.loss).all()
 
+    def test_output_overflow_is_a_stall_without_a_warning(self):
+        # the first step leaves finite weights whose outputs overflow
+        data = gen_quadratic(40)
+        model = nguyen_widrow_init(1, 2, 1, Elu(), seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, history = train_gdm(model, data.X, data.T, GdmConfig(learning_rate=1e306, momentum=0.0, epochs=3))
+        assert history.stall_events == [(1, "outputs contain non-finite values")]
+
     def test_saturated_hidden_layer_is_not_a_stall(self):
         model = MlpModel(
             1, 1, 1,
@@ -306,6 +315,8 @@ class TestLm:
             LmConfig(mu_dec=1.5)
         with pytest.raises(ValueError):
             LmConfig(mu_max=1e-9)
+        with pytest.raises(ValueError, match="^epochs must be >= 1$"):
+            LmConfig(epochs=0)
         for mu_max in (np.inf, np.nan):  # a finite ceiling stops an overflowed mu before it is solved
             with pytest.raises(ValueError):
                 LmConfig(mu_max=mu_max)
