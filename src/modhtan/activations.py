@@ -337,17 +337,7 @@ def _normalized_input(xs, x_lo, x_hi, offset_1, x_cutoff, clamp, center_normaliz
         np.copyto(x_norm, guard, where=singular)
     if not center_normalize:
         np.copyto(x_norm, xs, where=np.abs(xs) <= x_cutoff)
-    return _clip(x_norm, -clamp, clamp) if clamped else x_norm
-
-
-def _clip(v, lo, hi):
-    """np.clip(v, lo, hi) in place, for nonzero bounds.
-
-    Same values as np.clip, NaN included (with nonzero bounds no tie between
-    signed zeros arises), at a fraction of its call cost on small arrays.
-    """
-    np.maximum(v, lo, out=v)
-    return np.minimum(v, hi, out=v)
+    return x_norm.clip(-clamp, clamp, out=x_norm) if clamped else x_norm
 
 
 def modhtan(xs, kind: ModHtan, v, g) -> float:
@@ -373,7 +363,7 @@ def modhtan(xs, kind: ModHtan, v, g) -> float:
     else:
         np.add(rnf_exp(np.multiply(v, -2.0, v), kind.rnf), 1.0, v)
         np.subtract(np.divide(kind.k_o, v, v), 1.0, v)
-    _clip(v, math.nextafter(-1.0, 0.0), math.nextafter(kind.k_o - 1.0, -math.inf))
+    v.clip(math.nextafter(-1.0, 0.0), math.nextafter(kind.k_o - 1.0, -math.inf), out=v)
     # a surrogate, not the derivative of modhtan: 1 - f**2 leaves out the d(x_norm)/dx factor
     np.multiply(v, v, g)
     np.subtract(1.0, g, g)

@@ -105,8 +105,8 @@ def iter_runs(spec: ExperimentSpec) -> Iterator[Run]:
     Per run index r: seed = base_seed + r drives both the weight init and
     (for heart) a fresh train/test split, so run r sees identical conditions
     under every activation.  Timing brackets the training call only.  A
-    stalled run yields a row with an error reason and a NaN metric instead
-    of aborting the experiment.
+    stalled run, or one whose metric is not finite, yields a row with an
+    error reason and a NaN metric instead of aborting the experiment.
     """
     if spec.dataset == "synthetic":
         data = gen_quadratic(spec.n_points, random_x=spec.random_x, seed=spec.base_seed)
@@ -140,6 +140,8 @@ def iter_runs(spec: ExperimentSpec) -> Iterator[Run]:
                         value = classification_accuracy(y, eval_ds.T)
                 except StallError as exc:
                     error = str(exc)
+                if error is None and not math.isfinite(value):  # finite outputs whose squared errors overflow
+                    error, value = f"{metric_name} is not finite", math.nan
             row = BenchRow(run, kind.name, runtime, metric_name, value, error)
             yield Run(row, model, history, train_ds)
 

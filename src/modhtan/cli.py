@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--preset",
         choices=tuple(CURVE_PRESETS),
         default=None,
-        help="within = [-10, 10] step 0.01; exploding = [-1000, 1000] step 1",
+        help="; ".join(f"{name} = [{lo:g}, {hi:g}] step {step:g}" for name, (lo, hi, step) in CURVE_PRESETS.items()),
     )
     p_curves.add_argument("--out", default=None, help="output CSV (default <fn>_curve.csv)")
     _add_activation_flags(p_curves)

@@ -100,11 +100,21 @@ class TestRunExperiment:
             mine = [r.metric_value for r in report.rows if r.activation == avg.activation]
             assert avg.metric_value == pytest.approx(float(np.mean(mine)), abs=1e-9)
 
-    def test_average_of_a_block_where_every_run_stalled(self):
-        # one step at lr 1e306 leaves finite weights whose outputs overflow
-        cfg = GdmConfig(learning_rate=1e306, momentum=0.0, epochs=3)
-        report = run_experiment(tiny_spec(activations=(Elu(),), runs=3, trainer=cfg))
-        assert [r.error for r in report.rows] == ["outputs contain non-finite values"] * 3
+    @pytest.mark.parametrize(
+        "kind, epochs, error",
+        [
+            # one step at lr 1e306 leaves finite weights whose outputs overflow
+            (Elu(), 3, "outputs contain non-finite values"),
+            # htan's bounded hidden layer keeps those outputs finite, but their squared errors overflow
+            (Htan(), 1, "mse is not finite"),
+        ],
+        ids=["elu", "htan"],
+    )
+    def test_average_of_a_block_where_every_run_stalled(self, kind, epochs, error):
+        cfg = GdmConfig(learning_rate=1e306, momentum=0.0, epochs=epochs)
+        report = run_experiment(tiny_spec(activations=(kind,), runs=3, trainer=cfg))
+        assert [r.error for r in report.rows] == [error] * 3
+        assert all(math.isnan(r.metric_value) for r in report.rows)
         (average,) = report.averages
         assert math.isnan(average.metric_value)
         assert average.runtime_s == float(np.mean([r.runtime_s for r in report.rows]))

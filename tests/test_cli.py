@@ -9,7 +9,7 @@ from modhtan import cli
 from modhtan.activations import Htan, ModHtan
 from modhtan.bench import dump_curves
 from modhtan.cli import build_parser, main
-from modhtan.network import load_model
+from modhtan.network import StallError, load_model
 
 
 # direct-mode modhtan whose clamp lets rnf_exp(-2 * x_norm) leave the double range
@@ -190,12 +190,30 @@ class TestTrainCommand:
         assert code == 1
         assert "stalled" in capsys.readouterr().err
 
-    def test_output_overflow_is_a_stall_without_a_warning(self, capsys):
-        # one step at lr 1e306 leaves finite weights whose outputs overflow in the evaluation forward
-        code = main(["train", "--fn", "elu", "--trainer", "gdm", "--epochs", "1", "--lr", "1e306",
+    @pytest.mark.parametrize(
+        "fn, message",
+        [
+            # one step at lr 1e306 leaves finite weights whose outputs overflow in the evaluation forward
+            ("elu", "outputs contain non-finite values"),
+            # htan's outputs stay finite, but their squared errors overflow
+            ("htan", "mse is not finite"),
+        ],
+        ids=["elu", "htan"],
+    )
+    def test_output_overflow_is_a_stall_without_a_warning(self, fn, message, capsys):
+        code = main(["train", "--fn", fn, "--trainer", "gdm", "--epochs", "1", "--lr", "1e306",
                      "--n", "40", "--momentum", "0"])
         assert code == 1
-        assert capsys.readouterr().err == "stalled after 1 epochs: outputs contain non-finite values\n"
+        assert capsys.readouterr().err == f"stalled after 1 epochs: {message}\n"
+
+    def test_train_forward_stall(self, monkeypatch, capsys):
+        # the train-set forward that follows a clean evaluation; bench's own forward is untouched
+        def stall(*args, **kwargs):
+            raise StallError("outputs contain non-finite values")
+
+        monkeypatch.setattr(cli, "forward", stall)
+        assert main(["train", "--fn", "htan", "--n", "40", "--epochs", "2"]) == 1
+        assert capsys.readouterr().err == "stalled after 2 epochs: outputs contain non-finite values\n"
 
     @DIRECT_FAILURES
     def test_direct_modhtan_overflow_is_a_stall(self, flags, message, capsys):
