@@ -17,7 +17,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .activations import ActivationKind, activate
-from .datasets import Dataset, SplitSpec, gen_quadratic, load_heart, split
+from .datasets import SplitSpec, gen_quadratic, load_heart, split
 from .network import MlpModel, StallError, forward, nguyen_widrow_init
 from .rnf import DEFAULT_RNF_PARAMS, RnfParams, rnf_exp
 from .training import (
@@ -96,7 +96,7 @@ class Run(NamedTuple):
     row: BenchRow
     model: MlpModel  # as trained, also when the row records a stall
     history: TrainHistory
-    train: Dataset
+    train_mse: float  # of the trained model on its training set; NaN when the row records a stall
 
 
 def iter_runs(spec: ExperimentSpec) -> Iterator[Run]:
@@ -105,8 +105,10 @@ def iter_runs(spec: ExperimentSpec) -> Iterator[Run]:
     Per run index r: seed = base_seed + r drives both the weight init and
     (for heart) a fresh train/test split, so run r sees identical conditions
     under every activation.  Timing brackets the training call only.  A
-    stalled run, or one whose metric is not finite, yields a row with an
-    error reason and a NaN metric instead of aborting the experiment.
+    fit that did not stall gets one forward on its training set, whose MSE
+    is the synthetic metric; heart adds one on its test set for accuracy.
+    A stalled run, or one whose training MSE is not finite, yields a row
+    with an error reason and a NaN metric instead of aborting the experiment.
     """
     if spec.dataset == "synthetic":
         data = gen_quadratic(spec.n_points, random_x=spec.random_x, seed=spec.base_seed)
@@ -128,22 +130,24 @@ def iter_runs(spec: ExperimentSpec) -> Iterator[Run]:
             model, history = fit(model, train_ds.X, train_ds.T, spec.trainer)
             runtime = time.perf_counter() - t0
             error = None
-            value = math.nan
+            train_mse = value = math.nan
             if history.termination == "stall":
                 error = history.stall_events[-1][1]
             else:
                 try:
-                    y, _ = forward(model, eval_ds.X)
-                    if metric_name == "mse":
-                        value = mse(y, eval_ds.T)
+                    y, _ = forward(model, train_ds.X)
+                    train_mse = mse(y, train_ds.T)
+                    if not math.isfinite(train_mse):  # finite outputs whose squared errors overflow
+                        raise StallError("mse is not finite")
+                    if eval_ds is train_ds:
+                        value = train_mse
                     else:
+                        y, _ = forward(model, eval_ds.X)
                         value = classification_accuracy(y, eval_ds.T)
                 except StallError as exc:
-                    error = str(exc)
-                if error is None and not math.isfinite(value):  # finite outputs whose squared errors overflow
-                    error, value = f"{metric_name} is not finite", math.nan
+                    error, train_mse = str(exc), math.nan
             row = BenchRow(run, kind.name, runtime, metric_name, value, error)
-            yield Run(row, model, history, train_ds)
+            yield Run(row, model, history, train_mse)
 
 
 def run_experiment(spec: ExperimentSpec) -> BenchReport:

@@ -20,8 +20,10 @@ from modhtan.bench import (
     run_experiment,
     runtime_ordering,
 )
+from modhtan.datasets import gen_quadratic
+from modhtan.network import forward
 from modhtan.rnf import RnfDomainError, RnfParams
-from modhtan.training import GdmConfig, LmConfig
+from modhtan.training import GdmConfig, LmConfig, mse
 
 
 def tiny_spec(**overrides):
@@ -101,18 +103,21 @@ class TestRunExperiment:
             assert avg.metric_value == pytest.approx(float(np.mean(mine)), abs=1e-9)
 
     @pytest.mark.parametrize(
-        "kind, epochs, error",
+        "kind, epochs, dataset, error",
         [
             # one step at lr 1e306 leaves finite weights whose outputs overflow
-            (Elu(), 3, "outputs contain non-finite values"),
+            (Elu(), 3, "synthetic", "outputs contain non-finite values"),
             # htan's bounded hidden layer keeps those outputs finite, but their squared errors overflow
-            (Htan(), 1, "mse is not finite"),
+            (Htan(), 1, "synthetic", "mse is not finite"),
+            # the same overflow on heart's training rows; the test accuracy alone would be finite
+            (Htan(), 1, "heart", "mse is not finite"),
         ],
-        ids=["elu", "htan"],
+        ids=["elu", "htan", "heart-htan"],
     )
-    def test_average_of_a_block_where_every_run_stalled(self, kind, epochs, error):
+    def test_average_of_a_block_where_every_run_stalled(self, kind, epochs, dataset, error, heart_file):
         cfg = GdmConfig(learning_rate=1e306, momentum=0.0, epochs=epochs)
-        report = run_experiment(tiny_spec(activations=(kind,), runs=3, trainer=cfg))
+        data = {} if dataset == "synthetic" else {"dataset": "heart", "heart_path": str(heart_file)}
+        report = run_experiment(tiny_spec(activations=(kind,), runs=3, trainer=cfg, **data))
         assert [r.error for r in report.rows] == [error] * 3
         assert all(math.isnan(r.metric_value) for r in report.rows)
         (average,) = report.averages
@@ -144,9 +149,18 @@ class TestRunExperiment:
             assert ra.error == rb.error
 
     def test_gdm_trainer_selectable(self):
-        (run,) = iter_runs(tiny_spec(trainer=GdmConfig(epochs=20)))
+        spec = tiny_spec(trainer=GdmConfig(epochs=20))
+        (run,) = iter_runs(spec)
         assert len(run.history.loss) == 20
         assert math.isfinite(run.row.metric_value)
+        # train_mse is the returned model's error; the last history entry is the loss before the last update
+        data = gen_quadratic(spec.n_points, seed=spec.base_seed)
+        assert run.train_mse == mse(forward(run.model, data.X)[0], data.T)
+        assert run.train_mse != run.history.loss[-1]
+        # an LM fit returns its last accepted model, whose loss is the history's last entry
+        (lm_run,) = iter_runs(tiny_spec())
+        assert lm_run.history.mu  # a step was accepted
+        assert lm_run.train_mse == lm_run.history.loss[-1]
 
 
 class TestEmitReport:

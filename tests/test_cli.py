@@ -5,7 +5,7 @@ import argparse
 import numpy as np
 import pytest
 
-from modhtan import cli
+from modhtan import bench, cli
 from modhtan.activations import Htan, ModHtan
 from modhtan.bench import dump_curves
 from modhtan.cli import build_parser, main
@@ -191,27 +191,30 @@ class TestTrainCommand:
         assert "stalled" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "fn, message",
+        "fn, data, message",
         [
             # one step at lr 1e306 leaves finite weights whose outputs overflow in the evaluation forward
-            ("elu", "outputs contain non-finite values"),
+            ("elu", "synthetic", "outputs contain non-finite values"),
             # htan's outputs stay finite, but their squared errors overflow
-            ("htan", "mse is not finite"),
+            ("htan", "synthetic", "mse is not finite"),
+            # the same overflow on the training rows, while the test accuracy stays finite
+            ("htan", "heart", "mse is not finite"),
         ],
-        ids=["elu", "htan"],
+        ids=["elu", "htan", "heart-htan"],
     )
-    def test_output_overflow_is_a_stall_without_a_warning(self, fn, message, capsys):
+    def test_output_overflow_is_a_stall_without_a_warning(self, fn, data, message, heart_file, capsys):
+        flags = ["--n", "40"] if data == "synthetic" else ["--data", "heart", "--path", str(heart_file)]
         code = main(["train", "--fn", fn, "--trainer", "gdm", "--epochs", "1", "--lr", "1e306",
-                     "--n", "40", "--momentum", "0"])
+                     *flags, "--momentum", "0"])
         assert code == 1
         assert capsys.readouterr().err == f"stalled after 1 epochs: {message}\n"
 
     def test_train_forward_stall(self, monkeypatch, capsys):
-        # the train-set forward that follows a clean evaluation; bench's own forward is untouched
+        # the final training-set forward after a clean fit; the trainer's own forwards are untouched
         def stall(*args, **kwargs):
             raise StallError("outputs contain non-finite values")
 
-        monkeypatch.setattr(cli, "forward", stall)
+        monkeypatch.setattr(bench, "forward", stall)
         assert main(["train", "--fn", "htan", "--n", "40", "--epochs", "2"]) == 1
         assert capsys.readouterr().err == "stalled after 2 epochs: outputs contain non-finite values\n"
 
