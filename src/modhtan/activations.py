@@ -47,8 +47,6 @@ class AdaptiveOffset:
             raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
 
 
-OffsetMode = Union[FixedOffset, AdaptiveOffset]
-
 EULER_MODES = ("constant", "direct")
 
 
@@ -90,7 +88,7 @@ class ModHtan:
 
     k_o: float = 2.0
     x_cutoff: float = 10.0
-    offset_mode: OffsetMode = AdaptiveOffset()
+    offset_mode: FixedOffset | AdaptiveOffset = AdaptiveOffset()
     rnf: RnfParams = RnfParams()
     x_norm_clamp: float = 50.0
     center_normalize: bool = True
@@ -122,13 +120,6 @@ ActivationKind = Union[SoftStep, Htan, Elu, ModHtan]
 
 KINDS = {cls.name: cls for cls in (SoftStep, Htan, Elu, ModHtan)}
 ACTIVATION_NAMES = tuple(KINDS)
-
-
-def parse_activation(name: str) -> ActivationKind:
-    """Activation kind with default parameters, by name."""
-    if name not in KINDS:
-        raise ValueError(f"unknown activation {name!r}; expected one of {ACTIVATION_NAMES}")
-    return KINDS[name]()
 
 
 class Param(NamedTuple):
@@ -222,7 +213,9 @@ def kind_from_fields(values: Mapping[str, Any], label=lambda p: p.key) -> Activa
     """
     if "hidden_kind" not in values:
         raise ValueError("missing hidden_kind")
-    return _build(type(parse_activation(values["hidden_kind"])), values, label)
+    if (name := values["hidden_kind"]) not in KINDS:
+        raise ValueError(f"hidden_kind: expected one of {ACTIVATION_NAMES}, got {name!r}")
+    return _build(KINDS[name], values, label)
 
 
 def _build(cls: type, values: Mapping[str, Any], label):
@@ -288,9 +281,8 @@ def elu(xs, kind: Elu, v, g):
     np.maximum(xs, -0.0, out=g)
     np.add(v, g, v)
     np.add(v, kind.alpha, g)
-    # putmask copies an array that is not C-contiguous: mask a sample-minor g through g.T
-    g_c, xs_c = (g.T, xs.T) if g.flags.f_contiguous else (g, xs)
-    np.putmask(g_c, xs_c > 0, 1.0)
+    # putmask copies an array that is not C-contiguous; g.T is, for a sample-minor g or a 1-D grid
+    np.putmask(g.T, xs.T > 0, 1.0)
 
 
 def adaptive_offset(lo, hi, mode: AdaptiveOffset) -> float:

@@ -160,12 +160,8 @@ def run_experiment(spec: ExperimentSpec) -> BenchReport:
     for start in range(0, len(report.rows), spec.runs):
         block = report.rows[start : start + spec.runs]
         ok = [r for r in block if r.error is None]
-        if ok:
-            avg_runtime = float(np.mean([r.runtime_s for r in ok]))
-            avg_value = float(np.mean([r.metric_value for r in ok]))
-        else:
-            avg_runtime = float(np.mean([r.runtime_s for r in block]))
-            avg_value = math.nan
+        avg_runtime = float(np.mean([r.runtime_s for r in ok or block]))
+        avg_value = float(np.mean([r.metric_value for r in ok])) if ok else math.nan
         report.averages.append(
             BenchRow(AVERAGE_LABEL, block[0].activation, avg_runtime, block[0].metric_name, avg_value)
         )

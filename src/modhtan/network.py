@@ -149,15 +149,13 @@ def forward(model: MlpModel, X, out: ForwardCache | None = None) -> tuple[np.nda
 def jacobian(model: MlpModel, X, T, cache: ForwardCache, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Residual Jacobian J and residual vector e = (y - t) flattened.
 
-    J has one row per residual (samples major, outputs minor) and one column
-    per parameter in pack_params order, so J^T e / e.size is the gradient of
-    the training loss.  J is F-ordered, so every column is contiguous.  out,
-    when given, is a J returned by an earlier call for the same model shape
-    and sample count: its constant columns (zeros and ones of the output
-    layer) are kept and the rest is overwritten.
+    X and T are the 2-D float arrays the cache was computed from.  J has one
+    row per residual (samples major, outputs minor) and one column per
+    parameter in pack_params order; J^T e / e.size is the training loss's
+    gradient.  J is F-ordered, each column contiguous.  out, when given, is a
+    J from an earlier call for the same model shape and sample count: its
+    constant columns (output-layer zeros and ones) are kept, the rest rewritten.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    T = np.atleast_2d(np.asarray(T, dtype=float))
     samples, n_out, n_hidden, n_in = X.shape[0], model.n_out, model.n_hidden, model.n_in
     b1_at = n_hidden * n_in
     w2_at = b1_at + n_hidden

@@ -16,14 +16,6 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = [
-    "RnfDomainError",
-    "RnfParams",
-    "DEFAULT_RNF_PARAMS",
-    "rnf_exp",
-    "euler_constant",
-]
-
 
 class RnfDomainError(ValueError):
     """Input falls outside the domain of the rational-power approximation."""

@@ -2,6 +2,7 @@
 and its batch-adaptive offset."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from modhtan.activations import (
+    PARAMS,
     AdaptiveOffset,
     Elu,
     FixedOffset,
@@ -19,7 +21,7 @@ from modhtan.activations import (
     _normalized_input,
     activate,
     adaptive_offset,
-    parse_activation,
+    kind_from_fields,
 )
 from modhtan.rnf import RnfParams, euler_constant
 
@@ -405,10 +407,12 @@ class TestActivateDispatch:
             activate("htan", [0.0])
 
     def test_parse_names(self):
-        assert isinstance(parse_activation("softstep"), SoftStep)
-        assert isinstance(parse_activation("modhtan"), ModHtan)
-        with pytest.raises(ValueError):
-            parse_activation("relu")
+        fields = {p.key: p.default for p in PARAMS if p.default is not None}
+        for cls in (SoftStep, Htan, Elu, ModHtan):
+            assert kind_from_fields({**fields, "hidden_kind": cls.name}) == cls()
+        expected = "hidden_kind: expected one of ('softstep', 'htan', 'elu', 'modhtan'), got 'relu'"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            kind_from_fields({**fields, "hidden_kind": "relu"})
 
 
 class TestFiniteDifferences:

@@ -248,6 +248,9 @@ class TestBenchCommand:
         # runs 0 and 2 stall; run 1 is the one clean row, so it is the average
         assert cells[0] == cells[2] == "stall"
         assert cells[3] == cells[1] != "stall"
+        runtime_table = lines[lines.index("## runtime_s") + 4 : lines.index("## failed runs") - 1]
+        runtimes = [l.rsplit("|", 2)[1].strip() for l in runtime_table]
+        assert runtimes[3] == runtimes[1]  # the average runtime is run 1's too
         failed = lines.index("## failed runs")
         assert lines[failed + 1 : failed + 5] == [
             "",

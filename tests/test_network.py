@@ -291,7 +291,7 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "key, value",
         [("n_hidden", "two"), ("modhtan_k_o", "big"), ("modhtan_offset_mode", "sometimes"),
-         ("W1", "1.0 2.0"), ("b2", "x")],
+         ("W1", "1.0 2.0"), ("b2", "x"), ("hidden_kind", "relu")],
     )
     def test_bad_field_is_value_error_naming_it(self, tmp_path, key, value):
         path = tmp_path / "model.txt"
