@@ -106,6 +106,14 @@ def _activation_from_flags(name: str, args: argparse.Namespace) -> ActivationKin
     return kind_from_fields(values, label=lambda param: f"--{param.flag}")
 
 
+def _fn_names(text: str) -> list[str]:
+    """--fns's comma-separated names; an unknown name is argparse's usage error."""
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    if bad := [name for name in names if name not in ACTIVATION_NAMES]:
+        raise argparse.ArgumentTypeError(f"unknown activation {bad[0]!r}; choose from {', '.join(ACTIVATION_NAMES)}")
+    return names
+
+
 def _spec(args: argparse.Namespace, names: list[str], runs: int) -> ExperimentSpec:
     """The experiment the flags describe; a bad value is a ValueError."""
     if args.data == "heart" and args.path is None:
@@ -173,7 +181,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     with _usage():
-        spec = _spec(args, [n.strip() for n in args.fns.split(",") if n.strip()], args.runs)
+        spec = _spec(args, args.fns, args.runs)
     report = run_experiment(spec)
     for path in args.out or ():
         fmt = args.format or ("markdown" if pathlib.PurePath(path).suffix == ".md" else "csv")
@@ -228,9 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.set_defaults(func=cmd_train)
 
     p_bench = sub.add_parser("bench", help="timed repeated runs across activations")
-    p_bench.add_argument(
-        "--fns", default="htan,elu,modhtan", help="comma-separated activation names"
-    )
+    p_bench.add_argument("--fns", type=_fn_names, default="htan,elu,modhtan", help="comma-separated activation names")
     p_bench.add_argument("--runs", type=int, default=ExperimentSpec.runs)
     p_bench.add_argument(
         "--seed", type=int, default=ExperimentSpec.base_seed, help="base seed; run r uses seed+r"

@@ -1,9 +1,9 @@
 """One-hidden-layer feed-forward network with a linear output layer.
 
-Forward pass and per-sample residual Jacobian share a fixed parameter
-ordering: W1 row-major, b1, W2 row-major, b2.  The Jacobian is the network's
-only derivative: the training loss is half the mean squared error over all
-output entries, so its gradient is J^T e / e.size.
+A model holds one parameter vector theta; W1, b1, W2 and b2 are views of it,
+in that order with W1 and W2 row-major, as are J's columns.  The Jacobian is
+the network's only derivative: the training loss is half the mean squared
+error over all output entries, so its gradient is J^T e / e.size.
 
 Per-sample arrays are sample-minor (F-ordered): z1, h, g and J keep their
 [sample, unit] and [residual, parameter] indexing, with each hidden unit's
@@ -12,7 +12,8 @@ and each parameter's column one contiguous run.  The outputs y stay C-ordered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,20 +30,25 @@ class MlpModel:
     n_in: int
     n_hidden: int
     n_out: int
-    W1: np.ndarray  # n_hidden x n_in
-    b1: np.ndarray  # n_hidden
-    W2: np.ndarray  # n_out x n_hidden
-    b2: np.ndarray  # n_out
+    theta: np.ndarray  # every parameter; a float64 array is held, not copied
     hidden_kind: ActivationKind
+    W1: np.ndarray = field(init=False)  # n_hidden x n_in
+    b1: np.ndarray = field(init=False)  # n_hidden
+    W2: np.ndarray = field(init=False)  # n_out x n_hidden
+    b2: np.ndarray = field(init=False)  # n_out
 
     def __post_init__(self):
-        for name, shape in _shapes(self.n_in, self.n_hidden, self.n_out).items():
-            if getattr(self, name).shape != shape:
-                raise ValueError(f"{name} must have shape {shape}, got {getattr(self, name).shape}")
+        shapes = _shapes(self.n_in, self.n_hidden, self.n_out)
+        starts = np.cumsum([0] + [math.prod(shape) for shape in shapes.values()]).tolist()
+        self.theta = np.asarray(self.theta, dtype=float)
+        if self.theta.shape != (starts[-1],):
+            raise ValueError(f"theta must have shape ({starts[-1]},), got {self.theta.shape}")
+        for name, shape, start, end in zip(shapes, shapes.values(), starts, starts[1:]):
+            setattr(self, name, self.theta[start:end].reshape(shape))  # a view
 
 
 def _shapes(n_in: int, n_hidden: int, n_out: int) -> dict[str, tuple[int, ...]]:
-    """Parameter array shapes, in pack_params order; a dimension below 1 is a ValueError."""
+    """The parameter layout: theta's arrays in order, each row-major; a dimension below 1 is a ValueError."""
     for name, value in (("n_in", n_in), ("n_hidden", n_hidden), ("n_out", n_out)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
@@ -59,35 +65,17 @@ class ForwardCache:
 
 
 def n_params(model: MlpModel) -> int:
-    return model.n_hidden * model.n_in + model.n_hidden + model.n_out * model.n_hidden + model.n_out
+    return model.theta.size
 
 
 def pack_params(model: MlpModel) -> np.ndarray:
-    """Parameter vector in the fixed ordering W1 (row-major), b1, W2, b2."""
-    return np.concatenate([model.W1.ravel(), model.b1, model.W2.ravel(), model.b2])
+    """A copy of the parameter vector theta."""
+    return model.theta.copy()
 
 
 def with_params(model: MlpModel, theta: np.ndarray) -> MlpModel:
-    """Model with parameters taken from the vector theta.
-
-    The weight arrays are views of theta, so theta must not be changed in
-    place while the model is in use.
-    """
-    h, i, o = model.n_hidden, model.n_in, model.n_out
-    w1_end = h * i
-    b1_end = w1_end + h
-    w2_end = b1_end + o * h
-    if np.shape(theta) != (w2_end + o,):
-        raise ValueError(f"theta must have shape ({w2_end + o},), got {np.shape(theta)}")
-    theta = np.asarray(theta, dtype=float)
-    return MlpModel(
-        i, h, o,
-        W1=theta[:w1_end].reshape(h, i),
-        b1=theta[w1_end:b1_end],
-        W2=theta[b1_end:w2_end].reshape(o, h),
-        b2=theta[w2_end:],
-        hidden_kind=model.hidden_kind,
-    )
+    """Model of model's shape and kind whose weight arrays are views of theta."""
+    return MlpModel(model.n_in, model.n_hidden, model.n_out, theta, model.hidden_kind)
 
 
 def nguyen_widrow_init(n_in: int, n_hidden: int, n_out: int, hidden_kind: ActivationKind, seed: int) -> MlpModel:
@@ -106,7 +94,7 @@ def nguyen_widrow_init(n_in: int, n_hidden: int, n_out: int, hidden_kind: Activa
     b1 = rng.uniform(-beta, beta, size=n_hidden)
     W2 = rng.uniform(-0.5, 0.5, size=(n_out, n_hidden))
     b2 = rng.uniform(-0.5, 0.5, size=n_out)
-    return MlpModel(n_in, n_hidden, n_out, W1, b1, W2, b2, hidden_kind)
+    return MlpModel(n_in, n_hidden, n_out, np.concatenate([W1.ravel(), b1, W2.ravel(), b2]), hidden_kind)
 
 
 def forward(model: MlpModel, X, out: ForwardCache | None = None) -> tuple[np.ndarray, ForwardCache]:
@@ -151,16 +139,14 @@ def jacobian(model: MlpModel, X, T, cache: ForwardCache, out: np.ndarray | None 
 
     X and T are the 2-D float arrays the cache was computed from.  J has one
     row per residual (samples major, outputs minor) and one column per
-    parameter in pack_params order; J^T e / e.size is the training loss's
+    parameter in theta's order; J^T e / e.size is the training loss's
     gradient.  J is F-ordered, each column contiguous.  out, when given, is a
     J from an earlier call for the same model shape and sample count: its
     constant columns (output-layer zeros and ones) are kept, the rest rewritten.
     """
     samples, n_out, n_hidden, n_in = X.shape[0], model.n_out, model.n_hidden, model.n_in
-    b1_at = n_hidden * n_in
-    w2_at = b1_at + n_hidden
-    b2_at = w2_at + n_out * n_hidden
-    shape = (samples * n_out, b2_at + n_out)
+    b1_at, w2_at, b2_at = model.W1.size, model.W1.size + n_hidden, model.theta.size - n_out
+    shape = (samples * n_out, model.theta.size)
     J = out
     if J is None:
         J = np.zeros(shape, order="F")
@@ -209,11 +195,11 @@ def load_model(path) -> MlpModel:
     try:
         dims = [_field(fields, key, int) for key in ("n_in", "n_hidden", "n_out")]
         kind = kind_from_fields(fields)
-        arrays = {
-            name: _field(fields, name, lambda text: np.reshape([float(v) for v in text.split()], shape))
+        arrays = [
+            _field(fields, name, lambda text: np.reshape([float(v) for v in text.split()], shape)).ravel()
             for name, shape in _shapes(*dims).items()
-        }
-        return MlpModel(*dims, **arrays, hidden_kind=kind)
+        ]
+        return MlpModel(*dims, np.concatenate(arrays), kind)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

@@ -108,8 +108,8 @@ def train_gdm(model: MlpModel, X, T, cfg: GdmConfig = GdmConfig()) -> tuple[MlpM
     X = np.atleast_2d(np.asarray(X, dtype=float))
     T = np.atleast_2d(np.asarray(T, dtype=float))
     history = TrainHistory()
-    theta = pack_params(model)
-    velocity = np.zeros_like(theta)
+    model = with_params(model, pack_params(model))  # the fit's own theta, updated in place
+    velocity = np.zeros_like(model.theta)
     J = cache = None  # per-fit buffers: every forward after the first writes into the first cache
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
@@ -122,9 +122,8 @@ def train_gdm(model: MlpModel, X, T, cfg: GdmConfig = GdmConfig()) -> tuple[MlpM
             grad = J.T @ e / e.size
             with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is the stall below
                 velocity = cfg.momentum * velocity - cfg.learning_rate * grad
-                theta = theta + velocity
-            model = with_params(model, theta)
-            if not np.isfinite(theta).all():
+                model.theta += velocity
+            if not np.isfinite(model.theta).all():
                 raise StallError("parameters contain non-finite values")
         except StallError as exc:
             history.stall_events.append((epoch, str(exc)))
@@ -155,20 +154,19 @@ def train_lm(model: MlpModel, X, T, cfg: LmConfig = LmConfig()) -> tuple[MlpMode
     mu = cfg.mu0
     P = n_params(model)
     try:
-        _, cache = forward(model, X)
-        loss = mse(cache.y, T)
+        _, workspace = forward(model, X)
+        loss = mse(workspace.y, T)
         if not np.isfinite(loss):  # every later loss is below it, so finite too
             raise StallError("training loss is non-finite")
     except StallError as exc:
         history.stall_events.append((0, str(exc)))
         history.termination = "stall"
         return model, history
-    # Per-fit buffers.  Every candidate forward writes into the first cache's
-    # arrays: the current cache is dead once the epoch's J is built, and an
-    # accepted candidate's cache is the workspace itself.  The parameters
+    # Per-fit buffers.  Every candidate forward writes into the workspace's
+    # arrays, so at the top of an epoch they hold the current model's forward:
+    # the accepted candidate's was the last one written.  The parameters
     # live in two slots, each with a model of views: a candidate is written
     # into the slot not in use, and accepting it swaps the index.
-    workspace = cache
     slots = np.empty((2, P))
     slots[0] = pack_params(model)
     models = [with_params(model, slot) for slot in slots]
@@ -177,7 +175,7 @@ def train_lm(model: MlpModel, X, T, cfg: LmConfig = LmConfig()) -> tuple[MlpMode
     damped = np.empty((P, P))
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
-        J, e = jacobian(models[cur], X, T, cache, J)
+        J, e = jacobian(models[cur], X, T, workspace, J)
         if J_copy is None:  # laid out as jacobian's J; never written when J^T J goes to syrk
             J_copy = np.empty_like(J)
         gradient = J.T @ e
@@ -194,12 +192,12 @@ def train_lm(model: MlpModel, X, T, cfg: LmConfig = LmConfig()) -> tuple[MlpMode
                 delta = np.linalg.solve(damped, rhs)
                 if np.isfinite(delta).all():
                     np.add(slots[cur], delta, out=slots[1 - cur])
-                    _, candidate_cache = forward(models[1 - cur], X, workspace)
-                    candidate_loss = mse(candidate_cache.y, T)
+                    forward(models[1 - cur], X, workspace)
+                    candidate_loss = mse(workspace.y, T)
             except (np.linalg.LinAlgError, StallError):  # a singular level or a stalled forward
                 pass
             if candidate_loss < loss:
-                cur, cache, loss = 1 - cur, candidate_cache, candidate_loss
+                cur, loss = 1 - cur, candidate_loss
                 mu = max(mu * cfg.mu_dec, _MU_MIN)
                 break
             mu = mu * cfg.mu_inc

@@ -9,7 +9,9 @@ from modhtan import bench, cli
 from modhtan.activations import Htan, ModHtan
 from modhtan.bench import dump_curves
 from modhtan.cli import build_parser, main
-from modhtan.network import StallError, load_model
+from modhtan.datasets import gen_quadratic
+from modhtan.network import StallError, forward, load_model
+from modhtan.training import mse
 
 
 # direct-mode modhtan whose clamp lets rnf_exp(-2 * x_norm) leave the double range
@@ -178,6 +180,17 @@ class TestTrainCommand:
         assert hist_lines[0] == "epoch,loss,epoch_time_s"
         assert len(hist_lines) == 11
 
+    def test_random_x_trains_on_uniform_inputs(self, tmp_path, capsys):
+        path = tmp_path / "m.txt"
+        argv = ["train", "--fn", "htan", "--n", "50", "--epochs", "3", "--save", str(path)]
+        assert main([*argv, "--random-x"]) == 0
+        printed = capsys.readouterr().out.split()[2]  # train mse <value> after ...
+        data = gen_quadratic(50, random_x=True, seed=0)
+        y, _ = forward(load_model(path), data.X)
+        assert printed == f"{mse(y, data.T):.6g}"
+        assert main(argv) == 0
+        assert capsys.readouterr().out.split()[2] != printed
+
     def test_gdm_trainer(self, capsys):
         code = main(["train", "--fn", "softstep", "--trainer", "gdm", "--n", "40",
                      "--epochs", "30", "--lr", "0.05"])
@@ -315,7 +328,13 @@ class TestBenchCommand:
 
     def test_unknown_activation_rejected(self, capsys):
         assert main(["bench", "--fns", "htan,nosuch", "--runs", "1", "--n", "40"]) == 2
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        assert "argument --fns: unknown activation 'nosuch'" in err  # argparse's usage error, as for --fn
+        assert "hidden_kind" not in err
+
+    def test_empty_activation_list_rejected(self, capsys):
+        assert main(["bench", "--fns", " , ", "--runs", "1", "--n", "40"]) == 2
+        assert capsys.readouterr().err == "error: activation list must be non-empty\n"
 
     def test_duplicate_activation_rejected(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -213,12 +213,7 @@ class TestEpochEndings:
     def test_singular_damped_matrix_grows_mu(self):
         # two identical hidden units give J two equal columns; a damping far
         # below the ulp of J^T J leaves the damped matrix exactly singular
-        model = MlpModel(
-            1, 2, 1,
-            np.array([[0.8], [0.8]]), np.array([0.1, 0.1]),
-            np.array([[0.4, 0.4]]), np.array([0.0]),
-            Htan(),
-        )
+        model = MlpModel(1, 2, 1, [0.8, 0.8, 0.1, 0.1, 0.4, 0.4, 0.0], Htan())  # W1, b1, W2, b2
         data = gen_quadratic(50)
         cfg = LmConfig(mu0=1e-30, epochs=20)
         _, cache = forward(model, data.X)
@@ -288,7 +283,7 @@ class TestParameterSlots:
     def test_no_accepted_step_returns_the_callers_model(self):
         X = np.array([[0.0], [1.0]])
         T = np.zeros((2, 1))
-        model = MlpModel(1, 1, 1, np.zeros((1, 1)), np.zeros(1), np.zeros((1, 1)), np.zeros(1), Htan())
+        model = MlpModel(1, 1, 1, np.zeros(4), Htan())
         fitted, history = train_lm(model, X, T, LmConfig(epochs=10))
         assert history.termination == "grad_tol"
         assert fitted is model

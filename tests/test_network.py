@@ -1,7 +1,9 @@
 """One-hidden-layer MLP: init scaling, forward pass, Jacobian and the gradient
 J^T e / e.size, stalls, serialization."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,12 +33,7 @@ from modhtan.rnf import RnfParams
 
 
 def make_111(w1=1.0, b1=0.0, w2=1.0, b2=0.0, kind=Htan()):
-    return MlpModel(
-        1, 1, 1,
-        np.array([[w1]]), np.array([b1]),
-        np.array([[w2]]), np.array([b2]),
-        kind,
-    )
+    return MlpModel(1, 1, 1, [w1, b1, w2, b2], kind)
 
 
 def gradient(model, X, T, cache):
@@ -99,12 +96,7 @@ class TestInit:
 class TestForward:
     def test_zero_model_outputs_zero(self):
         for kind in (Htan(), ModHtan()):
-            model = MlpModel(
-                2, 3, 1,
-                np.zeros((3, 2)), np.zeros(3),
-                np.zeros((1, 3)), np.zeros(1),
-                kind,
-            )
+            model = MlpModel(2, 3, 1, np.zeros(13), kind)
             y, _ = forward(model, np.random.default_rng(0).normal(size=(4, 2)))
             assert np.array_equal(y, np.zeros((4, 1)))
 
@@ -161,12 +153,7 @@ class TestForward:
             forward(model, np.array([[-1.0], [0.5]]))
 
     def test_modhtan_offset_lands_in_cache(self):
-        model = MlpModel(
-            1, 2, 1,
-            np.array([[1.0], [2.0]]), np.zeros(2),
-            np.ones((1, 2)), np.zeros(1),
-            ModHtan(),
-        )
+        model = MlpModel(1, 2, 1, [1.0, 2.0, 0.0, 0.0, 1.0, 1.0, 0.0], ModHtan())  # W1, b1, W2, b2
         _, cache = forward(model, np.array([[1.0], [-2.0]]))
         # max |z1| over the batch is 4
         assert cache.offset_1 == pytest.approx(1.05 * 4.0 + 1e-6, rel=1e-15)
@@ -348,14 +335,25 @@ class TestParamVector:
         for name in ("W1", "b1", "W2", "b2"):
             assert np.array_equal(getattr(again, name), getattr(model, name))
 
+    def test_weight_arrays_are_views_of_theta(self):
+        theta = np.arange(13.0)  # (2, 3, 1): W1 6, b1 3, W2 3, b2 1
+        model = MlpModel(2, 3, 1, theta, Htan())
+        assert model.theta is theta  # a float64 vector is held, not copied
+        assert np.array_equal(np.concatenate([model.W1.ravel(), model.b1, model.W2.ravel(), model.b2]), theta)
+        assert model.W1.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+        theta += 1.0
+        assert model.b2.tolist() == [13.0]
+        # replacing the kind re-cuts views of the same vector
+        again = dataclasses.replace(model, hidden_kind=ModHtan())
+        assert again.theta is theta and isinstance(again.hidden_kind, ModHtan)
+        for name in ("W1", "b1", "W2", "b2"):
+            assert np.shares_memory(getattr(model, name), theta)
+            assert np.shares_memory(getattr(again, name), theta)
+
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            MlpModel(
-                2, 2, 1,
-                np.zeros((3, 2)), np.zeros(2),
-                np.zeros((1, 2)), np.zeros(1),
-                Htan(),
-            )
+        for theta in (np.zeros(8), np.zeros((9, 1))):  # (2, 2, 1) has 9 parameters
+            with pytest.raises(ValueError, match=rf"^theta must have shape \(9,\), got {re.escape(str(theta.shape))}$"):
+                MlpModel(2, 2, 1, theta, Htan())
         model = nguyen_widrow_init(2, 2, 1, Htan(), seed=1)
         with pytest.raises(ValueError):
             with_params(model, np.zeros(n_params(model) - 1))

@@ -31,12 +31,7 @@ from modhtan.training import (
 
 
 def zero_model(n_in=1, n_hidden=2, n_out=1, kind=Htan()):
-    return MlpModel(
-        n_in, n_hidden, n_out,
-        np.zeros((n_hidden, n_in)), np.zeros(n_hidden),
-        np.zeros((n_out, n_hidden)), np.zeros(n_out),
-        kind,
-    )
+    return MlpModel(n_in, n_hidden, n_out, np.zeros((n_in + 1) * n_hidden + (n_hidden + 1) * n_out), kind)
 
 
 class TestMetrics:
@@ -90,12 +85,7 @@ class TestGdmStall:
         assert history.stall_events == [(1, "outputs contain non-finite values")]
 
     def test_saturated_hidden_layer_is_not_a_stall(self):
-        model = MlpModel(
-            1, 1, 1,
-            np.array([[1e6]]), np.zeros(1),
-            np.ones((1, 1)), np.zeros(1),
-            Htan(),
-        )
+        model = MlpModel(1, 1, 1, [1e6, 0.0, 1.0, 0.0], Htan())
         _, history = train_gdm(model, np.array([[1.0]]), np.zeros((1, 1)), GdmConfig(epochs=5))
         assert history.termination == "epochs"
         assert history.stall_events == []
@@ -103,7 +93,7 @@ class TestGdmStall:
 
 def overflowing_model():
     # finite weights whose outputs square past the float range: the first loss is inf
-    return MlpModel(1, 2, 1, np.array([[1.0], [0.5]]), np.zeros(2), np.array([[1e200, 1e200]]), np.zeros(1), Htan())
+    return MlpModel(1, 2, 1, [1.0, 0.5, 0.0, 0.0, 1e200, 1e200, 0.0], Htan())  # W1, b1, W2, b2
 
 
 class TestNonFiniteStart:
@@ -171,6 +161,18 @@ class TestGdm:
             model = with_params(model, theta)
         assert np.array_equal(pack_params(trained), theta)
 
+    def test_caller_model_untouched_and_result_owns_its_parameters(self):
+        ds = gen_quadratic(32)
+        model = nguyen_widrow_init(1, 3, 1, ModHtan(), seed=2)
+        before = {name: getattr(model, name).copy() for name in ("W1", "b1", "W2", "b2")}
+        fitted, history = train_gdm(model, ds.X, ds.T, GdmConfig(epochs=10))
+        assert history.termination == "epochs"
+        assert not np.array_equal(fitted.theta, model.theta)
+        for name, values in before.items():
+            assert getattr(model, name).tobytes() == values.tobytes()
+            assert not np.shares_memory(getattr(fitted, name), getattr(model, name))
+            assert np.shares_memory(getattr(fitted, name), fitted.theta)
+
     def test_runs_exactly_epochs(self):
         ds = gen_quadratic(16)
         _, history = train_gdm(nguyen_widrow_init(1, 2, 1, Htan(), seed=0), ds.X, ds.T,
@@ -220,12 +222,7 @@ class TestLm:
         rng = np.random.default_rng(5)
         X = rng.uniform(0.0, 1.0, size=(40, 1))
         T = 2.0 * X + 1.0
-        model = MlpModel(
-            1, 1, 1,
-            np.array([[1.0]]), np.array([5.0]),
-            np.array([[0.5]]), np.array([0.0]),
-            Elu(),
-        )
+        model = MlpModel(1, 1, 1, [1.0, 5.0, 0.5, 0.0], Elu())
         trained, history = train_lm(model, X, T, LmConfig(epochs=25))
         y, _ = forward(trained, X)
         assert mse(y, T) <= 1e-8
