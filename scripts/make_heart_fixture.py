@@ -7,6 +7,7 @@ label rule are synthetic but produce a learnable classification problem.
 """
 
 import argparse
+import sys
 
 from modhtan.datasets import HEART_EXPECTED_ROWS, HEART_FIXTURE_SEED, make_heart_fixture
 
@@ -17,7 +18,15 @@ def main() -> None:
     ap.add_argument("--rows", type=int, default=HEART_EXPECTED_ROWS)
     ap.add_argument("--seed", type=int, default=HEART_FIXTURE_SEED)
     args = ap.parse_args()
-    make_heart_fixture(args.out, n=args.rows, seed=args.seed)
+    if args.rows < 1:
+        ap.error(f"--rows must be >= 1, got {args.rows}")
+    if args.seed < 0:
+        ap.error(f"--seed must be >= 0, got {args.seed}")
+    try:
+        make_heart_fixture(args.out, n=args.rows, seed=args.seed)
+    except OSError as exc:  # an unwritable output path
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(1) from None
     print(f"wrote {args.out} ({args.rows} rows, seed {args.seed})")
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from modhtan.activations import PARAMS, activate, kind_from_fields
 from modhtan.bench import CURVE_PRESETS, ExperimentSpec, dump_curves, emit_report, run_experiment
 from modhtan.datasets import SplitSpec, gen_quadratic, load_heart, make_heart_fixture, split
-from modhtan.network import nguyen_widrow_init, pack_params, save_model
+from modhtan.network import nguyen_widrow_init, save_model
 from modhtan.training import GdmConfig, LmConfig, train_gdm, train_lm
 
 DEFAULTS = {p.key: p.default for p in PARAMS if p.default is not None}
@@ -59,7 +59,7 @@ def activations():
 
 def fit(trainer, cfg, k, X, T, seed, n_hidden):
     model, history = trainer(nguyen_widrow_init(X.shape[1], n_hidden, T.shape[1], k, seed=seed), X, T, cfg)
-    return model, (history.loss, history.mu, history.termination, history.stall_events, pack_params(model).tobytes())
+    return model, (history.loss, history.mu, history.termination, history.stall_events, model.theta.tobytes())
 
 
 def main():

@@ -140,6 +140,8 @@ def make_heart_fixture(path, n: int = HEART_EXPECTED_ROWS, seed: int = HEART_FIX
     noisy logistic score over the clinically predictive columns, which keeps
     the classification task learnable but not separable.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     age = np.clip(rng.normal(54.0, 9.0, n), 29, 77).round(0)
     sex = (rng.random(n) < 0.68).astype(float)

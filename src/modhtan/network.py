@@ -68,11 +68,6 @@ def n_params(model: MlpModel) -> int:
     return model.theta.size
 
 
-def pack_params(model: MlpModel) -> np.ndarray:
-    """A copy of the parameter vector theta."""
-    return model.theta.copy()
-
-
 def with_params(model: MlpModel, theta: np.ndarray) -> MlpModel:
     """Model of model's shape and kind whose weight arrays are views of theta."""
     return MlpModel(model.n_in, model.n_hidden, model.n_out, theta, model.hidden_kind)

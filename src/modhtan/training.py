@@ -18,7 +18,6 @@ from .network import (
     forward,
     jacobian,
     n_params,
-    pack_params,
     with_params,
 )
 
@@ -108,7 +107,7 @@ def train_gdm(model: MlpModel, X, T, cfg: GdmConfig = GdmConfig()) -> tuple[MlpM
     X = np.atleast_2d(np.asarray(X, dtype=float))
     T = np.atleast_2d(np.asarray(T, dtype=float))
     history = TrainHistory()
-    model = with_params(model, pack_params(model))  # the fit's own theta, updated in place
+    model = with_params(model, model.theta.copy())  # the fit's own theta, updated in place
     velocity = np.zeros_like(model.theta)
     J = cache = None  # per-fit buffers: every forward after the first writes into the first cache
     for epoch in range(cfg.epochs):
@@ -164,25 +163,19 @@ def train_lm(model: MlpModel, X, T, cfg: LmConfig = LmConfig()) -> tuple[MlpMode
         return model, history
     # Per-fit buffers.  Every candidate forward writes into the workspace's
     # arrays, so at the top of an epoch they hold the current model's forward:
-    # the accepted candidate's was the last one written.  The parameters
-    # live in two slots, each with a model of views: a candidate is written
-    # into the slot not in use, and accepting it swaps the index.
-    slots = np.empty((2, P))
-    slots[0] = pack_params(model)
-    models = [with_params(model, slot) for slot in slots]
-    cur = 0
-    J = J_copy = normal = None
-    damped = np.empty((P, P))
+    # the accepted candidate's was the last one written.  A step is written
+    # into candidate's theta, and accepting it swaps candidate and current.
+    current = with_params(model, model.theta.copy())
+    candidate = with_params(model, np.empty(P))
+    J, normal, damped = None, np.empty((P, P)), np.empty((P, P))
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
-        J, e = jacobian(models[cur], X, T, workspace, J)
-        if J_copy is None:  # laid out as jacobian's J; never written when J^T J goes to syrk
-            J_copy = np.empty_like(J)
+        J, e = jacobian(current, X, T, workspace, J)
         gradient = J.T @ e
         if np.linalg.norm(gradient) < _GRAD_TOL:
             history.termination = "grad_tol"
             break
-        normal = _normal_matrix(J, J_copy, normal)
+        _normal_matrix(J, normal)
         rhs = -gradient
         while True:
             np.copyto(damped, normal)
@@ -191,13 +184,13 @@ def train_lm(model: MlpModel, X, T, cfg: LmConfig = LmConfig()) -> tuple[MlpMode
             try:
                 delta = np.linalg.solve(damped, rhs)
                 if np.isfinite(delta).all():
-                    np.add(slots[cur], delta, out=slots[1 - cur])
-                    forward(models[1 - cur], X, workspace)
+                    np.add(current.theta, delta, out=candidate.theta)
+                    forward(candidate, X, workspace)
                     candidate_loss = mse(workspace.y, T)
             except (np.linalg.LinAlgError, StallError):  # a singular level or a stalled forward
                 pass
             if candidate_loss < loss:
-                cur, loss = 1 - cur, candidate_loss
+                current, candidate, loss = candidate, current, candidate_loss
                 mu = max(mu * cfg.mu_dec, _MU_MIN)
                 break
             mu = mu * cfg.mu_inc
@@ -209,18 +202,15 @@ def train_lm(model: MlpModel, X, T, cfg: LmConfig = LmConfig()) -> tuple[MlpMode
         if history.termination == "mu_max":
             break
         history.mu.append(mu)
-    if not history.mu:
-        return model, history
-    return with_params(model, slots[cur].copy()), history
+    return (current if history.mu else model), history
 
 
-def _normal_matrix(J, J_copy, out):
-    """J^T J into out, by gemm against J_copy (a buffer shaped like J) below
+def _normal_matrix(J, out):
+    """J^T J into out, by gemm against a copy of J in J's own layout below
     _SYRK_MIN_PARAMS columns; the two products differ in their last bits."""
     if J.shape[1] >= _SYRK_MIN_PARAMS:
         return np.matmul(J.T, J, out=out)
-    np.copyto(J_copy, J)
-    return np.matmul(J.T, J_copy, out=out)
+    return np.matmul(J.T, np.copy(J), out=out)
 
 
 def history_to_csv(history: TrainHistory, path) -> None:

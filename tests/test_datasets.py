@@ -307,15 +307,47 @@ class TestFixture:
             "20e0d67d1d6e2039b4a360e9d0b6aeb7dfcf21a6e6ca718e44516df67db04e7c"
         )
 
+    SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "make_heart_fixture.py"
+
     def test_script_writes_the_default_fixture(self, tmp_path, monkeypatch, capsys):
-        script = Path(__file__).resolve().parents[1] / "scripts" / "make_heart_fixture.py"
         out, lib = tmp_path / "script.dat", tmp_path / "lib.dat"
-        monkeypatch.setattr(sys, "argv", [str(script), str(out)])
-        runpy.run_path(str(script), run_name="__main__")
+        monkeypatch.setattr(sys, "argv", [str(self.SCRIPT), str(out)])
+        runpy.run_path(str(self.SCRIPT), run_name="__main__")
         make_heart_fixture(lib)
         assert out.read_bytes() == lib.read_bytes()
         assert len(load_heart(out).T) == 270
         assert capsys.readouterr().out == f"wrote {out} (270 rows, seed 7)\n"
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_fixture_rejects_fewer_than_one_row(self, tmp_path, n):
+        path = tmp_path / "heart.dat"
+        with pytest.raises(ValueError, match=rf"^n must be >= 1, got {n}$"):
+            make_heart_fixture(path, n=n)
+        assert not path.exists()
+
+    def _run_script(self, monkeypatch, *args):
+        monkeypatch.setattr(sys, "argv", [str(self.SCRIPT), *map(str, args)])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_path(str(self.SCRIPT), run_name="__main__")
+        return exc.value.code
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--rows", 0, "--rows must be >= 1, got 0"),
+        ("--rows", -1, "--rows must be >= 1, got -1"),
+        ("--seed", -1, "--seed must be >= 0, got -1"),
+    ])
+    def test_script_rejects_a_bad_count_as_a_usage_error(self, tmp_path, monkeypatch, capsys, option, value, message):
+        out = tmp_path / "heart.dat"
+        assert self._run_script(monkeypatch, out, option, value) == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(f": error: {message}")
+        assert not out.exists()
+
+    def test_script_reports_an_unwritable_path_in_one_line(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "missing" / "heart.dat"
+        assert self._run_script(monkeypatch, out) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno 2] No such file or directory: '{out}'\n"
 
     def test_fixture_has_both_classes(self, heart_file):
         ds = load_heart(heart_file)

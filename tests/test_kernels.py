@@ -28,7 +28,7 @@ from modhtan.activations import (
     activate,
 )
 from modhtan.bench import CURVE_PRESETS
-from modhtan.network import StallError, forward, jacobian, nguyen_widrow_init, pack_params
+from modhtan.network import StallError, forward, jacobian, nguyen_widrow_init
 from modhtan.rnf import RnfParams, _ipow, euler_constant, rnf_exp
 from modhtan.training import LmConfig, train_lm
 
@@ -427,7 +427,7 @@ class TestWorkspaceReuse:
         for _ in range(2):
             model, X, T = _problem(13, 3, 1, kind=ModHtan(), seed=4)
             fitted, history = train_lm(model, X, T, LmConfig(epochs=30))
-            runs.append((history.loss, history.mu, history.termination, pack_params(fitted).tobytes()))
+            runs.append((history.loss, history.mu, history.termination, fitted.theta.tobytes()))
         assert len(runs[0][0]) > 1
         assert runs[0] == runs[1]
 

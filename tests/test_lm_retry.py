@@ -3,11 +3,12 @@
 `oracle_train_lm` below is that loop, kept as the reference: a fresh
 parameter vector and model per candidate and one `np.linalg.solve` per
 damping level.  `train_lm` solves the same way but writes each candidate
-into one of two parameter slots, which must not change a bit: loss and
-damping histories, termination, stall events and final parameters are
-compared exactly, on an activation x shape x seed matrix and on problems
-that force each way an epoch can end.  Both loops form J^T J with the same
-`_normal_matrix`, whose product changes its bits with J's width and length.
+into the theta of one of two per-fit models, which swap when it is
+accepted.  That must not change a bit: loss and damping histories,
+termination, stall events and final parameters are compared exactly, on an
+activation x shape x seed matrix and on problems that force each way an
+epoch can end.  Both loops form J^T J with the same `_normal_matrix`, whose
+product changes its bits with J's width and length.
 `c_ordered_layers` keeps the row-major layer code as the reference for the
 sample-minor z1, h, g and J of `forward` and `jacobian`.
 """
@@ -25,7 +26,6 @@ from modhtan.network import (
     jacobian,
     n_params,
     nguyen_widrow_init,
-    pack_params,
     with_params,
 )
 from modhtan.training import LmConfig, TrainHistory, _normal_matrix, mse, train_lm
@@ -35,7 +35,7 @@ def oracle_train_lm(model, X, T, cfg=LmConfig(), forward=forward):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     T = np.atleast_2d(np.asarray(T, dtype=float))
     history = TrainHistory()
-    theta = pack_params(model)
+    theta = model.theta.copy()
     mu = cfg.mu0
     identity = np.eye(n_params(model))
     try:
@@ -48,15 +48,14 @@ def oracle_train_lm(model, X, T, cfg=LmConfig(), forward=forward):
         history.termination = "stall"
         return model, history
     workspace = cache
-    J = J_copy = normal = damped = None
+    J = damped = None
     for epoch in range(cfg.epochs):
         J, e = jacobian(model, X, T, cache, J)
-        J_copy = np.empty_like(J) if J_copy is None else J_copy
         gradient = J.T @ e
         if np.linalg.norm(gradient) < training._GRAD_TOL:
             history.termination = "grad_tol"
             break
-        normal = _normal_matrix(J, J_copy, normal)
+        normal = _normal_matrix(J, np.empty((J.shape[1],) * 2))
         accepted = False
         while True:
             damped = np.multiply(identity, mu, out=damped)
@@ -90,7 +89,7 @@ def oracle_train_lm(model, X, T, cfg=LmConfig(), forward=forward):
 
 
 def _outcome(fitted, history):
-    return (history.loss, history.mu, history.termination, history.stall_events, pack_params(fitted).tobytes())
+    return (history.loss, history.mu, history.termination, history.stall_events, fitted.theta.tobytes())
 
 
 def assert_matches_oracle(model, X, T, cfg):
@@ -274,11 +273,30 @@ class TestParameterSlots:
         for name, values in before.items():
             assert getattr(model, name).tobytes() == values.tobytes()
             assert not np.shares_memory(getattr(fitted, name), getattr(model, name))
-        # one P-vector of its own, not a row of the fit's two-slot buffer
+        # one P-vector of its own, not a view of a larger buffer
         assert fitted.b1.base.shape == (n_params(model),)
-        snapshot = pack_params(fitted).tobytes()
+        snapshot = fitted.theta.tobytes()
         train_lm(fitted, X, T, LmConfig(epochs=5))
-        assert pack_params(fitted).tobytes() == snapshot
+        assert fitted.theta.tobytes() == snapshot
+
+    @pytest.mark.parametrize("epochs", [1, 40])
+    def test_two_models_per_fit_whatever_the_candidate_count(self, monkeypatch, epochs):
+        def counting(calls, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(None)
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        built, forwards = [], []
+        monkeypatch.setattr(training, "with_params", counting(built, with_params))
+        monkeypatch.setattr(training, "forward", counting(forwards, forward))
+        # the default schedule rejects about one candidate per epoch here
+        model, X, T = _problem((1, 2, 1), Htan(), 0)
+        _, history = train_lm(model, X, T, LmConfig(epochs=epochs))
+        assert len(history.mu) == epochs
+        assert len(forwards) - 1 > epochs  # candidates: every forward after the fit's first
+        assert len(built) == 2
 
     def test_no_accepted_step_returns_the_callers_model(self):
         X = np.array([[0.0], [1.0]])

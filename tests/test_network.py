@@ -25,7 +25,6 @@ from modhtan.network import (
     load_model,
     n_params,
     nguyen_widrow_init,
-    pack_params,
     save_model,
     with_params,
 )
@@ -44,7 +43,7 @@ def gradient(model, X, T, cache):
 
 def assert_matches_finite_differences(analytic, model, X, T, h=1e-6):
     """analytic against central differences of half the mean squared error."""
-    theta = pack_params(model)
+    theta = model.theta.copy()
 
     def loss_at(vec):
         y, _ = forward(with_params(model, vec), X)
@@ -329,7 +328,7 @@ class TestSerialization:
 class TestParamVector:
     def test_pack_unpack_round_trip(self):
         model = nguyen_widrow_init(2, 3, 2, Htan(), seed=1)
-        theta = pack_params(model)
+        theta = model.theta.copy()
         assert theta.shape == (n_params(model),)
         again = with_params(model, theta)
         for name in ("W1", "b1", "W2", "b2"):
