@@ -110,23 +110,22 @@ def iter_runs(spec: ExperimentSpec) -> Iterator[Run]:
     A stalled run, or one whose training MSE is not finite, yields a row
     with an error reason and a NaN metric instead of aborting the experiment.
     """
-    if spec.dataset == "synthetic":
+    synthetic = spec.dataset == "synthetic"  # no split: the metric is the training MSE
+    if synthetic:
         data = gen_quadratic(spec.n_points, random_x=spec.random_x, seed=spec.base_seed)
-        metric_name = "mse"
     else:
         data = load_heart(spec.heart_path)
-        metric_name = "accuracy_pct"
+    metric_name = "mse" if synthetic else "accuracy_pct"
+    fit = train_gdm if isinstance(spec.trainer, GdmConfig) else train_lm
     n_in, n_out = data.X.shape[1], data.T.shape[1]
     for kind in spec.activations:
         for run in range(spec.runs):
             seed = spec.base_seed + run
-            if spec.dataset == "synthetic":
-                train_ds = eval_ds = data
-            else:
-                train_ds, eval_ds = split(data, SplitSpec(spec.test_fraction, seed=seed))
+            train_ds = data
+            if not synthetic:
+                train_ds, test_ds = split(data, SplitSpec(spec.test_fraction, seed=seed))
             model = nguyen_widrow_init(n_in, spec.n_hidden, n_out, kind, seed=seed)
             t0 = time.perf_counter()
-            fit = train_gdm if isinstance(spec.trainer, GdmConfig) else train_lm
             model, history = fit(model, train_ds.X, train_ds.T, spec.trainer)
             runtime = time.perf_counter() - t0
             error = None
@@ -139,11 +138,11 @@ def iter_runs(spec: ExperimentSpec) -> Iterator[Run]:
                     train_mse = mse(y, train_ds.T)
                     if not math.isfinite(train_mse):  # finite outputs whose squared errors overflow
                         raise StallError("mse is not finite")
-                    if eval_ds is train_ds:
+                    if synthetic:
                         value = train_mse
                     else:
-                        y, _ = forward(model, eval_ds.X)
-                        value = classification_accuracy(y, eval_ds.T)
+                        y, _ = forward(model, test_ds.X)
+                        value = classification_accuracy(y, test_ds.T)
                 except StallError as exc:
                     error, train_mse = str(exc), math.nan
             row = BenchRow(run, kind.name, runtime, metric_name, value, error)

@@ -73,6 +73,7 @@ def _add_activation_flags(p: argparse.ArgumentParser) -> None:
 def _add_trainer_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("training parameters")
     g.add_argument("--trainer", choices=("lm", "gdm"), default="lm")
+    g.add_argument("--seed", type=int, default=ExperimentSpec.base_seed, help="base seed; run r uses seed+r")
     g.add_argument("--epochs", type=int, default=LmConfig.epochs)
     g.add_argument("--hidden", type=int, default=ExperimentSpec.n_hidden,
                    help=f"hidden units (default {ExperimentSpec.n_hidden})")
@@ -227,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train one model and print its final metric")
     p_train.add_argument("--fn", choices=ACTIVATION_NAMES, required=True)
-    p_train.add_argument("--seed", type=int, default=ExperimentSpec.base_seed)
     p_train.add_argument("--save", default=None, help="write the trained model here")
     p_train.add_argument("--history", default=None, help="write per-epoch loss CSV here")
     _add_data_flags(p_train)
@@ -238,9 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="timed repeated runs across activations")
     p_bench.add_argument("--fns", type=_fn_names, default="htan,elu,modhtan", help="comma-separated activation names")
     p_bench.add_argument("--runs", type=int, default=ExperimentSpec.runs)
-    p_bench.add_argument(
-        "--seed", type=int, default=ExperimentSpec.base_seed, help="base seed; run r uses seed+r"
-    )
     p_bench.add_argument(
         "--out", nargs="+", default=None,
         help="report files (default: stdout summary only); each is markdown for a .md suffix, else csv",

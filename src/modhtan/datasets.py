@@ -79,32 +79,32 @@ def load_heart(path) -> Dataset:
     0 (absence) / 1 (presence).  Features are left unscaled here; scaling is
     fit on the training side at split time.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.readlines()
-    features = []
-    labels = []
-    for lineno, line in enumerate(raw, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        fields = line.split(",") if "," in line else line.split()
-        if len(fields) != HEART_FEATURES + 1:
-            raise ValueError(
-                f"{path}: line {lineno}: expected {HEART_FEATURES + 1} fields, got {len(fields)}"
-            )
-        try:
-            values = [float(f) for f in fields]
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: non-numeric field") from None
-        if not all(map(math.isfinite, values)):
-            raise ValueError(f"{path}: line {lineno}: non-finite field")
-        label = values[-1]
-        if label not in (1.0, 2.0):
-            raise ValueError(f"{path}: line {lineno}: label must be 1 or 2, got {label:g}")
-        features.append(values[:-1])
-        labels.append(label - 1.0)
-    if not labels:
-        raise ValueError(f"{path}: no data rows")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = fh.readlines()
+        features, labels = [], []
+        for lineno, line in enumerate(raw, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            fields = line.split(",") if "," in line else line.split()
+            if len(fields) != HEART_FEATURES + 1:
+                raise ValueError(f"line {lineno}: expected {HEART_FEATURES + 1} fields, got {len(fields)}")
+            try:
+                values = [float(f) for f in fields]
+            except ValueError:
+                raise ValueError(f"line {lineno}: non-numeric field") from None
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"line {lineno}: non-finite field")
+            label = values[-1]
+            if label not in (1.0, 2.0):
+                raise ValueError(f"line {lineno}: label must be 1 or 2, got {label:g}")
+            features.append(values[:-1])
+            labels.append(label - 1.0)
+        if not labels:
+            raise ValueError("no data rows")
+    except ValueError as exc:  # an undecodable file too
+        raise ValueError(f"{path}: {exc}") from None
     if len(labels) != HEART_EXPECTED_ROWS:
         warnings.warn(f"{path}: expected {HEART_EXPECTED_ROWS} rows, got {len(labels)}")
     X = np.asarray(features, dtype=float)

@@ -179,15 +179,15 @@ def save_model(model: MlpModel, path) -> None:
 
 def load_model(path) -> MlpModel:
     """Inverse of save_model; a malformed file is a ValueError naming the bad key."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    if not lines or lines[0] != "modhtan-mlp v1":
-        raise ValueError(f"{path}: not a modhtan-mlp v1 model file")
-    fields = {}
-    for line in lines[1:]:
-        key, _, value = line.partition(" = ")
-        fields[key] = value
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [line.rstrip("\n") for line in fh if line.strip()]
+        if not lines or lines[0] != "modhtan-mlp v1":
+            raise ValueError("not a modhtan-mlp v1 model file")
+        fields = {}
+        for line in lines[1:]:
+            key, _, value = line.partition(" = ")
+            fields[key] = value
         dims = [_field(fields, key, int) for key in ("n_in", "n_hidden", "n_out")]
         kind = kind_from_fields(fields)
         arrays = [

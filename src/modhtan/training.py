@@ -12,14 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import (
-    MlpModel,
-    StallError,
-    forward,
-    jacobian,
-    n_params,
-    with_params,
-)
+from .network import MlpModel, StallError, forward, jacobian, with_params
 
 
 _MU_MIN = 1e-20  # floor of an accepted step's decayed mu: from 0, mu * mu_inc would never grow
@@ -151,7 +144,7 @@ def train_lm(model: MlpModel, X, T, cfg: LmConfig = LmConfig()) -> tuple[MlpMode
     T = np.atleast_2d(np.asarray(T, dtype=float))
     history = TrainHistory()
     mu = cfg.mu0
-    P = n_params(model)
+    P = model.theta.size
     try:
         _, workspace = forward(model, X)
         loss = mse(workspace.y, T)
@@ -165,9 +158,12 @@ def train_lm(model: MlpModel, X, T, cfg: LmConfig = LmConfig()) -> tuple[MlpMode
     # arrays, so at the top of an epoch they hold the current model's forward:
     # the accepted candidate's was the last one written.  A step is written
     # into candidate's theta, and accepting it swaps candidate and current.
+    # normal holds J^T J, and before each solve its diagonal is rewritten as
+    # J^T J's diagonal plus mu; np.linalg.solve never writes its operand.
     current = with_params(model, model.theta.copy())
     candidate = with_params(model, np.empty(P))
-    J, normal, damped = None, np.empty((P, P)), np.empty((P, P))
+    J, normal = None, np.empty((P, P))
+    diagonal = normal.reshape(-1)[:: P + 1]  # a view; normal.flat[...] would copy
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
         J, e = jacobian(current, X, T, workspace, J)
@@ -176,13 +172,13 @@ def train_lm(model: MlpModel, X, T, cfg: LmConfig = LmConfig()) -> tuple[MlpMode
             history.termination = "grad_tol"
             break
         _normal_matrix(J, normal)
+        jtj_diagonal = diagonal.copy()
         rhs = -gradient
         while True:
-            np.copyto(damped, normal)
-            damped.flat[:: P + 1] += mu  # the diagonal
+            np.add(jtj_diagonal, mu, out=diagonal)
             candidate_loss = np.inf  # unless the solve, the step and the forward all succeed
             try:
-                delta = np.linalg.solve(damped, rhs)
+                delta = np.linalg.solve(normal, rhs)
                 if np.isfinite(delta).all():
                     np.add(current.theta, delta, out=candidate.theta)
                     forward(candidate, X, workspace)

@@ -20,10 +20,10 @@ from modhtan.bench import (
     run_experiment,
     runtime_ordering,
 )
-from modhtan.datasets import gen_quadratic
-from modhtan.network import forward
+from modhtan.datasets import SplitSpec, gen_quadratic, load_heart, split
+from modhtan.network import forward, nguyen_widrow_init
 from modhtan.rnf import RnfDomainError, RnfParams
-from modhtan.training import GdmConfig, LmConfig, mse
+from modhtan.training import GdmConfig, LmConfig, classification_accuracy, mse, train_lm
 
 
 def tiny_spec(**overrides):
@@ -161,6 +161,31 @@ class TestRunExperiment:
         (lm_run,) = iter_runs(tiny_spec())
         assert lm_run.history.mu  # a step was accepted
         assert lm_run.train_mse == lm_run.history.loss[-1]
+
+    def test_runs_rebuild_from_their_parts(self, heart_file):
+        # run r of every activation: the split and the init both seeded base_seed + r
+        kinds = (Htan(), Elu(), ModHtan())
+        cfg = LmConfig(epochs=20)
+        spec = ExperimentSpec(
+            dataset="heart", activations=kinds, runs=2, base_seed=5, heart_path=str(heart_file), trainer=cfg
+        )
+        runs = list(iter_runs(spec))
+        data = load_heart(heart_file)
+        expected = []
+        for kind in kinds:
+            for r in range(spec.runs):
+                train, test = split(data, SplitSpec(0.2, seed=5 + r))
+                model, history = train_lm(nguyen_widrow_init(13, 2, 1, kind, seed=5 + r), train.X, train.T, cfg)
+                train_mse = mse(forward(model, train.X)[0], train.T)
+                accuracy = classification_accuracy(forward(model, test.X)[0], test.T)
+                expected.append((r, kind.name, model.theta.tobytes(), history.loss, train_mse, accuracy))
+        got = [
+            (run.row.run, run.row.activation, run.model.theta.tobytes(), run.history.loss, run.train_mse,
+             run.row.metric_value)
+            for run in runs
+        ]
+        assert got == expected
+        assert all(run.row.error is None for run in runs)
 
 
 class TestEmitReport:

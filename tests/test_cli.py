@@ -5,7 +5,7 @@ import argparse
 import numpy as np
 import pytest
 
-from modhtan import bench, cli
+from modhtan import bench, cli, training
 from modhtan.activations import Htan, ModHtan
 from modhtan.bench import dump_curves
 from modhtan.cli import build_parser, main
@@ -404,6 +404,22 @@ class TestFitFlags:
         assert main([*command, "--n", "20", "--epochs", "2", "--seed", "-1"]) == 2
         assert capsys.readouterr().err == "error: base_seed must be >= 0, got -1\n"
 
+    def test_train_seed_fits_run_zero_of_bench_seed(self, heart_file, monkeypatch, capsys):
+        fitted = []
+
+        def recording(model, X, T, cfg):
+            model, history = training.train_lm(model, X, T, cfg)
+            fitted.append(model.theta.tobytes())
+            return model, history
+
+        monkeypatch.setattr(bench, "train_lm", recording)
+        flags = ["--data", "heart", "--path", str(heart_file), "--epochs", "10", "--seed", "3"]
+        assert main(["train", "--fn", "elu", *flags]) == 0
+        assert main(["bench", "--fns", "elu", "--runs", "2", *flags]) == 0
+        capsys.readouterr()
+        train_fit, *bench_fits = fitted
+        assert train_fit == bench_fits[0] != bench_fits[1]
+
 
 class TestActivationFlags:
     @pytest.mark.parametrize(
@@ -455,6 +471,15 @@ class TestRuntimeErrors:
         captured = capsys.readouterr()
         assert captured.err == "error: Unable to allocate 8.00 EiB for an array\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command", [["train", "--fn", "htan"], ["bench", "--runs", "1"]], ids=["train", "bench"])
+    def test_undecodable_heart_file_names_itself(self, command, tmp_path, capsys):
+        path = tmp_path / "bin.dat"
+        path.write_bytes(b"\xff\xfe\x00")
+        assert main([*command, "--data", "heart", "--path", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 0")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def _float_options():

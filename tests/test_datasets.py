@@ -251,6 +251,13 @@ class TestLoadHeart:
         with pytest.raises(OSError):
             load_heart(tmp_path / "nope.dat")
 
+    def test_undecodable_file_names_path(self, tmp_path):
+        path = tmp_path / "bin.dat"
+        path.write_bytes(b"\xff\xfe\x00" + HEART_ROW.format(label=1).encode())
+        with pytest.raises(ValueError) as info:
+            load_heart(path)
+        assert str(info.value).startswith(f"{path}: 'utf-8' codec can't decode byte 0xff in position 0")
+
 
 class TestSplit:
     def test_heart_partition_sizes(self, heart_file):

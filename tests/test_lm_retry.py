@@ -223,6 +223,27 @@ class TestEpochEndings:
         _, mu, *_ = assert_matches_oracle(model, data.X, data.T, cfg)
         assert mu and mu[0] > 1e3 * cfg.mu0  # the singular levels were rejected
 
+    @pytest.mark.parametrize("shape", [(13, 2, 1), (1, 50, 1)], ids=["13-2-1", "1-50-1"])
+    @pytest.mark.parametrize("kind", [KINDS["htan"], KINDS["modhtan-adaptive"]], ids=["htan", "modhtan-adaptive"])
+    def test_many_rejections_per_epoch_on_the_syrk_path(self, monkeypatch, kind, shape):
+        # mu_inc = 2 rejects several candidates per epoch; each one's damped
+        # diagonal must be J^T J's plus that candidate's mu alone
+        calls = []
+
+        def counting(model, X, out=None):
+            calls.append(None)
+            return forward(model, X, out)
+
+        model, X, T = _problem(shape, kind, 0)
+        assert n_params(model) >= training._SYRK_MIN_PARAMS
+        cfg = LmConfig(mu_inc=2.0, epochs=15)
+        expected = _outcome(*oracle_train_lm(model, X, T, cfg))
+        monkeypatch.setattr(training, "forward", counting)
+        loss, *_ = got = _outcome(*train_lm(model, X, T, cfg))
+        assert got == expected
+        assert len(loss) == cfg.epochs
+        assert len(calls) - 1 > 3 * len(loss)  # candidates: every forward after the fit's first
+
     def test_overflowing_second_level_is_dropped_quietly(self):
         # mu0 * mu_inc overflows to inf, past the finite mu_max: a rejection
         # ends the fit before inf * 0 is formed, so no warning leaks

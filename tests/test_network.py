@@ -324,6 +324,18 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_model(path)
 
+    def test_undecodable_file_names_path(self, tmp_path):
+        path = tmp_path / "model.txt"
+        save_model(nguyen_widrow_init(3, 2, 1, Htan(), seed=13), path)
+        path.write_bytes(b"\xff\xfe\x00" + path.read_bytes())
+        with pytest.raises(ValueError) as info:
+            load_model(path)
+        assert str(info.value).startswith(f"{path}: 'utf-8' codec can't decode byte 0xff in position 0")
+
+    def test_missing_file_passes_through(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_model(tmp_path / "nope.txt")
+
 
 class TestParamVector:
     def test_pack_unpack_round_trip(self):
