@@ -76,30 +76,19 @@ class Elu:
 class ModHtan:
     """The normalized hyperbolic tangent and its configuration.
 
-    k_o is the squashing numerator; 2 is the unique value for which a branch
-    with zeroed input contributes exactly k_o/2 - 1 = 0.  x_norm_clamp bounds
-    the normalized input; 50 is far past saturation.  center_normalize=False
-    keeps the raw x (instead of x/(x+offset_1)) wherever |x| <= x_cutoff
-    (typical cutoff 10 to 100); x_cutoff acts only when center_normalize is
-    off.  euler_mode picks between the tanh form with the cached Euler
+    x_norm_clamp bounds the normalized input; 50 is far past saturation.
+    euler_mode picks between the tanh form with the cached Euler
     approximation's log as slope ("constant") and evaluating the
     rational-power formula per input ("direct").
     """
 
-    k_o: float = 2.0
-    x_cutoff: float = 10.0
     offset_mode: FixedOffset | AdaptiveOffset = AdaptiveOffset()
     rnf: RnfParams = RnfParams()
     x_norm_clamp: float = 50.0
-    center_normalize: bool = True
     euler_mode: str = "constant"
     name: ClassVar[str] = "modhtan"
 
     def __post_init__(self):
-        if not 0 < self.k_o < math.inf:
-            raise ValueError(f"k_o must be positive and finite, got {self.k_o}")
-        if not self.x_cutoff > 0:
-            raise ValueError(f"x_cutoff must be positive, got {self.x_cutoff}")
         if not self.x_norm_clamp > 0:
             raise ValueError(f"x_norm_clamp must be positive, got {self.x_norm_clamp}")
         if self.euler_mode not in EULER_MODES:
@@ -162,9 +151,6 @@ class Param(NamedTuple):
 # model-file keys both come from these rows, listed in model-file order.
 PARAMS = (
     Param("elu_alpha", "alpha", Elu, "alpha", "elu scale"),
-    Param("modhtan_k_o", "k", ModHtan, "k_o", "modhtan squashing numerator"),
-    Param("modhtan_x_cutoff", "cutoff", ModHtan, "x_cutoff",
-          "inputs with |x| <= cutoff stay raw when --center-normalize off"),
     Param("modhtan_offset_mode", "offset-mode", ModHtan, "offset_mode",
           "modhtan offset_1 source", choices={"adaptive": AdaptiveOffset, "fixed": FixedOffset}),
     Param("modhtan_offset_value", "offset", FixedOffset, "offset_1",
@@ -174,8 +160,6 @@ PARAMS = (
     Param("modhtan_offset_kappa", "kappa", AdaptiveOffset, "kappa", "adaptive offset floor"),
     Param("modhtan_x_norm_clamp", "clamp", ModHtan, "x_norm_clamp",
           "normalized-input clamp"),
-    Param("modhtan_center_normalize", "center-normalize", ModHtan, "center_normalize",
-          "normalize the central region too", choices={"on": True, "off": False}),
     Param("modhtan_euler_mode", "euler-mode", ModHtan, "euler_mode",
           "tanh with slope ln E of the cached Euler constant, or the rational formula per input",
           choices={mode: mode for mode in EULER_MODES}),
@@ -185,6 +169,9 @@ PARAMS = (
 )
 
 _PARAM_AT = {(p.owner, p.field): p for p in PARAMS}
+
+# Model-file keys of retired ModHtan fields, each with the one value a file may still carry.
+RETIRED_KEYS = {"modhtan_k_o": "2.0", "modhtan_center_normalize": "on"}
 
 
 def _groups(obj):
@@ -209,8 +196,12 @@ def kind_from_fields(values: Mapping[str, Any], label=lambda p: p.key) -> Activa
     """Inverse of kind_to_fields.
 
     A row the kind needs that is missing from values, or does not parse, is
-    a ValueError; label(param) names a missing row.
+    a ValueError; label(param) names a missing row.  So is a retired key at
+    any value but its RETIRED_KEYS one; other keys are ignored.
     """
+    for key, kept in RETIRED_KEYS.items():
+        if values.get(key, kept) != kept:
+            raise ValueError(f"{key} is retired; only {kept} loads, got {values[key]!r}")
     if "hidden_kind" not in values:
         raise ValueError("missing hidden_kind")
     if (name := values["hidden_kind"]) not in KINDS:
@@ -299,14 +290,13 @@ def adaptive_offset(lo, hi, mode: AdaptiveOffset) -> float:
     return (1.0 + mode.delta) * float(max(hi, -lo)) + mode.kappa
 
 
-def _normalized_input(xs, x_lo, x_hi, offset_1, x_cutoff, clamp, center_normalize, x_norm):
+def _normalized_input(xs, x_lo, x_hi, offset_1, clamp, x_norm):
     """The normalized input x / (x + offset_1) of xs, whose minimum and maximum are
     x_lo and x_hi, clamped to [-clamp, clamp], written to x_norm and returned.
 
     A zero or denormal denominator is replaced by sign(x) * clamp (0 at
     x = 0); a denominator that overflows (both addends huge and positive) is
-    rewritten as 1 / (1 + offset_1 / x).  With center_normalize off, inputs
-    with |x| <= x_cutoff pass through raw.
+    rewritten as 1 / (1 + offset_1 / x).
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         den = np.add(xs, offset_1, x_norm)  # may overflow to inf for huge batches; handled below
@@ -314,9 +304,8 @@ def _normalized_input(xs, x_lo, x_hi, offset_1, x_cutoff, clamp, center_normaliz
         # no guard is needed when every den is finite and on one side of zero,
         # at least _TINY away from it; a NaN bound fails these tests
         guarded = not ((lo >= _TINY or hi <= -_TINY) and -np.inf < lo and hi < np.inf)
-        # nor a clamp on centred inputs when max|x| / min|den|, never below a
-        # rounded |x / den|, is within it
-        clamped = guarded or not center_normalize or not max(-x_lo, x_hi) / min(abs(lo), abs(hi)) <= clamp
+        # nor a clamp when max|x| / min|den|, never below a rounded |x / den|, is within it
+        clamped = guarded or not max(-x_lo, x_hi) / min(abs(lo), abs(hi)) <= clamp
         if guarded:
             overflowed = np.isinf(den)
             singular = np.abs(den) < _TINY
@@ -327,35 +316,31 @@ def _normalized_input(xs, x_lo, x_hi, offset_1, x_cutoff, clamp, center_normaliz
     if guarded and np.any(singular):
         guard = np.where(xs == 0.0, 0.0, np.copysign(clamp, xs))
         np.copyto(x_norm, guard, where=singular)
-    if not center_normalize:
-        np.copyto(x_norm, xs, where=np.abs(xs) <= x_cutoff)
     return x_norm.clip(-clamp, clamp, out=x_norm) if clamped else x_norm
 
 
 def modhtan(xs, kind: ModHtan, v, g) -> float:
-    """f = k_o / (1 + E**(-2 * x_norm)) - 1 with x_norm = x / (x + offset_1); g = 1 - f**2.
+    """f = 2 / (1 + E**(-2 * x_norm)) - 1 with x_norm = x / (x + offset_1); g = 1 - f**2.
 
     Returns offset_1, fixed or adaptive to this batch.  E is the cached
-    rational-power approximation of e.  With c = ln E this is (k_o/2) *
-    tanh(c * x_norm) + k_o/2 - 1, the form "constant" mode computes: one
-    np.tanh pass at k_o = 2, accurate near f = 0, -0.0 kept.
-    "direct" mode evaluates the rational formula at -2 * x_norm per input.
-    Outputs stay strictly inside (-1, k_o - 1): rounding lands on a bound
-    once |x_norm| passes ~19, which would zero the 1 - f**2 gradient.
+    rational-power approximation of e.  With c = ln E this is
+    tanh(c * x_norm), the form "constant" mode computes: one np.tanh pass,
+    accurate near f = 0, -0.0 kept.  "direct" mode evaluates the rational
+    formula at -2 * x_norm per input.  Outputs stay strictly inside
+    (-1, 1): rounding lands on a bound once |x_norm| passes ~19, which
+    would zero the 1 - f**2 gradient.
     """
     lo, hi = xs.min(initial=np.inf), xs.max(initial=-np.inf)  # the one pass over the batch for both
     mode = kind.offset_mode
     offset_1 = adaptive_offset(lo, hi, mode) if isinstance(mode, AdaptiveOffset) else mode.offset_1
-    _normalized_input(xs, lo, hi, offset_1, kind.x_cutoff, kind.x_norm_clamp, kind.center_normalize, v)
+    _normalized_input(xs, lo, hi, offset_1, kind.x_norm_clamp, v)
     if kind.euler_mode == "constant":
         np.multiply(v, math.log(euler_constant(kind.rnf)), v)
         np.tanh(v, v)
-        if kind.k_o != 2.0:
-            np.add(np.multiply(v, kind.k_o / 2.0, v), kind.k_o / 2.0 - 1.0, v)
     else:
         np.add(rnf_exp(np.multiply(v, -2.0, v), kind.rnf), 1.0, v)
-        np.subtract(np.divide(kind.k_o, v, v), 1.0, v)
-    v.clip(math.nextafter(-1.0, 0.0), math.nextafter(kind.k_o - 1.0, -math.inf), out=v)
+        np.subtract(np.divide(2.0, v, v), 1.0, v)
+    v.clip(math.nextafter(-1.0, 0.0), math.nextafter(1.0, 0.0), out=v)
     # a surrogate, not the derivative of modhtan: 1 - f**2 leaves out the d(x_norm)/dx factor
     np.multiply(v, v, g)
     np.subtract(1.0, g, g)

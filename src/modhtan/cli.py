@@ -55,7 +55,7 @@ class _Parser(argparse.ArgumentParser):
     """Reads -1e-3 as a value, not an option; argparse's own pattern has no exponent."""
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, allow_abbrev=False, **kwargs)  # flags in full: --k is an error, not --kappa
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 

@@ -173,10 +173,9 @@ class TestAdaptiveOffset:
         assert all(x + off > 0.0 for x in batch)
 
 
-def normalize(x, offset_1, x_cutoff=10.0, clamp=50.0, center_normalize=True):
+def normalize(x, offset_1, clamp=50.0):
     xs = np.array(x)
-    return float(_normalized_input(xs, xs.min(), xs.max(), offset_1, x_cutoff, clamp, center_normalize,
-                                   np.empty_like(xs)))
+    return float(_normalized_input(xs, xs.min(), xs.max(), offset_1, clamp, np.empty_like(xs)))
 
 
 class TestNormalize:
@@ -185,16 +184,11 @@ class TestNormalize:
 
     def test_positive_region(self):
         assert normalize(1000.0, 10.0) == pytest.approx(1000.0 / 1010.0, rel=1e-15)
-        # beyond the cutoff the input is normalized even without center normalization
-        assert normalize(1000.0, 10.0, center_normalize=False) == normalize(1000.0, 10.0)
 
     def test_negative_region(self):
-        assert normalize(-10.5, 1.0, center_normalize=False) == normalize(-10.5, 1.0)
-
-    def test_cutoff_boundary_belongs_to_center(self):
-        # the center keeps the raw input when center normalization is off
-        assert normalize(10.0, 1.0, center_normalize=False) == 10.0
-        assert normalize(-10.0, 1.0, center_normalize=False) == -10.0
+        # every input is normalized, those near the origin too
+        assert normalize(-10.5, 1.0) == -10.5 / -9.5
+        assert normalize(-1.0, 100.0) == -1.0 / 99.0
 
     def test_singular_denominator_guard(self):
         assert normalize(-1.0, 1.0) == -50.0
@@ -229,13 +223,6 @@ class TestModHtan:
         b = activate(ModHtan(euler_mode="direct"), xs).values
         assert np.max(np.abs(a - b)) <= 1e-5
 
-    def test_center_normalize_off_restores_plain_tanh_inside(self):
-        kind = ModHtan(center_normalize=False, offset_mode=FixedOffset(100.0))
-        assert abs(value(kind, 1.0) - math.tanh(1.0)) <= 1e-5
-        # outside the cutoff the normalization still applies
-        got = value(kind, 1000.0)
-        assert abs(got - math.tanh(1000.0 / 1100.0)) <= 1e-5
-
     def test_tanh_tracking_on_mixed_batch(self):
         xs = np.array([-5e4, -17.0, -1.0, 0.0, 2.5, 300.0, 8e7])
         got, _, off = activate(ModHtan(), xs)
@@ -251,10 +238,6 @@ class TestModHtan:
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
-            ModHtan(k_o=0.0)
-        with pytest.raises(ValueError):
-            ModHtan(x_cutoff=-1.0)
-        with pytest.raises(ValueError):
             ModHtan(x_norm_clamp=0.0)
         with pytest.raises(ValueError):
             ModHtan(euler_mode="fast")
@@ -266,15 +249,13 @@ class TestModHtan:
             AdaptiveOffset(kappa=0.0)
         for bad in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError):
-                ModHtan(k_o=bad)
-            with pytest.raises(ValueError):
                 FixedOffset(bad)
             with pytest.raises(ValueError):
                 AdaptiveOffset(delta=bad)
             with pytest.raises(ValueError):
                 AdaptiveOffset(kappa=bad)
-        # their outputs stay finite, so these two may be infinite
-        ModHtan(x_cutoff=math.inf, x_norm_clamp=math.inf)
+        # the output stays finite, so the clamp may be infinite
+        ModHtan(x_norm_clamp=math.inf)
 
     @pytest.mark.parametrize("rnf, euler", [
         (RnfParams(a=10**17), "1.0"),  # (a - 1) / (a - 2) rounds to 1

@@ -425,8 +425,8 @@ class TestActivationFlags:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            pytest.param(["curves", "--fn", "modhtan", "--k", "inf"], "k_o must be positive and finite, got inf",
-                         id="curves-k"),
+            pytest.param(["curves", "--fn", "modhtan", "--kappa", "inf"], "kappa must be positive and finite, got inf",
+                         id="curves-kappa"),
             pytest.param(["train", "--fn", "modhtan", "--n", "20", "--epochs", "2", "--delta", "nan"],
                          "delta must be >= 0 and finite, got nan", id="train-delta"),
             # an Euler constant E <= 1, or one far from its formula, fails before any fit or file
@@ -531,7 +531,7 @@ class TestParserReuse:
 
     def test_flags_of_one_call_do_not_reach_the_next(self, tmp_path, capsys):
         fixed, default, want = tmp_path / "fixed.csv", tmp_path / "default.csv", tmp_path / "want.csv"
-        argv = ["curves", "--fn", "modhtan", "--k", "3", "--offset-mode", "fixed", "--offset", "2"]
+        argv = ["curves", "--fn", "modhtan", "--offset-mode", "fixed", "--offset", "2"]
         assert main([*argv, *self.GRID, "--out", str(fixed)]) == 0
         assert main(["curves", "--fn", "modhtan", *self.GRID, "--out", str(default)]) == 0
         dump_curves(ModHtan(), -5.0, 5.0, 0.5, want)
@@ -541,8 +541,10 @@ class TestParserReuse:
 
     @pytest.mark.parametrize(
         "bad",
-        [["--k", "three"], ["--lo", "5", "--hi", "-5"]],
-        ids=["argparse", "command"],
+        [["--kappa", "three"], ["--lo", "5", "--hi", "-5"],
+         # retired flags, and a prefix of a live one, are unrecognized rather than read as another flag
+         ["--k", "3"], ["--cutoff", "3"], ["--center-normalize", "off"], ["--kap", "3"]],
+        ids=["argparse", "command", "retired-k", "retired-cutoff", "retired-center-normalize", "abbreviated-kappa"],
     )
     def test_usage_error_then_valid_call(self, bad, tmp_path, capsys):
         out, want = tmp_path / "htan.csv", tmp_path / "want.csv"

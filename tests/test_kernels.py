@@ -59,7 +59,7 @@ def oracle_adaptive_offset(b, delta, kappa):
         return float((1.0 + delta) * np.max(np.abs(b)) + kappa)
 
 
-def oracle_normalized_input(xs, offset_1, x_cutoff, clamp, center_normalize):
+def oracle_normalized_input(xs, offset_1, clamp):
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         den = xs + offset_1
         x_norm = xs / den
@@ -71,19 +71,17 @@ def oracle_normalized_input(xs, offset_1, x_cutoff, clamp, center_normalize):
     if np.any(singular):
         guard = np.where(xs == 0.0, 0.0, np.copysign(clamp, xs))
         x_norm = np.where(singular, guard, x_norm)
-    if not center_normalize:
-        x_norm = np.where(np.abs(xs) <= x_cutoff, xs, x_norm)
     return np.clip(x_norm, -clamp, clamp)
 
 
 def oracle_modhtan(xs, kind, offset_1):
-    x_norm = oracle_normalized_input(xs, offset_1, kind.x_cutoff, kind.x_norm_clamp, kind.center_normalize)
+    x_norm = oracle_normalized_input(xs, offset_1, kind.x_norm_clamp)
     if kind.euler_mode == "constant":
         t = euler_constant(kind.rnf) ** (-2.0 * x_norm)
     else:
         t = rnf_exp(-2.0 * x_norm, kind.rnf)
-    out = kind.k_o / (1.0 + t) - 1.0
-    return np.clip(out, np.nextafter(-1.0, 0.0), np.nextafter(kind.k_o - 1.0, -np.inf))
+    out = 2.0 / (1.0 + t) - 1.0
+    return np.clip(out, np.nextafter(-1.0, 0.0), np.nextafter(1.0, 0.0))
 
 
 def oracle_activate(kind, xs):
@@ -154,19 +152,18 @@ KINDS = [
     Elu(),
     Elu(alpha=0.3),
     *(
-        ModHtan(offset_mode=mode, euler_mode=euler, center_normalize=center)
+        ModHtan(offset_mode=mode, euler_mode=euler)
         for mode in (AdaptiveOffset(), FixedOffset(1.0), FixedOffset(-3.0))
         for euler in ("constant", "direct")
-        for center in (True, False)
     ),
-    ModHtan(k_o=3.0, x_norm_clamp=5.0),
+    ModHtan(x_norm_clamp=5.0),
 ]
 
 
 def _kind_id(kind):
     if not isinstance(kind, ModHtan):
         return repr(kind)
-    return f"modhtan-{type(kind.offset_mode).__name__}-{kind.euler_mode}-center{kind.center_normalize}-k{kind.k_o}"
+    return f"modhtan-{type(kind.offset_mode).__name__}-{kind.euler_mode}-clamp{kind.x_norm_clamp}"
 
 
 def _tanh_form(kind):
@@ -220,36 +217,33 @@ class TestActivationOracle:
 _SATURATED = 40.0
 
 # Max error of a tanh-form kernel in units in the last place of the
-# reference value; for k_o != 2, of max(|f|, |k_o/2 - 1|), the scale of the
-# affine step's rounding.  The bound allows numpy's tanh one ulp and the
-# rounding of x_norm * ln E half of one, plus one for the affine step.
-# Measured max over every grid: 0.80 for htan, 1.77 for modhtan at k_o = 2
-# and 2.24 at k_o = 3, against up to 9e15 for the expression forms.
+# reference value.  The bound allows numpy's tanh one ulp and the rounding of
+# x_norm * ln E half of one.  Measured max over every grid: 0.80 for htan and
+# 1.77 for modhtan, against up to 9e15 for the expression forms.
 ULP_BOUND = 2.0
-ULP_BOUND_AFFINE = 3.0
 
 
-def longdouble_formula(x_norm, k_o, log_e):
-    """k_o / (1 + E**(-2 * x_norm)) - 1 with ln E = log_e, in np.longdouble.
+def longdouble_formula(x_norm, log_e):
+    """2 / (1 + E**(-2 * x_norm)) - 1 with ln E = log_e, in np.longdouble.
 
-    Written as (k_o - 2 - d) / (2 + d) with d = E**(-2 * x_norm) - 1 from
-    expm1, which cancels only at a root of f (for k_o > 2).
+    Written as -d / (2 + d) with d = E**(-2 * x_norm) - 1 from expm1, which
+    does not cancel near f = 0.
     """
     d = np.expm1(-2.0 * log_e * np.asarray(x_norm, dtype=np.longdouble))
-    return (k_o - 2.0 - d) / (2.0 + d)
+    return -d / (2.0 + d)
 
 
 def reference_values(kind, xs, offset_1):
     """The activation's formula, evaluated in np.longdouble on the same
     double inputs: x for htan, x_norm and E for modhtan."""
     if isinstance(kind, Htan):
-        return longdouble_formula(np.clip(xs, -_SATURATED, _SATURATED), 2.0, np.longdouble(1.0))
-    x_norm = oracle_normalized_input(xs, offset_1, kind.x_cutoff, kind.x_norm_clamp, kind.center_normalize)
-    return longdouble_formula(x_norm, kind.k_o, np.log(np.longdouble(euler_constant(kind.rnf))))
+        return longdouble_formula(np.clip(xs, -_SATURATED, _SATURATED), np.longdouble(1.0))
+    x_norm = oracle_normalized_input(xs, offset_1, kind.x_norm_clamp)
+    return longdouble_formula(x_norm, np.log(np.longdouble(euler_constant(kind.rnf))))
 
 
-def max_ulp_error(values, reference, k_o=2.0):
-    scale = np.maximum(np.abs(reference), abs(k_o / 2.0 - 1.0)).astype(float)
+def max_ulp_error(values, reference):
+    scale = np.abs(reference).astype(float)
     err = np.abs(values.astype(np.longdouble) - reference) / np.spacing(scale).astype(np.longdouble)
     return float(err.max())
 
@@ -259,8 +253,8 @@ def max_ulp_error(values, reference, k_o=2.0):
     reason="np.longdouble is not extended precision on this platform, so it cannot be the reference",
 )
 class TestTanhFormAccuracy:
-    """htan and constant-mode modhtan compute k_o / (1 + E**(-2v)) - 1 as
-    (k_o/2) * tanh(v * ln E) + (k_o/2 - 1), with E = e and v = x for htan.
+    """htan and constant-mode modhtan compute 2 / (1 + E**(-2v)) - 1 as
+    tanh(v * ln E), with E = e and v = x for htan.
     Against a long-double evaluation of the formula, their error never
     exceeds that of the expression forms above and stays within ULP_BOUND;
     the gradients stay the surrogate 1 - f**2 of the values."""
@@ -274,10 +268,9 @@ class TestTanhFormAccuracy:
         assert got.offset_1 == offset_1
         assert got.grads.tobytes() == (1.0 - got.values * got.values).tobytes()
         reference = reference_values(kind, grid, offset_1)
-        k_o = kind.k_o if isinstance(kind, ModHtan) else 2.0
-        error = max_ulp_error(got.values, reference, k_o)
-        assert error <= max_ulp_error(old_values, reference, k_o)
-        assert error <= (ULP_BOUND if k_o == 2.0 else ULP_BOUND_AFFINE)
+        error = max_ulp_error(got.values, reference)
+        assert error <= max_ulp_error(old_values, reference)
+        assert error <= ULP_BOUND
 
     @pytest.mark.parametrize("kind", TANH_KINDS, ids=_kind_id)
     def test_into_stale_buffers_bytewise(self, kind):
@@ -303,23 +296,6 @@ def htan_values(xs):
 
 
 class TestTanhForms:
-    @pytest.mark.parametrize("k_o", [3.0, 0.5])
-    def test_k_o_is_an_affine_map_of_the_default(self, k_o):
-        xs = GRIDS["finite_offset"]
-        f2 = activate(ModHtan(offset_mode=FixedOffset(2.0)), xs).values
-        fk = activate(ModHtan(k_o=k_o, offset_mode=FixedOffset(2.0)), xs).values
-        inside = np.abs(f2) < 0.999  # away from the open-interval clip
-        assert inside.sum() > 100
-        assert fk[inside].tobytes() == (f2[inside] * (k_o / 2.0) + (k_o / 2.0 - 1.0)).tobytes()
-
-    def test_k_o_3_is_three_over_one_plus_e_power_minus_one(self):
-        xs = np.linspace(-30.0, 30.0, 601)
-        kind = ModHtan(k_o=3.0)
-        got, _, offset_1 = activate(kind, xs)
-        x_norm = oracle_normalized_input(xs, offset_1, kind.x_cutoff, kind.x_norm_clamp, kind.center_normalize)
-        paper = 3.0 / (1.0 + euler_constant() ** (-2.0 * x_norm)) - 1.0
-        assert np.max(np.abs(got - paper)) <= 4 * np.finfo(float).eps
-
     def test_htan_is_odd(self):
         xs = GRID[np.isfinite(GRID)]
         assert htan_values(-xs).tobytes() == (-htan_values(xs)).tobytes()
@@ -327,8 +303,7 @@ class TestTanhForms:
     def test_minus_zero_maps_to_minus_zero(self):
         assert math.copysign(1.0, htan_values(-0.0)) == -1.0
         assert math.copysign(1.0, htan_values(0.0)) == 1.0
-        for kind in (ModHtan(), ModHtan(center_normalize=False)):
-            assert math.copysign(1.0, activate(kind, np.array([-0.0])).values[0]) == -1.0
+        assert math.copysign(1.0, activate(ModHtan(), np.array([-0.0])).values[0]) == -1.0
         fixed = ModHtan(offset_mode=FixedOffset(-3.0))
         assert math.copysign(1.0, activate(fixed, -0.0).values) == 1.0  # -0.0 / -3.0 is +0.0
 
@@ -495,7 +470,7 @@ class TestOneInputForward:
 
 
 class TestClampSkip:
-    """Centred inputs skip the x_norm clamp when max|x| / min|x + offset_1|
+    """Inputs skip the x_norm clamp when max|x| / min|x + offset_1|
     is within it; every result keeps the oracle's bytes, clamped or not."""
 
     @pytest.mark.parametrize("offset_1", [1.0, 1.5, 2.0, 3.0, -1.5, -3.0])
@@ -503,15 +478,15 @@ class TestClampSkip:
     def test_bytewise_on_either_side_of_the_bound(self, offset_1, clamp):
         xs = np.concatenate([np.linspace(-1.0, 1.0, 201), [0.0, -0.0, 5e-324]])
         xs = xs if offset_1 > 0 else -xs
-        expected = oracle_normalized_input(xs, offset_1, 10.0, clamp, True)
-        got = _normalized_input(xs, xs.min(), xs.max(), offset_1, 10.0, clamp, True, np.empty_like(xs))
+        expected = oracle_normalized_input(xs, offset_1, clamp)
+        got = _normalized_input(xs, xs.min(), xs.max(), offset_1, clamp, np.empty_like(xs))
         assert got.tobytes() == expected.tobytes()
 
     def test_bound_reached_exactly(self):
         # max|x| / min|den| = 1 / (2 - 1) = 1 = clamp: skipped, and no value passes 1
         xs = np.linspace(-1.0, 1.0, 11)
-        got = _normalized_input(xs, xs.min(), xs.max(), 2.0, 10.0, 1.0, True, np.empty_like(xs))
-        assert got.tobytes() == oracle_normalized_input(xs, 2.0, 10.0, 1.0, True).tobytes()
+        got = _normalized_input(xs, xs.min(), xs.max(), 2.0, 1.0, np.empty_like(xs))
+        assert got.tobytes() == oracle_normalized_input(xs, 2.0, 1.0).tobytes()
         assert got[0] == -1.0
 
 

@@ -246,13 +246,7 @@ class TestSerialization:
             SoftStep(),
             Elu(alpha=0.7),
             ModHtan(offset_mode=FixedOffset(3.5), euler_mode="direct"),
-            ModHtan(
-                k_o=2.5,
-                x_cutoff=25.0,
-                offset_mode=AdaptiveOffset(delta=0.1, kappa=1e-5),
-                rnf=RnfParams(a=1024),
-                center_normalize=False,
-            ),
+            ModHtan(offset_mode=AdaptiveOffset(delta=0.1, kappa=1e-5), rnf=RnfParams(a=1024), x_norm_clamp=25.0),
         ],
         ids=["htan", "softstep", "elu", "modhtan-fixed", "modhtan-adaptive"],
     )
@@ -276,7 +270,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("n_hidden", "two"), ("modhtan_k_o", "big"), ("modhtan_offset_mode", "sometimes"),
+        [("n_hidden", "two"), ("modhtan_x_norm_clamp", "big"), ("modhtan_offset_mode", "sometimes"),
          ("W1", "1.0 2.0"), ("b2", "x"), ("hidden_kind", "relu")],
     )
     def test_bad_field_is_value_error_naming_it(self, tmp_path, key, value):
@@ -312,11 +306,11 @@ class TestSerialization:
         path = tmp_path / "model.txt"
         save_model(nguyen_widrow_init(3, 2, 1, ModHtan(), seed=13), path)
         text = path.read_text()
-        assert "modhtan_k_o = 2.0\n" in text
-        path.write_text(text.replace("modhtan_k_o = 2.0\n", "modhtan_k_o = inf\n"))
+        assert "modhtan_offset_kappa = 1e-06\n" in text
+        path.write_text(text.replace("modhtan_offset_kappa = 1e-06\n", "modhtan_offset_kappa = inf\n"))
         with pytest.raises(ValueError) as info:
             load_model(path)
-        assert str(info.value) == f"{path}: k_o must be positive and finite, got inf"
+        assert str(info.value) == f"{path}: kappa must be positive and finite, got inf"
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.txt"

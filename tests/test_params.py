@@ -7,6 +7,7 @@ import pytest
 
 from modhtan.activations import (
     PARAMS,
+    RETIRED_KEYS,
     AdaptiveOffset,
     Elu,
     FixedOffset,
@@ -31,6 +32,8 @@ LEAF_FIELDS = [
 # Default kinds that between them use every row of the table
 BASE_KINDS = (Elu(), ModHtan(), ModHtan(offset_mode=FixedOffset(1.5)))
 
+# A model file as saved before three ModHtan fields were retired; their rows
+# hold the only values that still load (the cutoff was inert at them)
 OLD_MODEL_FILE = """\
 modhtan-mlp v1
 n_in = 3
@@ -53,6 +56,7 @@ b1 = 0.2007159655947286 -0.8773043763072039
 W2 = 0.4104071780658378 0.4848034752375554
 b2 = -0.21370339583382958
 """
+RETIRED_ROWS = ("modhtan_k_o = 2.0\n", "modhtan_x_cutoff = 10.0\n", "modhtan_center_normalize = on\n")
 
 
 @pytest.mark.parametrize("owner, name", LEAF_FIELDS, ids=[f"{c.__name__}.{n}" for c, n in LEAF_FIELDS])
@@ -108,4 +112,23 @@ def test_model_file_format_is_unchanged(tmp_path):
     assert model.hidden_kind == ModHtan(offset_mode=FixedOffset(3.5), euler_mode="direct")
     again = tmp_path / "again.txt"
     save_model(model, again)
-    assert again.read_text() == OLD_MODEL_FILE
+    assert again.read_text() == "".join(
+        line for line in OLD_MODEL_FILE.splitlines(keepends=True) if line not in RETIRED_ROWS
+    )
+
+
+@pytest.mark.parametrize("key, value", [("modhtan_k_o", "3.0"), ("modhtan_center_normalize", "off")])
+def test_retired_key_away_from_its_kept_value_is_value_error(tmp_path, key, value):
+    path = tmp_path / "model.txt"
+    kept_row = f"{key} = {RETIRED_KEYS[key]}\n"
+    assert kept_row in RETIRED_ROWS
+    path.write_text(OLD_MODEL_FILE.replace(kept_row, f"{key} = {value}\n"))
+    with pytest.raises(ValueError) as info:
+        load_model(path)
+    assert str(info.value) == f"{path}: {key} is retired; only {RETIRED_KEYS[key]} loads, got {value!r}"
+
+
+def test_retired_cutoff_is_ignored(tmp_path):
+    path = tmp_path / "model.txt"
+    path.write_text(OLD_MODEL_FILE.replace("modhtan_x_cutoff = 10.0\n", "modhtan_x_cutoff = 25.0\n"))
+    assert load_model(path).hidden_kind == ModHtan(offset_mode=FixedOffset(3.5), euler_mode="direct")
