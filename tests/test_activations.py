@@ -236,6 +236,20 @@ class TestModHtan:
         assert math.isfinite(f)
         assert -1.0 < f < 1.0
 
+    def test_continuous_across_the_old_cutoff(self):
+        # a raw central region once made f jump at |x| = 10: f(10) = 1.0, f(10.0001) = 0.31
+        kind = ModHtan(offset_mode=FixedOffset(100.0))
+        xs = np.linspace(-20.0, 20.0, 40001)
+        f = activate(kind, xs).values
+        assert np.all(np.diff(f) >= 0.0)
+        assert np.max(np.diff(f)) <= 1e-3 * 1.1 * 100.0 / 80.0 ** 2  # dx * max d(x_norm)/dx, with slack
+        assert abs(value(kind, 10.0001) - value(kind, 10.0)) <= 1e-5
+
+    @pytest.mark.parametrize("field, given", [("k_o", 3.0), ("x_cutoff", 25.0), ("center_normalize", False)])
+    def test_retired_field_is_type_error(self, field, given):
+        with pytest.raises(TypeError, match=field):
+            ModHtan(**{field: given})
+
     def test_param_validation(self):
         with pytest.raises(ValueError):
             ModHtan(x_norm_clamp=0.0)

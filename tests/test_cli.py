@@ -557,6 +557,26 @@ class TestParserReuse:
         assert not (tmp_path / "bad.csv").exists()
 
 
+class TestFlagsInFull:
+    """Every command takes its flags only in full: a retired modhtan flag,
+    or a prefix of a live flag, is unrecognized on each of them."""
+
+    @pytest.mark.parametrize("command", ["curves", "train", "bench"])
+    @pytest.mark.parametrize("flag, value", [("--k", "3"), ("--cutoff", "3"), ("--center-normalize", "off"),
+                                             ("--kap", "3")])
+    def test_retired_or_abbreviated_flag_is_usage_error(self, command, flag, value, capsys):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args([command, *REQUIRED.get(command, []), flag, value])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    def test_approx_bench_flag_prefix_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["approx-bench", "--cou", "100"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --cou 100" in capsys.readouterr().err
+
+
 class TestParserBasics:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -152,9 +152,10 @@ KINDS = [
     Elu(),
     Elu(alpha=0.3),
     *(
-        ModHtan(offset_mode=mode, euler_mode=euler)
+        ModHtan(offset_mode=mode, euler_mode=euler, x_norm_clamp=clamp)
         for mode in (AdaptiveOffset(), FixedOffset(1.0), FixedOffset(-3.0))
         for euler in ("constant", "direct")
+        for clamp in (50.0, 2.0)  # the default, and one that binds inside the grids' range
     ),
     ModHtan(x_norm_clamp=5.0),
 ]

@@ -117,7 +117,8 @@ def test_model_file_format_is_unchanged(tmp_path):
     )
 
 
-@pytest.mark.parametrize("key, value", [("modhtan_k_o", "3.0"), ("modhtan_center_normalize", "off")])
+@pytest.mark.parametrize("key, value", [("modhtan_k_o", "3.0"), ("modhtan_k_o", "0.5"), ("modhtan_k_o", "nan"),
+                                        ("modhtan_center_normalize", "off")])
 def test_retired_key_away_from_its_kept_value_is_value_error(tmp_path, key, value):
     path = tmp_path / "model.txt"
     kept_row = f"{key} = {RETIRED_KEYS[key]}\n"
