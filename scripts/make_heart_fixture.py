@@ -1,21 +1,22 @@
 #!/usr/bin/env python3
 """Generate a stand-in heart data file for offline use.
 
-270 rows, 13 features, labels 1/2, space-delimited -- the same layout the
-loader expects from the real Statlog file.  Feature marginals and the
-label rule are synthetic but produce a learnable classification problem.
+270 rows by default (`--rows`), 13 features, labels 1/2, space-delimited
+-- the same layout the loader expects from the real Statlog file.  Feature
+marginals and the label rule are synthetic but produce a learnable
+classification problem.
 """
 
 import argparse
 import sys
 
-from modhtan.datasets import HEART_EXPECTED_ROWS, HEART_FIXTURE_SEED, make_heart_fixture
+from modhtan.datasets import HEART_FIXTURE_ROWS, HEART_FIXTURE_SEED, make_heart_fixture
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("out", nargs="?", default="heart.dat")
-    ap.add_argument("--rows", type=int, default=HEART_EXPECTED_ROWS)
+    ap.add_argument("--rows", type=int, default=HEART_FIXTURE_ROWS)
     ap.add_argument("--seed", type=int, default=HEART_FIXTURE_SEED)
     args = ap.parse_args()
     if args.rows < 1:

@@ -48,7 +48,6 @@ class ExperimentSpec:
     trainer: LmConfig | GdmConfig = LmConfig()  # its type picks the trainer
     n_hidden: int = 2
     n_points: int = 5000  # synthetic sample count
-    random_x: bool = False  # synthetic: sample x uniformly instead of linspace
     heart_path: str | None = None
     test_fraction: float = SplitSpec.test_fraction
 
@@ -112,7 +111,7 @@ def iter_runs(spec: ExperimentSpec) -> Iterator[Run]:
     """
     synthetic = spec.dataset == "synthetic"  # no split: the metric is the training MSE
     if synthetic:
-        data = gen_quadratic(spec.n_points, random_x=spec.random_x, seed=spec.base_seed)
+        data = gen_quadratic(spec.n_points)
     else:
         data = load_heart(spec.heart_path)
     metric_name = "mse" if synthetic else "accuracy_pct"

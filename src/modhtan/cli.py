@@ -91,9 +91,6 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
     g.add_argument(
         "--n", type=int, default=ExperimentSpec.n_points, help="synthetic sample count"
     )
-    g.add_argument(
-        "--random-x", action="store_true", help="sample synthetic x uniformly instead of linspace"
-    )
     g.add_argument("--path", default=None, help="heart data file")
     g.add_argument("--test-fraction", type=float, default=ExperimentSpec.test_fraction)
 
@@ -130,7 +127,6 @@ def _spec(args: argparse.Namespace, names: list[str], runs: int) -> ExperimentSp
         trainer=gdm if args.trainer == "gdm" else lm,
         n_hidden=args.hidden,
         n_points=args.n,
-        random_x=args.random_x,
         heart_path=args.path,
         test_fraction=args.test_fraction,
     )

@@ -6,14 +6,13 @@ Statlog-format heart disease benchmark, seeded train/test splitting, and the
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 HEART_FEATURES = 13
-HEART_EXPECTED_ROWS = 270
-HEART_FIXTURE_SEED = 7  # make_heart_fixture's default, also the fixture script's
+HEART_FIXTURE_ROWS = 270  # make_heart_fixture's defaults, also the fixture script's
+HEART_FIXTURE_SEED = 7
 
 
 @dataclass
@@ -56,18 +55,11 @@ def _scale(fit, *others) -> tuple[np.ndarray, ...]:
     return tuple(scaled)
 
 
-def gen_quadratic(n: int, random_x: bool = False, seed: int = 0) -> Dataset:
-    """n points of the x**2 - 2 curve, inputs and targets scaled to [-1, 1].
-
-    Inputs are linearly spaced over [-1, 1] by default; random_x draws them
-    uniformly instead.
-    """
+def gen_quadratic(n: int) -> Dataset:
+    """n points of the x**2 - 2 curve at evenly spaced x, inputs and targets scaled to [-1, 1]."""
     if n < 2:
         raise ValueError(f"need at least 2 points, got {n}")
-    if random_x:
-        x = np.random.default_rng(seed).uniform(-1.0, 1.0, size=n)
-    else:
-        x = np.linspace(-1.0, 1.0, n)
+    x = np.linspace(-1.0, 1.0, n)
     (x_scaled,), (t_scaled,) = _scale(x), _scale(x**2 - 2.0)
     return Dataset(X=x_scaled[:, None], T=t_scaled[:, None])
 
@@ -75,9 +67,9 @@ def gen_quadratic(n: int, random_x: bool = False, seed: int = 0) -> Dataset:
 def load_heart(path) -> Dataset:
     """Statlog heart file: 13 numeric features plus a 1/2 label per line.
 
-    Whitespace- or comma-delimited (auto-detected).  Labels are mapped to
-    0 (absence) / 1 (presence).  Features are left unscaled here; scaling is
-    fit on the training side at split time.
+    Any row count, whitespace- or comma-delimited (auto-detected).  Labels
+    map to 0 (absence) / 1 (presence).  Features are left unscaled here;
+    scaling is fit on the training side at split time.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -105,8 +97,6 @@ def load_heart(path) -> Dataset:
             raise ValueError("no data rows")
     except ValueError as exc:  # an undecodable file too
         raise ValueError(f"{path}: {exc}") from None
-    if len(labels) != HEART_EXPECTED_ROWS:
-        warnings.warn(f"{path}: expected {HEART_EXPECTED_ROWS} rows, got {len(labels)}")
     X = np.asarray(features, dtype=float)
     T = np.asarray(labels, dtype=float)[:, None]
     return Dataset(X=X, T=T)
@@ -129,7 +119,7 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     return Dataset(x_train, ds.T[train_idx]), Dataset(x_test, ds.T[test_idx])
 
 
-def make_heart_fixture(path, n: int = HEART_EXPECTED_ROWS, seed: int = HEART_FIXTURE_SEED) -> None:
+def make_heart_fixture(path, n: int = HEART_FIXTURE_ROWS, seed: int = HEART_FIXTURE_SEED) -> None:
     """Write a heart-like stand-in file in the Statlog format.
 
     The canonical UCI file cannot be fetched here, so tests and offline runs

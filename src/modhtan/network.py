@@ -170,7 +170,7 @@ def save_model(model: MlpModel, path) -> None:
     lines.append(f"n_out = {model.n_out}")
     for key, value in kind_to_fields(model.hidden_kind).items():
         lines.append(f"{key} = {value}")
-    for name in ("W1", "b1", "W2", "b2"):
+    for name in _shapes(model.n_in, model.n_hidden, model.n_out):
         values = " ".join(repr(float(v)) for v in getattr(model, name).ravel())
         lines.append(f"{name} = {values}")
     with open(path, "w", encoding="utf-8") as fh:

@@ -155,8 +155,9 @@ def train_lm(model: MlpModel, X, T, cfg: LmConfig = LmConfig()) -> tuple[MlpMode
         history.termination = "stall"
         return model, history
     # Per-fit buffers.  Every candidate forward writes into the workspace's
-    # arrays, so at the top of an epoch they hold the current model's forward:
-    # the accepted candidate's was the last one written.  A step is written
+    # arrays and replaces the workspace with the cache it returns, so at the
+    # top of an epoch it holds the current model's forward, offset_1 too: the
+    # accepted candidate's was the last one written.  A step is written
     # into candidate's theta, and accepting it swaps candidate and current.
     # normal holds J^T J, and before each solve its diagonal is rewritten as
     # J^T J's diagonal plus mu; np.linalg.solve never writes its operand.
@@ -181,7 +182,7 @@ def train_lm(model: MlpModel, X, T, cfg: LmConfig = LmConfig()) -> tuple[MlpMode
                 delta = np.linalg.solve(normal, rhs)
                 if np.isfinite(delta).all():
                     np.add(current.theta, delta, out=candidate.theta)
-                    forward(candidate, X, workspace)
+                    _, workspace = forward(candidate, X, workspace)
                     candidate_loss = mse(workspace.y, T)
             except (np.linalg.LinAlgError, StallError):  # a singular level or a stalled forward
                 pass

@@ -154,7 +154,7 @@ class TestRunExperiment:
         assert len(run.history.loss) == 20
         assert math.isfinite(run.row.metric_value)
         # train_mse is the returned model's error; the last history entry is the loss before the last update
-        data = gen_quadratic(spec.n_points, seed=spec.base_seed)
+        data = gen_quadratic(spec.n_points)
         assert run.train_mse == mse(forward(run.model, data.X)[0], data.T)
         assert run.train_mse != run.history.loss[-1]
         # an LM fit returns its last accepted model, whose loss is the history's last entry

@@ -1,6 +1,7 @@
 """End-to-end CLI coverage through main(argv) -> exit code."""
 
 import argparse
+import warnings
 
 import numpy as np
 import pytest
@@ -9,9 +10,8 @@ from modhtan import bench, cli, training
 from modhtan.activations import Htan, ModHtan
 from modhtan.bench import dump_curves
 from modhtan.cli import build_parser, main
-from modhtan.datasets import gen_quadratic
-from modhtan.network import StallError, forward, load_model
-from modhtan.training import mse
+from modhtan.datasets import make_heart_fixture
+from modhtan.network import StallError, load_model
 
 
 # direct-mode modhtan whose clamp lets rnf_exp(-2 * x_norm) leave the double range
@@ -152,6 +152,14 @@ class TestTrainCommand:
         assert code == 0
         assert "test accuracy" in capsys.readouterr().out
 
+    def test_heart_fixture_of_any_size_trains_quietly(self, tmp_path, capsys):
+        path = tmp_path / "h120.dat"
+        make_heart_fixture(path, n=120)
+        with warnings.catch_warnings():  # a warning would print outside capsys's view
+            warnings.simplefilter("error")
+            assert main(["train", "--fn", "modhtan", "--data", "heart", "--path", str(path), "--epochs", "3"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_heart_file_without_rows(self, tmp_path, capsys):
         path = tmp_path / "empty.dat"
         path.write_text("\n")
@@ -179,17 +187,6 @@ class TestTrainCommand:
         hist_lines = hist_path.read_text().splitlines()
         assert hist_lines[0] == "epoch,loss,epoch_time_s"
         assert len(hist_lines) == 11
-
-    def test_random_x_trains_on_uniform_inputs(self, tmp_path, capsys):
-        path = tmp_path / "m.txt"
-        argv = ["train", "--fn", "htan", "--n", "50", "--epochs", "3", "--save", str(path)]
-        assert main([*argv, "--random-x"]) == 0
-        printed = capsys.readouterr().out.split()[2]  # train mse <value> after ...
-        data = gen_quadratic(50, random_x=True, seed=0)
-        y, _ = forward(load_model(path), data.X)
-        assert printed == f"{mse(y, data.T):.6g}"
-        assert main(argv) == 0
-        assert capsys.readouterr().out.split()[2] != printed
 
     def test_gdm_trainer(self, capsys):
         code = main(["train", "--fn", "softstep", "--trainer", "gdm", "--n", "40",
@@ -569,6 +566,13 @@ class TestFlagsInFull:
             build_parser().parse_args([command, *REQUIRED.get(command, []), flag, value])
         assert info.value.code == 2
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    def test_retired_random_x_is_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args([command, *REQUIRED.get(command, []), "--random-x"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --random-x" in capsys.readouterr().err
 
     def test_approx_bench_flag_prefix_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from modhtan import training
-from modhtan.activations import Elu, Htan, ModHtan, SoftStep
+from modhtan.activations import Elu, Htan, ModHtan, SoftStep, adaptive_offset
 from modhtan.datasets import SplitSpec, gen_quadratic, load_heart, make_heart_fixture, split
 from modhtan.network import (
     MlpModel,
@@ -288,6 +288,22 @@ class TestLm:
         last_epoch = calls[len(calls) - calls[::-1].index("jacobian"):]  # after the epoch's one jacobian
         # 31 is LmConfig's derived bound at the default mu_inc and mu_max
         assert 20 < last_epoch.count("forward") <= 31
+
+    def test_each_jacobian_sees_the_offset_of_its_own_forward(self, monkeypatch):
+        # the workspace follows every candidate forward, offset_1 too, not only its arrays
+        kind, caches = ModHtan(), []
+
+        def recorded(model, X, T, cache, out):
+            caches.append((cache.offset_1, cache.z1.min(), cache.z1.max()))
+            return jacobian(model, X, T, cache, out)
+
+        monkeypatch.setattr(training, "jacobian", recorded)
+        ds = gen_quadratic(400)
+        train_lm(nguyen_widrow_init(1, 3, 1, kind, seed=0), ds.X, ds.T, LmConfig(epochs=10))
+        assert len(caches) == 10
+        assert len({offset for offset, _, _ in caches}) > 1  # the adaptive offset moves with z1
+        for offset, lo, hi in caches:
+            assert offset == adaptive_offset(lo, hi, kind.offset_mode)
 
     def test_converged_heart_fit_runs_every_epoch(self, tmp_path):
         # htan on this fixture drives mu to the floor; one epoch then rejects
