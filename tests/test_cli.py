@@ -360,6 +360,18 @@ class TestBenchCommand:
         body = out.read_text()
         assert "accuracy_pct" in body
 
+    def test_heart_fixture_of_any_size_benches_quietly(self, tmp_path, capsys):
+        # heart's split permutes rows, so this fits H = 50 on shuffled samples
+        path, out = tmp_path / "h120.dat", tmp_path / "heart.csv"
+        make_heart_fixture(path, n=120)
+        argv = ["bench", "--fns", "modhtan", "--runs", "1", "--data", "heart", "--path", str(path),
+                "--hidden", "50", "--epochs", "3", "--out", str(out)]
+        with warnings.catch_warnings():  # a warning would print outside capsys's view
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert "accuracy_pct" in out.read_text()
+
     def test_determinism_modulo_runtime(self, tmp_path, capsys):
         args = ["bench", "--fns", "modhtan", "--runs", "2", "--n", "40", "--epochs", "12"]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

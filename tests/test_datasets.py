@@ -170,6 +170,13 @@ class TestGenQuadratic:
         ds = gen_quadratic(2)
         assert ds.T.ravel().tolist() == [0.0, 0.0]
 
+    def test_one_grid_on_every_call(self):
+        # the synthetic set has one input distribution: evenly spaced x, nothing drawn at random
+        a, b = gen_quadratic(101), gen_quadratic(101)
+        assert a.X.tobytes() == b.X.tobytes() and a.T.tobytes() == b.T.tobytes()
+        steps = np.diff(a.X.ravel())
+        assert np.all(steps > 0.0) and np.allclose(steps, 0.02, rtol=0.0, atol=1e-15)
+
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
             gen_quadratic(1)
@@ -308,6 +315,18 @@ class TestFixture:
         assert out.read_bytes() == lib.read_bytes()
         assert len(load_heart(out).T) == 270
         assert capsys.readouterr().out == f"wrote {out} (270 rows, seed 7)\n"
+
+    @pytest.mark.parametrize("rows", [1, 120])
+    def test_script_rows_option_writes_a_file_that_loads_quietly(self, tmp_path, monkeypatch, capsys, rows):
+        out, lib = tmp_path / "script.dat", tmp_path / "lib.dat"
+        monkeypatch.setattr(sys, "argv", [str(self.SCRIPT), str(out), "--rows", str(rows)])
+        runpy.run_path(str(self.SCRIPT), run_name="__main__")
+        make_heart_fixture(lib, n=rows)
+        assert out.read_bytes() == lib.read_bytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert len(load_heart(out).T) == rows
+        assert capsys.readouterr().out == f"wrote {out} ({rows} rows, seed 7)\n"
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_fixture_rejects_fewer_than_one_row(self, tmp_path, n):

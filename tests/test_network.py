@@ -259,6 +259,15 @@ class TestSerialization:
         for name in ("W1", "b1", "W2", "b2"):
             assert np.array_equal(getattr(back, name), getattr(model, name))
 
+    def test_file_writes_the_layout_in_shapes_order(self, tmp_path):
+        model = nguyen_widrow_init(3, 2, 4, Htan(), seed=13)
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        rows = [line.partition(" = ") for line in path.read_text().splitlines()]
+        arrays = [(key, len(value.split())) for key, _, value in rows if key in ("W1", "b1", "W2", "b2")]
+        assert arrays == [("W1", 6), ("b1", 2), ("W2", 8), ("b2", 4)]
+        assert [key for key, _, _ in rows][-4:] == ["W1", "b1", "W2", "b2"]
+
     def test_truncated_file_is_value_error(self, tmp_path):
         path = tmp_path / "model.txt"
         save_model(nguyen_widrow_init(3, 2, 1, ModHtan(), seed=13), path)
