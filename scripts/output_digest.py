@@ -34,7 +34,7 @@ def kind(name, **rows):
 KERNEL_KINDS = [kind("softstep"), kind("htan"), kind("elu"), kind("elu", elu_alpha=0.3), *(
     kind("modhtan", modhtan_offset_mode=mode, modhtan_offset_value=value, modhtan_euler_mode=euler)
     for mode, value in (("adaptive", 1.0), ("fixed", 1.0), ("fixed", -3.0)) for euler in ("constant", "direct")
-), kind("modhtan", modhtan_x_norm_clamp=5.0)]
+)]
 FIT_KINDS = [kind("htan"), kind("elu"), kind("modhtan"),
              kind("modhtan", modhtan_offset_mode="fixed", modhtan_offset_value=2.0),
              kind("modhtan", modhtan_euler_mode="direct")]

@@ -20,6 +20,9 @@ import numpy as np
 from .rnf import RnfParams, euler_constant, rnf_exp
 
 _TINY = sys.float_info.min  # smallest normal double; below this the x + offset_1 denominator counts as singular
+# Bound on |x_norm|.  Any bound from ~19 to ~354 gives the same output bytes: below ~19 it truncates
+# the function before tanh rounds to +-1; past ~354.9, E**(2 * |x_norm|) overflows in direct mode.
+_X_NORM_CLAMP = 50.0
 
 
 @dataclass(frozen=True)
@@ -76,7 +79,6 @@ class Elu:
 class ModHtan:
     """The normalized hyperbolic tangent and its configuration.
 
-    x_norm_clamp bounds the normalized input; 50 is far past saturation.
     euler_mode picks between the tanh form with the cached Euler
     approximation's log as slope ("constant") and evaluating the
     rational-power formula per input ("direct").
@@ -84,23 +86,16 @@ class ModHtan:
 
     offset_mode: FixedOffset | AdaptiveOffset = AdaptiveOffset()
     rnf: RnfParams = RnfParams()
-    x_norm_clamp: float = 50.0
     euler_mode: str = "constant"
     name: ClassVar[str] = "modhtan"
 
     def __post_init__(self):
-        if not self.x_norm_clamp > 0:
-            raise ValueError(f"x_norm_clamp must be positive, got {self.x_norm_clamp}")
         if self.euler_mode not in EULER_MODES:
             raise ValueError(f"euler_mode must be one of {EULER_MODES}, got {self.euler_mode!r}")
-        try:
-            e = euler_constant(self.rnf)  # an RnfDomainError is a ValueError already
-        except OverflowError:
-            e = math.inf
-        if not 1 < e < math.inf:  # ln E <= 0 flattens or mirrors the curve
-            raise ValueError(f"modhtan needs a finite Euler constant E > 1; {self.rnf} gives E = {e}")
-        a, n, m = self.rnf.a, self.rnf.n, self.rnf.m
-        exact = a * math.log1p((m + 1 - n) / (a - (m + 1)))  # ln E before the base (a-n)/(a-m-1) rounds
+        e = euler_constant(self.rnf)  # an RnfDomainError is a ValueError already
+        if e <= 1:  # the base (a-1)/(a-2) may round to 1, and ln E = 0 flattens the curve
+            raise ValueError(f"modhtan needs an Euler constant E > 1; {self.rnf} gives E = {e}")
+        exact = self.rnf.a * math.log1p(1.0 / (self.rnf.a - 2.0))  # ln E before the base (a-1)/(a-2) rounds
         if abs(math.log(e) - exact) > 1e-3 * exact:
             raise ValueError(f"{self.rnf} rounds modhtan's ln E = {exact} to {math.log(e)}")
 
@@ -112,8 +107,7 @@ ACTIVATION_NAMES = tuple(KINDS)
 
 
 class Param(NamedTuple):
-    """One activation parameter: model-file key, CLI flag (None for file-only
-    fields) and the dataclass field it fills.
+    """One activation parameter: model-file key, CLI flag and the dataclass field it fills.
 
     Numbers are parsed with `type` and written with repr.  A `choices` field
     is written as the text that maps to its value; where that value is a
@@ -121,7 +115,7 @@ class Param(NamedTuple):
     """
 
     key: str
-    flag: str | None
+    flag: str
     owner: type
     field: str
     help: str
@@ -158,20 +152,17 @@ PARAMS = (
     Param("modhtan_offset_delta", "delta", AdaptiveOffset, "delta",
           "adaptive offset headroom factor"),
     Param("modhtan_offset_kappa", "kappa", AdaptiveOffset, "kappa", "adaptive offset floor"),
-    Param("modhtan_x_norm_clamp", "clamp", ModHtan, "x_norm_clamp",
-          "normalized-input clamp"),
     Param("modhtan_euler_mode", "euler-mode", ModHtan, "euler_mode",
           "tanh with slope ln E of the cached Euler constant, or the rational formula per input",
           choices={mode: mode for mode in EULER_MODES}),
     Param("rnf_a", "rnf-a", RnfParams, "a", "rational-power exponent a", type=int),
-    Param("rnf_n", None, RnfParams, "n", "rational-power numerator shift"),
-    Param("rnf_m", None, RnfParams, "m", "rational-power denominator shift"),
 )
 
 _PARAM_AT = {(p.owner, p.field): p for p in PARAMS}
 
-# Model-file keys of retired ModHtan fields, each with the one value a file may still carry.
-RETIRED_KEYS = {"modhtan_k_o": "2.0", "modhtan_center_normalize": "on"}
+# Model-file keys of retired fields, each with the one value a file may still carry.
+RETIRED_KEYS = {"modhtan_k_o": "2.0", "modhtan_center_normalize": "on", "modhtan_x_norm_clamp": "50.0",
+                "rnf_n": "1.0", "rnf_m": "1.0"}
 
 
 def _groups(obj):
@@ -333,7 +324,7 @@ def modhtan(xs, kind: ModHtan, v, g) -> float:
     lo, hi = xs.min(initial=np.inf), xs.max(initial=-np.inf)  # the one pass over the batch for both
     mode = kind.offset_mode
     offset_1 = adaptive_offset(lo, hi, mode) if isinstance(mode, AdaptiveOffset) else mode.offset_1
-    _normalized_input(xs, lo, hi, offset_1, kind.x_norm_clamp, v)
+    _normalized_input(xs, lo, hi, offset_1, _X_NORM_CLAMP, v)
     if kind.euler_mode == "constant":
         np.multiply(v, math.log(euler_constant(kind.rnf)), v)
         np.tanh(v, v)

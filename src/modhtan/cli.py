@@ -62,8 +62,6 @@ class _Parser(argparse.ArgumentParser):
 def _add_activation_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("activation parameters")
     for param in PARAMS:
-        if param.flag is None:
-            continue
         parse = {"choices": tuple(param.choices)} if param.choices else {"type": param.type}
         default = param.default
         text = param.help if default is None else f"{param.help} (default {default})"
@@ -96,10 +94,11 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _activation_from_flags(name: str, args: argparse.Namespace) -> ActivationKind:
+    if args.offset is not None and args.offset_mode != "fixed":
+        raise ValueError("--offset needs --offset-mode fixed")
     values = {"hidden_kind": name}
     for param in PARAMS:
-        value = getattr(args, param.flag.replace("-", "_")) if param.flag else param.default
-        if value is not None:
+        if (value := getattr(args, param.flag.replace("-", "_"))) is not None:
             values[param.key] = value
     return kind_from_fields(values, label=lambda param: f"--{param.flag}")
 

@@ -1,6 +1,6 @@
 """Rational-power approximation of the exponential function.
 
-exp(x) is approximated by ((a - n) / (a - (m + x)))**a with a large integer
+exp(x) is approximated by ((a - 1) / (a - 1 - x))**a with a large integer
 calibration constant ``a``.  The a-fold power is evaluated by binary
 exponentiation, so one call costs about 2*log2(a) multiplications instead of
 the range reduction plus polynomial evaluation of a library exp.  With the
@@ -11,6 +11,7 @@ default a = 10**7 the relative error stays below 5e-5 on [-20, 20] and below
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,22 +24,19 @@ class RnfDomainError(ValueError):
 
 @dataclass(frozen=True)
 class RnfParams:
-    """Calibration constants of the approximation ((a-n)/(a-(m+x)))**a.
+    """Calibration constant of the approximation ((a-1)/(a-1-x))**a.
 
-    ``a`` must be an integer >= 2; larger values trade a handful of extra
-    multiplications for accuracy.  ``n`` and ``m`` shift the numerator and
-    denominator respectively.
+    ``a`` must be an integer from 2 to the largest double; larger values
+    trade a handful of extra multiplications for accuracy.
     """
 
     a: int = 10_000_000
-    n: float = 1.0
-    m: float = 1.0
 
     def __post_init__(self):
         if isinstance(self.a, bool) or not isinstance(self.a, (int, np.integer)):
             raise TypeError(f"calibration constant a must be an integer, got {self.a!r}")
-        if self.a < 2:
-            raise ValueError(f"calibration constant a must be >= 2, got {self.a}")
+        if not 2 <= self.a <= sys.float_info.max:  # the formula's arithmetic is in doubles
+            raise ValueError(f"calibration constant a must be >= 2 and at most the largest double, got {self.a}")
 
 
 DEFAULT_RNF_PARAMS = RnfParams()
@@ -71,26 +69,23 @@ def _ipow(base, exponent: int):
 
 
 def rnf_exp(x, params: RnfParams = DEFAULT_RNF_PARAMS):
-    """Approximate exp(x) as ((a-n)/(a-(m+x)))**a.
+    """Approximate exp(x) as ((a-1)/(a-1-x))**a.
 
-    Accepts a scalar or an ndarray (elementwise).  Requires m + x < a so the
-    denominator stays positive, and a positive base overall.  Raises
+    Accepts a scalar or an ndarray (elementwise).  Requires 1 + x < a, which
+    keeps the denominator, and with a >= 2 the base, positive.  Raises
     OverflowError when the result leaves the double range (x beyond ~709.7
     with defaults); very negative x underflows to 0.0 like a library exp.
     """
-    a, n, m = params.a, params.n, params.m
+    a = params.a
     xs = np.asarray(x, dtype=float)
     if xs.size:
-        # NaN and inf reach min/max; m + x rounds nondecreasing in x, so the
-        # largest m + x is at max and, for a > n, the smallest base at min
+        # NaN and inf reach min/max; 1 + x rounds nondecreasing in x, so its largest value is at max
         lo, hi = xs.min(), xs.max()
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise RnfDomainError("x must be finite")
-        if m + hi >= a:
-            raise RnfDomainError(f"m + x must stay strictly below a = {a}")
-        if (a - n) / (a - (m + lo)) <= 0.0:
-            raise RnfDomainError("base (a - n)/(a - (m + x)) must be positive")
-    base = (a - n) / (a - (m + xs))
+        if 1.0 + hi >= a:
+            raise RnfDomainError(f"1 + x must stay strictly below a = {a}")
+    base = (a - 1.0) / (a - (1.0 + xs))
     with np.errstate(over="ignore"):
         out = _ipow(base, a)
     if np.max(out, initial=0.0) == math.inf:

@@ -14,17 +14,15 @@ from modhtan.datasets import make_heart_fixture
 from modhtan.network import StallError, load_model
 
 
-# direct-mode modhtan whose clamp lets rnf_exp(-2 * x_norm) leave the double range
-DIRECT_OVERFLOW = ["--euler-mode", "direct", "--delta", "0", "--clamp", "1000"]
-OVERFLOW_MESSAGE = "rnf_exp result exceeds the double-precision range"
-# direct-mode modhtan whose -2 * x_norm, near 40 under the default offset, leaves rnf_exp's domain m + x < a
+# direct-mode modhtan where rnf_exp(-2 * x_norm) leaves the double range: near x = -0.98039 the fixed
+# offset 1.0 gives -2 * x_norm ~ 99.99, inside the clamp, and with a = 101 the base ~ 1e4 overflows
+DIRECT_OVERFLOW = ["--offset-mode", "fixed", "--offset", "1", "--euler-mode", "direct", "--rnf-a", "101",
+                   "--lo=-0.98039", "--hi=-0.98038", "--step", "1e-6"]
+# direct-mode modhtan whose -2 * x_norm, near 40 under the default offset, leaves rnf_exp's domain 1 + x < a
 DIRECT_DOMAIN = ["--euler-mode", "direct", "--rnf-a", "30"]
-DOMAIN_MESSAGE = "m + x must stay strictly below a = 30"
-DIRECT_FAILURES = pytest.mark.parametrize(
-    "flags, message",
-    [(DIRECT_OVERFLOW, OVERFLOW_MESSAGE), (DIRECT_DOMAIN, DOMAIN_MESSAGE)],
-    ids=["overflow", "domain"],
-)
+DOMAIN_MESSAGE = "1 + x must stay strictly below a = 30"
+# training inputs reach no overflow once |x_norm| is clamped to 50, so only the domain failure stalls a fit
+DIRECT_FAILURES = pytest.mark.parametrize("flags, message", [(DIRECT_DOMAIN, DOMAIN_MESSAGE)], ids=["domain"])
 
 
 def strip_runtime(path):
@@ -109,6 +107,19 @@ class TestCurvesCommand:
         assert main(base) == 2
         assert "--offset" in capsys.readouterr().err
         assert main([*base, "--offset", "3.0"]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["curves", "--fn", "modhtan", "--offset", "3", "--out", "m.csv"],
+        ["curves", "--fn", "modhtan", "--offset-mode", "adaptive", "--offset", "3", "--out", "m.csv"],
+        ["train", "--fn", "modhtan", "--n", "50", "--epochs", "3", "--offset", "2", "--save", "m.txt"],
+        ["bench", "--fns", "htan,modhtan", "--runs", "1", "--n", "20", "--epochs", "2", "--offset", "2",
+         "--out", "r.csv"],
+    ], ids=["curves", "curves-adaptive", "train", "bench"])
+    def test_offset_without_fixed_mode_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: --offset needs --offset-mode fixed\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestApproxBenchCommand:
@@ -442,11 +453,11 @@ class TestActivationFlags:
             *(
                 pytest.param([*command, "--rnf-a", a], message, id=f"{command[0]}-rnf-a-{label}")
                 for a, label, message in [
-                    ("2", "2", "m + x must stay strictly below a = 2"),
-                    ("100000000000000000", "1e17", "modhtan needs a finite Euler constant E > 1; "
-                                                   "RnfParams(a=100000000000000000, n=1.0, m=1.0) gives E = 1.0"),
+                    ("2", "2", "1 + x must stay strictly below a = 2"),
+                    ("100000000000000000", "1e17", "modhtan needs an Euler constant E > 1; "
+                                                   "RnfParams(a=100000000000000000) gives E = 1.0"),
                     # E > 1 but the rounded base doubles ln E
-                    ("9007199254740992", "2^53", "RnfParams(a=9007199254740992, n=1.0, m=1.0) rounds modhtan's "
+                    ("9007199254740992", "2^53", "RnfParams(a=9007199254740992) rounds modhtan's "
                                                  "ln E = 1.0000000000000002 to 1.999999985081332"),
                 ]
                 for command in [
@@ -572,7 +583,7 @@ class TestFlagsInFull:
 
     @pytest.mark.parametrize("command", ["curves", "train", "bench"])
     @pytest.mark.parametrize("flag, value", [("--k", "3"), ("--cutoff", "3"), ("--center-normalize", "off"),
-                                             ("--kap", "3")])
+                                             ("--clamp", "50"), ("--kap", "3")])
     def test_retired_or_abbreviated_flag_is_usage_error(self, command, flag, value, capsys):
         with pytest.raises(SystemExit) as info:
             build_parser().parse_args([command, *REQUIRED.get(command, []), flag, value])

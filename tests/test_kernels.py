@@ -17,6 +17,7 @@ import sys
 import numpy as np
 import pytest
 
+from modhtan import activations
 from modhtan.activations import (
     AdaptiveOffset,
     Elu,
@@ -24,6 +25,7 @@ from modhtan.activations import (
     Htan,
     ModHtan,
     SoftStep,
+    _X_NORM_CLAMP,
     _normalized_input,
     activate,
 )
@@ -75,7 +77,7 @@ def oracle_normalized_input(xs, offset_1, clamp):
 
 
 def oracle_modhtan(xs, kind, offset_1):
-    x_norm = oracle_normalized_input(xs, offset_1, kind.x_norm_clamp)
+    x_norm = oracle_normalized_input(xs, offset_1, _X_NORM_CLAMP)
     if kind.euler_mode == "constant":
         t = euler_constant(kind.rnf) ** (-2.0 * x_norm)
     else:
@@ -132,6 +134,7 @@ def _grid():
         [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1e308, -1e308, 1e-17, -1e-17],
         np.arange(lo, hi + step / 2, step),  # the exploding curve preset
         [19.0, -19.0, 19.3, -19.3, 25.0, -25.0, 40.0, -40.0, 710.0, -710.0],  # saturated
+        [-0.99, 2.99],  # |x_norm| = 99 and 299 under fixed offsets 1.0 and -3.0: the clamp binds
         rng.standard_normal(500) * 5.0,
     ])
 
@@ -144,6 +147,8 @@ GRIDS = {
     "finite_offset": GRID[np.abs(GRID) < 1e300],
     "2d": GRID[:60].reshape(20, 3),
     "minus_zero": np.array([-0.0]),
+    # the neighbourhoods of the poles x = -1 and x = 3 of fixed offsets 1.0 and -3.0, where the clamp binds
+    "poles": np.concatenate([np.linspace(-1.05, -0.95, 1001), np.linspace(2.95, 3.05, 1001)]),
 }
 
 KINDS = [
@@ -152,19 +157,19 @@ KINDS = [
     Elu(),
     Elu(alpha=0.3),
     *(
-        ModHtan(offset_mode=mode, euler_mode=euler, x_norm_clamp=clamp)
+        ModHtan(offset_mode=mode, euler_mode=euler)
         for mode in (AdaptiveOffset(), FixedOffset(1.0), FixedOffset(-3.0))
         for euler in ("constant", "direct")
-        for clamp in (50.0, 2.0)  # the default, and one that binds inside the grids' range
     ),
-    ModHtan(x_norm_clamp=5.0),
 ]
 
 
 def _kind_id(kind):
     if not isinstance(kind, ModHtan):
         return repr(kind)
-    return f"modhtan-{type(kind.offset_mode).__name__}-{kind.euler_mode}-clamp{kind.x_norm_clamp}"
+    mode = kind.offset_mode
+    offset = f"FixedOffset{mode.offset_1}" if isinstance(mode, FixedOffset) else type(mode).__name__
+    return f"modhtan-{offset}-{kind.euler_mode}"
 
 
 def _tanh_form(kind):
@@ -239,7 +244,7 @@ def reference_values(kind, xs, offset_1):
     double inputs: x for htan, x_norm and E for modhtan."""
     if isinstance(kind, Htan):
         return longdouble_formula(np.clip(xs, -_SATURATED, _SATURATED), np.longdouble(1.0))
-    x_norm = oracle_normalized_input(xs, offset_1, kind.x_norm_clamp)
+    x_norm = oracle_normalized_input(xs, offset_1, _X_NORM_CLAMP)
     return longdouble_formula(x_norm, np.log(np.longdouble(euler_constant(kind.rnf))))
 
 
@@ -489,6 +494,27 @@ class TestClampSkip:
         got = _normalized_input(xs, xs.min(), xs.max(), 2.0, 1.0, np.empty_like(xs))
         assert got.tobytes() == oracle_normalized_input(xs, 2.0, 1.0).tobytes()
         assert got[0] == -1.0
+
+
+class TestClampConstant:
+    """modhtan's x_norm bound sits where it changes no output: any bound from
+    19 to 354 gives the same bytes, over the inputs where the bound binds."""
+
+    MODHTANS = [kind for kind in KINDS if isinstance(kind, ModHtan)]
+    INPUTS = [np.arange(CURVE_PRESETS["exploding"][0], CURVE_PRESETS["exploding"][1] + 0.5, 1.0), GRIDS["poles"]]
+
+    def _outputs(self, monkeypatch, clamp):
+        monkeypatch.setattr(activations, "_X_NORM_CLAMP", clamp)
+        return [(r.values.tobytes(), r.grads.tobytes())
+                for r in (activate(kind, xs) for kind in self.MODHTANS for xs in self.INPUTS)]
+
+    @pytest.mark.parametrize("clamp", [19.0, 354.0])
+    def test_bound_in_the_no_op_range_keeps_every_byte(self, monkeypatch, clamp):
+        assert self._outputs(monkeypatch, clamp) == self._outputs(monkeypatch, _X_NORM_CLAMP)
+
+    def test_bound_below_the_range_changes_the_pole_grids(self, monkeypatch):
+        kept, low = self._outputs(monkeypatch, _X_NORM_CLAMP), self._outputs(monkeypatch, 5.0)
+        assert sum(k != l for k, l in zip(kept, low)) >= len(self.MODHTANS)
 
 
 class TestIpowOracle:

@@ -136,20 +136,21 @@ class TestForward:
             forward(model, np.array([[10.0]]))
 
     @pytest.mark.parametrize(
-        "kind, message",
+        "kind, x, message",
         [
-            # with delta = 0 the max |x| input reaches x_norm = +-clamp, and rnf_exp(2 * 1000) overflows
-            (ModHtan(offset_mode=AdaptiveOffset(delta=0.0), x_norm_clamp=1000.0, euler_mode="direct"),
+            # x_norm = -0.98039 / 0.01961 ~ -49.99, inside the clamp; with a = 101 the base of
+            # rnf_exp(-2 * x_norm ~ 99.99) is ~ 1e4, and its 101st power overflows
+            (ModHtan(offset_mode=FixedOffset(1.0), rnf=RnfParams(a=101), euler_mode="direct"), -0.98039,
              "rnf_exp result exceeds"),
-            # x = -1 gives x_norm ~ -20 under the default offset, and m - 2 * x_norm ~ 41 >= a = 30
-            (ModHtan(rnf=RnfParams(a=30), euler_mode="direct"), "m \\+ x must stay strictly below a = 30"),
+            # x = -1 gives x_norm ~ -20 under the default offset, and 1 - 2 * x_norm ~ 41 >= a = 30
+            (ModHtan(rnf=RnfParams(a=30), euler_mode="direct"), -1.0, "1 \\+ x must stay strictly below a = 30"),
         ],
         ids=["overflow", "domain"],
     )
-    def test_direct_modhtan_overflow_is_a_stall(self, kind, message):
+    def test_direct_modhtan_overflow_is_a_stall(self, kind, x, message):
         model = make_111(kind=kind)
         with pytest.raises(StallError, match=f"^hidden activations: {message}"):
-            forward(model, np.array([[-1.0], [0.5]]))
+            forward(model, np.array([[x], [0.5]]))
 
     def test_modhtan_offset_lands_in_cache(self):
         model = MlpModel(1, 2, 1, [1.0, 2.0, 0.0, 0.0, 1.0, 1.0, 0.0], ModHtan())  # W1, b1, W2, b2
@@ -246,7 +247,7 @@ class TestSerialization:
             SoftStep(),
             Elu(alpha=0.7),
             ModHtan(offset_mode=FixedOffset(3.5), euler_mode="direct"),
-            ModHtan(offset_mode=AdaptiveOffset(delta=0.1, kappa=1e-5), rnf=RnfParams(a=1024), x_norm_clamp=25.0),
+            ModHtan(offset_mode=AdaptiveOffset(delta=0.1, kappa=1e-5), rnf=RnfParams(a=1024)),
         ],
         ids=["htan", "softstep", "elu", "modhtan-fixed", "modhtan-adaptive"],
     )
@@ -279,7 +280,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("n_hidden", "two"), ("modhtan_x_norm_clamp", "big"), ("modhtan_offset_mode", "sometimes"),
+        [("n_hidden", "two"), ("modhtan_offset_delta", "big"), ("modhtan_offset_mode", "sometimes"),
          ("W1", "1.0 2.0"), ("b2", "x"), ("hidden_kind", "relu")],
     )
     def test_bad_field_is_value_error_naming_it(self, tmp_path, key, value):

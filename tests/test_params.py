@@ -32,8 +32,8 @@ LEAF_FIELDS = [
 # Default kinds that between them use every row of the table
 BASE_KINDS = (Elu(), ModHtan(), ModHtan(offset_mode=FixedOffset(1.5)))
 
-# A model file as saved before three ModHtan fields were retired; their rows
-# hold the only values that still load (the cutoff was inert at them)
+# A model file as saved before six fields were retired; their rows hold the
+# only values that still load (the cutoff was inert at them)
 OLD_MODEL_FILE = """\
 modhtan-mlp v1
 n_in = 3
@@ -56,7 +56,8 @@ b1 = 0.2007159655947286 -0.8773043763072039
 W2 = 0.4104071780658378 0.4848034752375554
 b2 = -0.21370339583382958
 """
-RETIRED_ROWS = ("modhtan_k_o = 2.0\n", "modhtan_x_cutoff = 10.0\n", "modhtan_center_normalize = on\n")
+RETIRED_ROWS = ("modhtan_k_o = 2.0\n", "modhtan_x_cutoff = 10.0\n", "modhtan_center_normalize = on\n",
+                "modhtan_x_norm_clamp = 50.0\n", "rnf_n = 1.0\n", "rnf_m = 1.0\n")
 
 
 @pytest.mark.parametrize("owner, name", LEAF_FIELDS, ids=[f"{c.__name__}.{n}" for c, n in LEAF_FIELDS])
@@ -66,7 +67,7 @@ def test_every_leaf_field_has_exactly_one_row(owner, name):
 
 def test_rows_have_distinct_keys_and_flags():
     keys = [p.key for p in PARAMS]
-    flags = [p.flag for p in PARAMS if p.flag is not None]
+    flags = [p.flag for p in PARAMS]
     assert len(set(keys)) == len(keys)
     assert len(set(flags)) == len(flags)
 
@@ -79,9 +80,7 @@ def _changed_kind(param):
         if k.name == base.name:
             values.update(kind_to_fields(k))
     values.update(kind_to_fields(base))
-    # rnf_n = 3 would put the Euler constant below 1, which ModHtan rejects
-    number = "0.5" if param.key == "rnf_n" else "3"
-    values[param.key] = next(c for c in param.choices if c != values[param.key]) if param.choices else number
+    values[param.key] = next(c for c in param.choices if c != values[param.key]) if param.choices else "3"
     return kind_from_fields(values)
 
 
@@ -93,12 +92,11 @@ def test_row_round_trips(param, tmp_path):
     assert kind_from_fields(values) == kind
     assert kind_to_fields(kind_from_fields(values)) == values
 
-    if param.flag is not None:
-        argv = ["curves", "--fn", kind.name]
-        for p in PARAMS:
-            if p.flag is not None and p.key in values:
-                argv += [f"--{p.flag}", values[p.key]]
-        assert _activation_from_flags(kind.name, build_parser().parse_args(argv)) == kind
+    argv = ["curves", "--fn", kind.name]
+    for p in PARAMS:
+        if p.key in values:
+            argv += [f"--{p.flag}", values[p.key]]
+    assert _activation_from_flags(kind.name, build_parser().parse_args(argv)) == kind
 
     path = tmp_path / "model.txt"
     save_model(nguyen_widrow_init(2, 2, 1, kind, seed=5), path)
@@ -118,7 +116,9 @@ def test_model_file_format_is_unchanged(tmp_path):
 
 
 @pytest.mark.parametrize("key, value", [("modhtan_k_o", "3.0"), ("modhtan_k_o", "0.5"), ("modhtan_k_o", "nan"),
-                                        ("modhtan_center_normalize", "off")])
+                                        ("modhtan_center_normalize", "off"), ("modhtan_x_norm_clamp", "5.0"),
+                                        ("modhtan_x_norm_clamp", "inf"), ("rnf_n", "3.0"), ("rnf_n", "1"),
+                                        ("rnf_m", "0.5"), ("rnf_m", "nan")])
 def test_retired_key_away_from_its_kept_value_is_value_error(tmp_path, key, value):
     path = tmp_path / "model.txt"
     kept_row = f"{key} = {RETIRED_KEYS[key]}\n"

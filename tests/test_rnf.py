@@ -53,7 +53,7 @@ class TestRnfExp:
 
     def test_domain_error_when_denominator_nonpositive(self):
         with pytest.raises(RnfDomainError):
-            rnf_exp(1e7)  # m + x >= a
+            rnf_exp(1e7)  # 1 + x >= a
         with pytest.raises(RnfDomainError):
             rnf_exp(2.0, RnfParams(a=3))
 
@@ -78,7 +78,7 @@ class TestRnfExp:
         # direct a-fold product oracle, small a only
         for a in (2, 3, 5, 17, 64, 100, 1024):
             for x in (-1.5, -0.3, 0.7, 2.0):
-                if 1.0 + x >= a:  # outside the m + x < a domain
+                if 1.0 + x >= a:  # outside the 1 + x < a domain
                     continue
                 params = RnfParams(a=a)
                 base = (a - 1.0) / (a - (1.0 + x))
@@ -91,13 +91,19 @@ class TestRnfExp:
 class TestRnfParams:
     def test_defaults(self):
         assert DEFAULT_RNF_PARAMS.a == 10_000_000
-        assert DEFAULT_RNF_PARAMS.n == 1.0
-        assert DEFAULT_RNF_PARAMS.m == 1.0
 
     @pytest.mark.parametrize("a", [1, 0, -5])
     def test_a_below_two_rejected(self, a):
         with pytest.raises(ValueError):
             RnfParams(a=a)
+
+    @pytest.mark.parametrize("a", [10**309, 2**1100], ids=["1e309", "2^1100"])
+    def test_a_past_the_largest_double_rejected(self, a):
+        with pytest.raises(ValueError, match="^calibration constant a must be >= 2 and at most the largest double"):
+            RnfParams(a=a)
+
+    def test_largest_double_accepted(self):
+        assert RnfParams(a=int(np.finfo(float).max)).a == int(np.finfo(float).max)
 
     def test_non_integer_a_rejected(self):
         with pytest.raises(TypeError):
@@ -121,7 +127,7 @@ class TestEulerConstant:
         assert euler_constant(RnfParams(a=100)) == pytest.approx(naive, rel=1e-12)
 
     def test_a_two_is_domain_error(self):
-        # denominator a - (m + 1) = 0
+        # denominator a - (1 + 1) = 0
         with pytest.raises(RnfDomainError):
             euler_constant(RnfParams(a=2))
 
@@ -131,15 +137,13 @@ class TestEulerConstant:
 
 def oracle_rnf_exp(x, params=DEFAULT_RNF_PARAMS):
     """rnf_exp with its checks as one elementwise pass each."""
-    a, n, m = params.a, params.n, params.m
+    a = params.a
     xs = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xs)):
         raise RnfDomainError("x must be finite")
-    if np.any(m + xs >= a):
-        raise RnfDomainError(f"m + x must stay strictly below a = {a}")
-    base = (a - n) / (a - (m + xs))
-    if np.any(base <= 0.0):
-        raise RnfDomainError("base (a - n)/(a - (m + x)) must be positive")
+    if np.any(1.0 + xs >= a):
+        raise RnfDomainError(f"1 + x must stay strictly below a = {a}")
+    base = (a - 1.0) / (a - (1.0 + xs))
     with np.errstate(over="ignore"):
         out = _ipow(base, a)
     if np.any(np.isinf(out)):
@@ -167,15 +171,11 @@ def _edge_inputs():
 
 EDGE_PARAMS = [
     DEFAULT_RNF_PARAMS,
-    RnfParams(a=2),  # a - (m + 1) = 0: x = 1 is out of domain
+    RnfParams(a=2),  # a - (1 + 1) = 0: x = 1 is out of domain
     RnfParams(a=3),
     RnfParams(a=1024),
-    RnfParams(a=10, n=10.0),  # zero base
-    RnfParams(a=10, n=12.0),  # negative base
-    RnfParams(n=math.nan),
-    RnfParams(m=math.nan),
-    RnfParams(m=-math.inf),  # infinite denominator, zero base
-    RnfParams(m=-1e308),  # m + x overflows for x = -1e308
+    RnfParams(a=2**53 + 1),  # a - 1 and a - (1 + x) round as doubles; the base stays positive
+    RnfParams(a=10**30),
 ]
 
 
