@@ -496,6 +496,42 @@ class TestClampSkip:
         assert got[0] == -1.0
 
 
+class TestNormalizedInputOracle:
+    """_normalized_input against the oracle over every grid, under each offset
+    mode, with bounds that bind inside the grids' range (2 and 5), with
+    modhtan's own and with none (inf, where the guard's value shows): the
+    guard, overflow and clip paths at any clamp argument."""
+
+    OFFSETS = {"AdaptiveOffset": None, "FixedOffset1.0": 1.0, "FixedOffset-3.0": -3.0}
+
+    @staticmethod
+    def _offset(name, xs):
+        offset = TestNormalizedInputOracle.OFFSETS[name]
+        if offset is None:
+            mode = AdaptiveOffset()
+            return oracle_adaptive_offset(xs, mode.delta, mode.kappa)
+        return offset
+
+    @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
+    @pytest.mark.parametrize("offset", OFFSETS)
+    @pytest.mark.parametrize("clamp", [2.0, 5.0, _X_NORM_CLAMP, np.inf])
+    def test_bytewise(self, clamp, offset, grid):
+        offset_1 = self._offset(offset, grid)
+        expected = oracle_normalized_input(grid, offset_1, clamp)
+        got = _normalized_input(grid, grid.min(), grid.max(), offset_1, clamp, np.empty_like(grid))
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("offset", OFFSETS)
+    @pytest.mark.parametrize("clamp", [2.0, 5.0, _X_NORM_CLAMP, np.inf])
+    def test_into_a_stale_buffer_bytewise(self, clamp, offset):
+        xs = GRIDS["finite_offset"]
+        offset_1 = self._offset(offset, xs)
+        x_norm = np.full_like(xs, np.nan)
+        got = _normalized_input(xs, xs.min(), xs.max(), offset_1, clamp, x_norm)
+        assert got is x_norm
+        assert x_norm.tobytes() == oracle_normalized_input(xs, offset_1, clamp).tobytes()
+
+
 class TestClampConstant:
     """modhtan's x_norm bound sits where it changes no output: any bound from
     19 to 354 gives the same bytes, over the inputs where the bound binds."""
