@@ -2,9 +2,8 @@
 """Print one `family sha256` line for each family of the program's outputs:
 `activate` values, gradients and offset_1 over several grids; LM and GDM fits
 (losses, mu, termination, stall events, parameter bytes); bench CSVs without
-runtime_s; curves CSVs; a saved model file.  Kinds are built from model-file
-keys at their defaults, so running this one script against two versions of the
-package,
+runtime_s; curves CSVs.  Kinds are built from parameter keys at their
+defaults, so running this one script against two versions of the package,
 
     PYTHONPATH=path/to/checkout/src python scripts/output_digest.py
 
@@ -20,7 +19,7 @@ import numpy as np
 from modhtan.activations import PARAMS, activate, kind_from_fields
 from modhtan.bench import CURVE_PRESETS, ExperimentSpec, dump_curves, emit_report, run_experiment
 from modhtan.datasets import SplitSpec, gen_quadratic, load_heart, make_heart_fixture, split
-from modhtan.network import nguyen_widrow_init, save_model
+from modhtan.network import nguyen_widrow_init
 from modhtan.training import GdmConfig, LmConfig, train_gdm, train_lm
 
 DEFAULTS = {p.key: p.default for p in PARAMS if p.default is not None}
@@ -58,7 +57,7 @@ def activations():
 
 def fit(trainer, cfg, k, X, T, seed, n_hidden):
     model, history = trainer(nguyen_widrow_init(X.shape[1], n_hidden, T.shape[1], k, seed=seed), X, T, cfg)
-    return model, (history.loss, history.mu, history.termination, history.stall_events, model.theta.tobytes())
+    return history.loss, history.mu, history.termination, history.stall_events, model.theta.tobytes()
 
 
 def main():
@@ -70,9 +69,9 @@ def main():
         for k, seed in ((FIT_KINDS[0], 3), (FIT_KINDS[2], 4)):
             train, _ = split(heart, SplitSpec(seed=seed))
             lm_fits.append(fit(train_lm, LM, k, train.X, train.T, seed, 2))
-        gdm_fits = [fit(train_gdm, GDM, k, data.X, data.T, 0, 3)[1] for k in (FIT_KINDS[0], FIT_KINDS[2])]
+        gdm_fits = [fit(train_gdm, GDM, k, data.X, data.T, 0, 3) for k in (FIT_KINDS[0], FIT_KINDS[2])]
         train, _ = split(heart, SplitSpec(seed=3))  # 13 inputs: the gradient's multi-input W1 block
-        gdm_fits.append(fit(train_gdm, GDM, FIT_KINDS[0], train.X, train.T, 3, 2)[1])
+        gdm_fits.append(fit(train_gdm, GDM, FIT_KINDS[0], train.X, train.T, 3, 2))
         bench = []
         for dataset in ("synthetic", "heart"):
             spec = ExperimentSpec(dataset, tuple(FIT_KINDS[:3]), runs=2, n_points=200, trainer=LmConfig(epochs=30),
@@ -85,13 +84,11 @@ def main():
             for lo, hi, step in CURVE_PRESETS.values():
                 dump_curves(k, lo, hi, step, tmp / "curve.csv")
                 curves.append((tmp / "curve.csv").read_bytes())
-        save_model(lm_fits[3 * 3][0], tmp / "model.txt")  # the first fixed-offset modhtan fit
         print("activate", digest(*activations()))
-        print("train_lm", digest(*(record for _, record in lm_fits)))
+        print("train_lm", digest(*lm_fits))
         print("train_gdm", digest(*gdm_fits))
         print("bench", digest(bench))
         print("curves", digest(*curves))
-        print("save_model", digest((tmp / "model.txt").read_bytes()))
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields
 from typing import Any, ClassVar, NamedTuple, Union
 
 import numpy as np
@@ -107,11 +107,11 @@ ACTIVATION_NAMES = tuple(KINDS)
 
 
 class Param(NamedTuple):
-    """One activation parameter: model-file key, CLI flag and the dataclass field it fills.
+    """One activation parameter: its key, CLI flag and the dataclass field it fills.
 
-    Numbers are parsed with `type` and written with repr.  A `choices` field
-    is written as the text that maps to its value; where that value is a
-    class (the offset mode), the text selects which dataclass is built.
+    Numbers are parsed with `type`.  A `choices` field is given as the text
+    that maps to its value; where that value is a class (the offset mode),
+    the text selects which dataclass is built.
     """
 
     key: str
@@ -129,20 +129,19 @@ class Param(NamedTuple):
             expected = f"one of {tuple(self.choices)}" if self.choices else self.type.__name__
             raise ValueError(f"{self.key}: expected {expected}, got {text!r}") from None
 
-    def format(self, value) -> str:
-        if self.choices is None:
-            return repr(value)
-        return next(text for text, choice in self.choices.items() if choice in (value, type(value)))
-
     @property
     def default(self) -> str | None:
-        """The dataclass default as text; None for a field without one."""
+        """The dataclass default as text: its repr, or the choice that maps to it; None for a field without one."""
         default = getattr(self.owner, self.field, None)  # dataclasses keep defaults on the class
-        return None if default is None else self.format(default)
+        if default is None:
+            return None
+        if self.choices is None:
+            return repr(default)
+        return next(text for text, choice in self.choices.items() if choice in (default, type(default)))
 
 
-# The one place activation parameters are declared: the CLI flags and the
-# model-file keys both come from these rows, listed in model-file order.
+# The one place activation parameters are declared: the CLI flags and their
+# help defaults come from these rows, and kind_from_fields reads their keys.
 PARAMS = (
     Param("elu_alpha", "alpha", Elu, "alpha", "elu scale"),
     Param("modhtan_offset_mode", "offset-mode", ModHtan, "offset_mode",
@@ -160,39 +159,13 @@ PARAMS = (
 
 _PARAM_AT = {(p.owner, p.field): p for p in PARAMS}
 
-# Model-file keys of retired fields, each with the one value a file may still carry.
-RETIRED_KEYS = {"modhtan_k_o": "2.0", "modhtan_center_normalize": "on", "modhtan_x_norm_clamp": "50.0",
-                "rnf_n": "1.0", "rnf_m": "1.0"}
-
-
-def _groups(obj):
-    """obj and every dataclass nested in it."""
-    yield obj
-    for f in fields(obj):
-        if is_dataclass(value := getattr(obj, f.name)):
-            yield from _groups(value)
-
-
-def kind_to_fields(kind: ActivationKind) -> dict[str, str]:
-    """Model-file fields of an activation kind: its name, then its table rows."""
-    groups = {type(g): g for g in _groups(kind)}
-    out = {"hidden_kind": kind.name}
-    for p in PARAMS:
-        if p.owner in groups:
-            out[p.key] = p.format(getattr(groups[p.owner], p.field))
-    return out
-
 
 def kind_from_fields(values: Mapping[str, Any], label=lambda p: p.key) -> ActivationKind:
-    """Inverse of kind_to_fields.
+    """The kind values["hidden_kind"] names, its fields parsed from the rows of values keyed by Param.key.
 
     A row the kind needs that is missing from values, or does not parse, is
-    a ValueError; label(param) names a missing row.  So is a retired key at
-    any value but its RETIRED_KEYS one; other keys are ignored.
+    a ValueError; label(param) names a missing row.  Other keys are ignored.
     """
-    for key, kept in RETIRED_KEYS.items():
-        if values.get(key, kept) != kept:
-            raise ValueError(f"{key} is retired; only {kept} loads, got {values[key]!r}")
     if "hidden_kind" not in values:
         raise ValueError("missing hidden_kind")
     if (name := values["hidden_kind"]) not in KINDS:

@@ -278,6 +278,8 @@ def approx_bench(
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
+    if not math.isfinite(hi - lo):  # as in curve_grid: checked before linspace overflows on it
+        raise ValueError(f"hi - lo must be finite, got {hi - lo}")
     xs = np.linspace(lo, hi, m)
     rnf_exp(xs[: min(m, 64)], params)  # warm up caches before timing
     np.exp(xs[: min(m, 64)])

@@ -33,7 +33,6 @@ from .bench import (
     run_experiment,
     runtime_ordering,
 )
-from .network import save_model
 from .rnf import RnfParams
 from .training import GdmConfig, LmConfig, history_to_csv
 
@@ -157,7 +156,7 @@ def cmd_approx_bench(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     with _usage():
         spec = _spec(args, [args.fn], 1)
-    row, model, history, train_mse = next(iter_runs(spec))
+    row, _, history, train_mse = next(iter_runs(spec))
     if args.history is not None:
         history_to_csv(history, args.history)
     if row.error is not None:
@@ -169,9 +168,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     if row.metric_name == "accuracy_pct":
         print(f"test accuracy {row.metric_value:.2f}%")
-    if args.save is not None:
-        save_model(model, args.save)
-        print(f"saved model to {args.save}")
     return 0
 
 
@@ -223,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train one model and print its final metric")
     p_train.add_argument("--fn", choices=ACTIVATION_NAMES, required=True)
-    p_train.add_argument("--save", default=None, help="write the trained model here")
     p_train.add_argument("--history", default=None, help="write per-epoch loss CSV here")
     _add_data_flags(p_train)
     _add_trainer_flags(p_train)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activations import ActivationKind, activate, kind_from_fields, kind_to_fields
+from .activations import ActivationKind, activate
 from .rnf import RnfDomainError
 
 
@@ -161,49 +161,3 @@ def jacobian(model: MlpModel, X, T, cache: ForwardCache, out: np.ndarray | None 
     e = (cache.y - T).ravel()
     return J, e
 
-
-def save_model(model: MlpModel, path) -> None:
-    """Plain-text key = value dump; floats use repr for exact round-trips."""
-    lines = ["modhtan-mlp v1"]
-    lines.append(f"n_in = {model.n_in}")
-    lines.append(f"n_hidden = {model.n_hidden}")
-    lines.append(f"n_out = {model.n_out}")
-    for key, value in kind_to_fields(model.hidden_kind).items():
-        lines.append(f"{key} = {value}")
-    for name in _shapes(model.n_in, model.n_hidden, model.n_out):
-        values = " ".join(repr(float(v)) for v in getattr(model, name).ravel())
-        lines.append(f"{name} = {values}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_model(path) -> MlpModel:
-    """Inverse of save_model; a malformed file is a ValueError naming the bad key."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [line.rstrip("\n") for line in fh if line.strip()]
-        if not lines or lines[0] != "modhtan-mlp v1":
-            raise ValueError("not a modhtan-mlp v1 model file")
-        fields = {}
-        for line in lines[1:]:
-            key, _, value = line.partition(" = ")
-            fields[key] = value
-        dims = [_field(fields, key, int) for key in ("n_in", "n_hidden", "n_out")]
-        kind = kind_from_fields(fields)
-        arrays = [
-            _field(fields, name, lambda text: np.reshape([float(v) for v in text.split()], shape)).ravel()
-            for name, shape in _shapes(*dims).items()
-        ]
-        return MlpModel(*dims, np.concatenate(arrays), kind)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
-def _field(fields: dict[str, str], key: str, parse):
-    """parse(fields[key]), with a missing or unparsable value as a ValueError naming key."""
-    if key not in fields:
-        raise ValueError(f"missing {key}")
-    try:
-        return parse(fields[key])
-    except ValueError:
-        raise ValueError(f"{key}: cannot parse {fields[key]!r}") from None

@@ -11,7 +11,7 @@ from modhtan.activations import Htan, ModHtan
 from modhtan.bench import dump_curves
 from modhtan.cli import build_parser, main
 from modhtan.datasets import make_heart_fixture
-from modhtan.network import StallError, load_model
+from modhtan.network import StallError
 
 
 # direct-mode modhtan where rnf_exp(-2 * x_norm) leaves the double range: near x = -0.98039 the fixed
@@ -90,12 +90,11 @@ class TestCurvesCommand:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["train", "--fn", "htan", "--n", "20", "--epochs", "2", "--save", "/nonexistent-dir/m.txt"],
             ["train", "--fn", "htan", "--n", "20", "--epochs", "2", "--history", "/nonexistent-dir/h.csv"],
             ["bench", "--fns", "htan", "--runs", "1", "--n", "20", "--epochs", "2",
              "--out", "/nonexistent-dir/r.csv"],
         ],
-        ids=["train-save", "train-history", "bench-out"],
+        ids=["train-history", "bench-out"],
     )
     def test_unwritable_output_is_runtime_error(self, argv, capsys):
         assert main(argv) == 1
@@ -111,7 +110,7 @@ class TestCurvesCommand:
     @pytest.mark.parametrize("argv", [
         ["curves", "--fn", "modhtan", "--offset", "3", "--out", "m.csv"],
         ["curves", "--fn", "modhtan", "--offset-mode", "adaptive", "--offset", "3", "--out", "m.csv"],
-        ["train", "--fn", "modhtan", "--n", "50", "--epochs", "3", "--offset", "2", "--save", "m.txt"],
+        ["train", "--fn", "modhtan", "--n", "50", "--epochs", "3", "--offset", "2"],
         ["bench", "--fns", "htan,modhtan", "--runs", "1", "--n", "20", "--epochs", "2", "--offset", "2",
          "--out", "r.csv"],
     ], ids=["curves", "curves-adaptive", "train", "bench"])
@@ -138,6 +137,11 @@ class TestApproxBenchCommand:
         captured = capsys.readouterr()
         assert "max relative error 0.000e+00" in captured.out
         assert captured.err == ""
+
+    def test_non_finite_width_is_usage_error(self, capsys):
+        # hi - lo overflows to inf: rejected before np.linspace, which would warn on it
+        assert main(["approx-bench", "--count", "10", "--lo", "-1e308", "--hi", "1e308"]) == 2
+        assert capsys.readouterr() == ("", "error: hi - lo must be finite, got inf\n")
 
     def test_zero_count_is_usage_error(self, capsys):
         assert main(["approx-bench", "--count", "0"]) == 2
@@ -186,15 +190,11 @@ class TestTrainCommand:
         assert code == 1
         capsys.readouterr()
 
-    def test_save_and_history(self, tmp_path, capsys):
-        model_path = tmp_path / "m.txt"
+    def test_history(self, tmp_path, capsys):
         hist_path = tmp_path / "h.csv"
-        code = main(["train", "--fn", "elu", "--n", "40", "--epochs", "10",
-                     "--save", str(model_path), "--history", str(hist_path)])
+        code = main(["train", "--fn", "elu", "--n", "40", "--epochs", "10", "--history", str(hist_path)])
         assert code == 0
         capsys.readouterr()
-        model = load_model(model_path)
-        assert model.W1.shape == (2, 1)
         hist_lines = hist_path.read_text().splitlines()
         assert hist_lines[0] == "epoch,loss,epoch_time_s"
         assert len(hist_lines) == 11
@@ -462,7 +462,7 @@ class TestActivationFlags:
                 ]
                 for command in [
                     ["curves", "--fn", "modhtan"],
-                    ["train", "--fn", "modhtan", "--n", "20", "--epochs", "2", "--save", "m.txt"],
+                    ["train", "--fn", "modhtan", "--n", "20", "--epochs", "2"],
                     ["bench", "--fns", "htan,modhtan", "--runs", "1", "--n", "20", "--epochs", "2", "--out", "r.csv"],
                 ]
             ),
@@ -583,7 +583,7 @@ class TestFlagsInFull:
 
     @pytest.mark.parametrize("command", ["curves", "train", "bench"])
     @pytest.mark.parametrize("flag, value", [("--k", "3"), ("--cutoff", "3"), ("--center-normalize", "off"),
-                                             ("--clamp", "50"), ("--kap", "3")])
+                                             ("--clamp", "50"), ("--save", "m.txt"), ("--kap", "3")])
     def test_retired_or_abbreviated_flag_is_usage_error(self, command, flag, value, capsys):
         with pytest.raises(SystemExit) as info:
             build_parser().parse_args([command, *REQUIRED.get(command, []), flag, value])

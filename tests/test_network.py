@@ -1,5 +1,5 @@
 """One-hidden-layer MLP: init scaling, forward pass, Jacobian and the gradient
-J^T e / e.size, stalls, serialization."""
+J^T e / e.size, stalls."""
 
 import dataclasses
 import math
@@ -22,10 +22,8 @@ from modhtan.network import (
     StallError,
     forward,
     jacobian,
-    load_model,
     n_params,
     nguyen_widrow_init,
-    save_model,
     with_params,
 )
 from modhtan.rnf import RnfParams
@@ -88,8 +86,12 @@ class TestInit:
         assert np.all(np.abs(model.b2) <= 0.5)
 
     def test_bad_dimensions_rejected(self):
-        with pytest.raises(ValueError):
-            nguyen_widrow_init(0, 2, 1, Htan(), seed=0)
+        for dims, message in [((0, 2, 1), "n_in must be >= 1, got 0"), ((-1, 2, 1), "n_in must be >= 1, got -1"),
+                              ((1, 0, 1), "n_hidden must be >= 1, got 0"), ((1, 2, 0), "n_out must be >= 1, got 0")]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                nguyen_widrow_init(*dims, Htan(), seed=0)
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                MlpModel(*dims, np.zeros(1), Htan())
 
 
 class TestForward:
@@ -237,108 +239,6 @@ class TestJacobian:
         # parameter order: W1, b1, W2, b2
         want = [-1.2 * g * 0.5, -1.2 * g, h, 1.0]
         assert np.allclose(J[0], want, rtol=1e-12, atol=0.0)
-
-
-class TestSerialization:
-    @pytest.mark.parametrize(
-        "kind",
-        [
-            Htan(),
-            SoftStep(),
-            Elu(alpha=0.7),
-            ModHtan(offset_mode=FixedOffset(3.5), euler_mode="direct"),
-            ModHtan(offset_mode=AdaptiveOffset(delta=0.1, kappa=1e-5), rnf=RnfParams(a=1024)),
-        ],
-        ids=["htan", "softstep", "elu", "modhtan-fixed", "modhtan-adaptive"],
-    )
-    def test_round_trip(self, tmp_path, kind):
-        model = nguyen_widrow_init(3, 2, 1, kind, seed=13)
-        path = tmp_path / "model.txt"
-        save_model(model, path)
-        back = load_model(path)
-        assert back.hidden_kind == model.hidden_kind
-        for name in ("W1", "b1", "W2", "b2"):
-            assert np.array_equal(getattr(back, name), getattr(model, name))
-
-    def test_file_writes_the_layout_in_shapes_order(self, tmp_path):
-        model = nguyen_widrow_init(3, 2, 4, Htan(), seed=13)
-        path = tmp_path / "model.txt"
-        save_model(model, path)
-        rows = [line.partition(" = ") for line in path.read_text().splitlines()]
-        arrays = [(key, len(value.split())) for key, _, value in rows if key in ("W1", "b1", "W2", "b2")]
-        assert arrays == [("W1", 6), ("b1", 2), ("W2", 8), ("b2", 4)]
-        assert [key for key, _, _ in rows][-4:] == ["W1", "b1", "W2", "b2"]
-
-    def test_truncated_file_is_value_error(self, tmp_path):
-        path = tmp_path / "model.txt"
-        save_model(nguyen_widrow_init(3, 2, 1, ModHtan(), seed=13), path)
-        lines = path.read_text().splitlines(keepends=True)
-        for n in range(len(lines)):
-            path.write_text("".join(lines[:n]))
-            with pytest.raises(ValueError):
-                load_model(path)
-
-    @pytest.mark.parametrize(
-        "key, value",
-        [("n_hidden", "two"), ("modhtan_offset_delta", "big"), ("modhtan_offset_mode", "sometimes"),
-         ("W1", "1.0 2.0"), ("b2", "x"), ("hidden_kind", "relu")],
-    )
-    def test_bad_field_is_value_error_naming_it(self, tmp_path, key, value):
-        path = tmp_path / "model.txt"
-        save_model(nguyen_widrow_init(3, 2, 1, ModHtan(), seed=13), path)
-        lines = [f"{key} = {value}" if line.startswith(f"{key} = ") else line
-                 for line in path.read_text().splitlines()]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=key):
-            load_model(path)
-
-    @pytest.mark.parametrize(
-        "edits, message",
-        [
-            ({"n_hidden": "0", "W1": "", "b1": "", "W2": ""}, "n_hidden must be >= 1, got 0"),
-            ({"n_in": "-1"}, "n_in must be >= 1, got -1"),
-        ],
-        ids=["no-hidden-units", "negative-inputs"],
-    )
-    def test_bad_dimension_is_value_error_naming_path(self, tmp_path, edits, message):
-        path = tmp_path / "model.txt"
-        save_model(nguyen_widrow_init(1, 2, 1, Htan(), seed=13), path)
-        lines = []
-        for line in path.read_text().splitlines():
-            key = line.partition(" = ")[0]
-            lines.append(f"{key} = {edits[key]}" if key in edits else line)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError) as info:
-            load_model(path)
-        assert str(info.value) == f"{path}: {message}"
-
-    def test_infinite_modhtan_parameter_is_value_error_naming_path(self, tmp_path):
-        path = tmp_path / "model.txt"
-        save_model(nguyen_widrow_init(3, 2, 1, ModHtan(), seed=13), path)
-        text = path.read_text()
-        assert "modhtan_offset_kappa = 1e-06\n" in text
-        path.write_text(text.replace("modhtan_offset_kappa = 1e-06\n", "modhtan_offset_kappa = inf\n"))
-        with pytest.raises(ValueError) as info:
-            load_model(path)
-        assert str(info.value) == f"{path}: kappa must be positive and finite, got inf"
-
-    def test_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "junk.txt"
-        path.write_text("not a model\n")
-        with pytest.raises(ValueError):
-            load_model(path)
-
-    def test_undecodable_file_names_path(self, tmp_path):
-        path = tmp_path / "model.txt"
-        save_model(nguyen_widrow_init(3, 2, 1, Htan(), seed=13), path)
-        path.write_bytes(b"\xff\xfe\x00" + path.read_bytes())
-        with pytest.raises(ValueError) as info:
-            load_model(path)
-        assert str(info.value).startswith(f"{path}: 'utf-8' codec can't decode byte 0xff in position 0")
-
-    def test_missing_file_passes_through(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_model(tmp_path / "nope.txt")
 
 
 class TestParamVector:
