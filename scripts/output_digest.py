@@ -2,8 +2,8 @@
 """Print one `family sha256` line for each family of the program's outputs:
 `activate` values, gradients and offset_1 over several grids; LM and GDM fits
 (losses, mu, termination, stall events, parameter bytes); bench CSVs without
-runtime_s; curves CSVs.  Kinds are built from parameter keys at their
-defaults, so running this one script against two versions of the package,
+runtime_s; curves CSVs.  Kinds are built with the dataclass constructors at
+their defaults, so running this one script against two versions of the package,
 
     PYTHONPATH=path/to/checkout/src python scripts/output_digest.py
 
@@ -16,27 +16,18 @@ from pathlib import Path
 
 import numpy as np
 
-from modhtan.activations import PARAMS, activate, kind_from_fields
+from modhtan.activations import AdaptiveOffset, Elu, FixedOffset, Htan, ModHtan, SoftStep, activate
 from modhtan.bench import CURVE_PRESETS, ExperimentSpec, dump_curves, emit_report, run_experiment
 from modhtan.datasets import SplitSpec, gen_quadratic, load_heart, make_heart_fixture, split
 from modhtan.network import nguyen_widrow_init
 from modhtan.training import GdmConfig, LmConfig, train_gdm, train_lm
 
-DEFAULTS = {p.key: p.default for p in PARAMS if p.default is not None}
-
-
-def kind(name, **rows):
-    return kind_from_fields({**DEFAULTS, "hidden_kind": name, **{k: str(v) for k, v in rows.items()}})
-
-
 # the activation configurations of tests/test_kernels.py
-KERNEL_KINDS = [kind("softstep"), kind("htan"), kind("elu"), kind("elu", elu_alpha=0.3), *(
-    kind("modhtan", modhtan_offset_mode=mode, modhtan_offset_value=value, modhtan_euler_mode=euler)
-    for mode, value in (("adaptive", 1.0), ("fixed", 1.0), ("fixed", -3.0)) for euler in ("constant", "direct")
+KERNEL_KINDS = [SoftStep(), Htan(), Elu(), Elu(alpha=0.3), *(
+    ModHtan(offset_mode=mode, euler_mode=euler)
+    for mode in (AdaptiveOffset(), FixedOffset(1.0), FixedOffset(-3.0)) for euler in ("constant", "direct")
 )]
-FIT_KINDS = [kind("htan"), kind("elu"), kind("modhtan"),
-             kind("modhtan", modhtan_offset_mode="fixed", modhtan_offset_value=2.0),
-             kind("modhtan", modhtan_euler_mode="direct")]
+FIT_KINDS = [Htan(), Elu(), ModHtan(), ModHtan(offset_mode=FixedOffset(2.0)), ModHtan(euler_mode="direct")]
 LM, GDM = LmConfig(epochs=80), GdmConfig(epochs=80)
 
 

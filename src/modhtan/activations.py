@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Callable, Mapping
-from dataclasses import dataclass, fields
-from typing import Any, ClassVar, NamedTuple, Union
+from dataclasses import dataclass
+from typing import ClassVar, NamedTuple, Union
 
 import numpy as np
 
@@ -104,87 +103,6 @@ ActivationKind = Union[SoftStep, Htan, Elu, ModHtan]
 
 KINDS = {cls.name: cls for cls in (SoftStep, Htan, Elu, ModHtan)}
 ACTIVATION_NAMES = tuple(KINDS)
-
-
-class Param(NamedTuple):
-    """One activation parameter: its key, CLI flag and the dataclass field it fills.
-
-    Numbers are parsed with `type`.  A `choices` field is given as the text
-    that maps to its value; where that value is a class (the offset mode),
-    the text selects which dataclass is built.
-    """
-
-    key: str
-    flag: str
-    owner: type
-    field: str
-    help: str
-    type: Callable[[Any], Any] = float
-    choices: Mapping[str, Any] | None = None
-
-    def parse(self, text):
-        try:
-            return self.type(text) if self.choices is None else self.choices[text]
-        except (KeyError, TypeError, ValueError):
-            expected = f"one of {tuple(self.choices)}" if self.choices else self.type.__name__
-            raise ValueError(f"{self.key}: expected {expected}, got {text!r}") from None
-
-    @property
-    def default(self) -> str | None:
-        """The dataclass default as text: its repr, or the choice that maps to it; None for a field without one."""
-        default = getattr(self.owner, self.field, None)  # dataclasses keep defaults on the class
-        if default is None:
-            return None
-        if self.choices is None:
-            return repr(default)
-        return next(text for text, choice in self.choices.items() if choice in (default, type(default)))
-
-
-# The one place activation parameters are declared: the CLI flags and their
-# help defaults come from these rows, and kind_from_fields reads their keys.
-PARAMS = (
-    Param("elu_alpha", "alpha", Elu, "alpha", "elu scale"),
-    Param("modhtan_offset_mode", "offset-mode", ModHtan, "offset_mode",
-          "modhtan offset_1 source", choices={"adaptive": AdaptiveOffset, "fixed": FixedOffset}),
-    Param("modhtan_offset_value", "offset", FixedOffset, "offset_1",
-          "offset_1 when --offset-mode fixed"),
-    Param("modhtan_offset_delta", "delta", AdaptiveOffset, "delta",
-          "adaptive offset headroom factor"),
-    Param("modhtan_offset_kappa", "kappa", AdaptiveOffset, "kappa", "adaptive offset floor"),
-    Param("modhtan_euler_mode", "euler-mode", ModHtan, "euler_mode",
-          "tanh with slope ln E of the cached Euler constant, or the rational formula per input",
-          choices={mode: mode for mode in EULER_MODES}),
-    Param("rnf_a", "rnf-a", RnfParams, "a", "rational-power exponent a", type=int),
-)
-
-_PARAM_AT = {(p.owner, p.field): p for p in PARAMS}
-
-
-def kind_from_fields(values: Mapping[str, Any], label=lambda p: p.key) -> ActivationKind:
-    """The kind values["hidden_kind"] names, its fields parsed from the rows of values keyed by Param.key.
-
-    A row the kind needs that is missing from values, or does not parse, is
-    a ValueError; label(param) names a missing row.  Other keys are ignored.
-    """
-    if "hidden_kind" not in values:
-        raise ValueError("missing hidden_kind")
-    if (name := values["hidden_kind"]) not in KINDS:
-        raise ValueError(f"hidden_kind: expected one of {ACTIVATION_NAMES}, got {name!r}")
-    return _build(KINDS[name], values, label)
-
-
-def _build(cls: type, values: Mapping[str, Any], label):
-    kwargs = {}
-    for f in fields(cls):
-        p = _PARAM_AT.get((cls, f.name))
-        if p is None:  # a nested parameter group such as ModHtan.rnf
-            value = type(f.default)
-        elif p.key not in values:
-            raise ValueError(f"missing {label(p)}")
-        else:
-            value = p.parse(values[p.key])
-        kwargs[f.name] = _build(value, values, label) if isinstance(value, type) else value
-    return cls(**kwargs)
 
 
 # Each kernel writes its values to v and their gradients to g through ufunc

@@ -22,7 +22,16 @@ import pathlib
 import re
 import sys
 
-from .activations import ACTIVATION_NAMES, PARAMS, ActivationKind, kind_from_fields
+from .activations import (
+    ACTIVATION_NAMES,
+    EULER_MODES,
+    KINDS,
+    ActivationKind,
+    AdaptiveOffset,
+    Elu,
+    FixedOffset,
+    ModHtan,
+)
 from .bench import (
     CURVE_PRESETS,
     ExperimentSpec,
@@ -60,11 +69,18 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_activation_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("activation parameters")
-    for param in PARAMS:
-        parse = {"choices": tuple(param.choices)} if param.choices else {"type": param.type}
-        default = param.default
-        text = param.help if default is None else f"{param.help} (default {default})"
-        g.add_argument(f"--{param.flag}", default=default, help=text, **parse)
+    g.add_argument("--alpha", type=float, default=Elu.alpha, help="elu scale (default %(default)s)")
+    g.add_argument("--offset-mode", choices=("adaptive", "fixed"), default="adaptive",
+                   help="modhtan offset_1 source (default %(default)s)")
+    g.add_argument("--offset", type=float, default=None, help="offset_1 when --offset-mode fixed")
+    g.add_argument("--delta", type=float, default=AdaptiveOffset.delta,
+                   help="adaptive offset headroom factor (default %(default)s)")
+    g.add_argument("--kappa", type=float, default=AdaptiveOffset.kappa,
+                   help="adaptive offset floor (default %(default)s)")
+    g.add_argument("--euler-mode", choices=EULER_MODES, default=ModHtan.euler_mode,
+                   help="tanh with slope ln E of the cached Euler constant, or the rational formula per input "
+                        "(default %(default)s)")
+    g.add_argument("--rnf-a", type=int, default=RnfParams.a, help="rational-power exponent a (default %(default)s)")
 
 
 def _add_trainer_flags(p: argparse.ArgumentParser) -> None:
@@ -93,13 +109,20 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _activation_from_flags(name: str, args: argparse.Namespace) -> ActivationKind:
+    """The kind called name, built from the flags of the fields it owns; other flags are ignored."""
     if args.offset is not None and args.offset_mode != "fixed":
         raise ValueError("--offset needs --offset-mode fixed")
-    values = {"hidden_kind": name}
-    for param in PARAMS:
-        if (value := getattr(args, param.flag.replace("-", "_"))) is not None:
-            values[param.key] = value
-    return kind_from_fields(values, label=lambda param: f"--{param.flag}")
+    if name == "elu":
+        return Elu(args.alpha)
+    if name != "modhtan":
+        return KINDS[name]()
+    if args.offset_mode == "adaptive":
+        offset_mode = AdaptiveOffset(args.delta, args.kappa)
+    elif args.offset is None:
+        raise ValueError("missing --offset")
+    else:
+        offset_mode = FixedOffset(args.offset)
+    return ModHtan(offset_mode, RnfParams(args.rnf_a), args.euler_mode)
 
 
 def _fn_names(text: str) -> list[str]:
@@ -144,7 +167,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
 
 def cmd_approx_bench(args: argparse.Namespace) -> int:
     with _usage():  # the sweep's domain is the flags' [lo, hi]
-        result = approx_bench(args.count, args.lo, args.hi, RnfParams(a=args.a))
+        result = approx_bench(args.count, args.lo, args.hi, RnfParams(a=args.rnf_a))
     print(
         f"rnf_exp {result.ns_per_op_rnf:.1f} ns/op, "
         f"reference exp {result.ns_per_op_ref:.1f} ns/op, "
@@ -214,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ab.add_argument("--count", type=int, default=200_000)
     p_ab.add_argument("--lo", type=float, default=-20.0)
     p_ab.add_argument("--hi", type=float, default=20.0)
-    p_ab.add_argument("--a", type=int, default=RnfParams.a, help="rational-power exponent")
+    p_ab.add_argument("--rnf-a", type=int, default=RnfParams.a, help="rational-power exponent")
     p_ab.set_defaults(func=cmd_approx_bench)
 
     p_train = sub.add_parser("train", help="train one model and print its final metric")

@@ -2,7 +2,6 @@
 and its batch-adaptive offset."""
 
 import math
-import re
 
 import numpy as np
 import pytest
@@ -11,7 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from modhtan.activations import (
-    PARAMS,
+    ACTIVATION_NAMES,
+    KINDS,
     AdaptiveOffset,
     Elu,
     FixedOffset,
@@ -21,8 +21,8 @@ from modhtan.activations import (
     _normalized_input,
     activate,
     adaptive_offset,
-    kind_from_fields,
 )
+from modhtan.cli import _activation_from_flags, build_parser
 from modhtan.rnf import RnfParams, euler_constant
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
@@ -416,13 +416,24 @@ class TestActivateDispatch:
         with pytest.raises(TypeError):
             activate("htan", [0.0])
 
-    def test_parse_names(self):
-        fields = {p.key: p.default for p in PARAMS if p.default is not None}
-        for cls in (SoftStep, Htan, Elu, ModHtan):
-            assert kind_from_fields({**fields, "hidden_kind": cls.name}) == cls()
-        expected = "hidden_kind: expected one of ('softstep', 'htan', 'elu', 'modhtan'), got 'relu'"
-        with pytest.raises(ValueError, match=re.escape(expected)):
-            kind_from_fields({**fields, "hidden_kind": "relu"})
+    def test_parse_names(self, capsys):
+        """--fn and --fns accept exactly ACTIVATION_NAMES, and each name with no flags builds KINDS[name]()."""
+        parser = build_parser()
+        for name in ACTIVATION_NAMES:
+            for command in ("curves", "train"):
+                args = parser.parse_args([command, "--fn", name])
+                assert _activation_from_flags(args.fn, args) == KINDS[name]()
+        args = parser.parse_args(["bench", "--fns", ",".join(ACTIVATION_NAMES)])
+        assert [_activation_from_flags(name, args) for name in args.fns] == [cls() for cls in KINDS.values()]
+        for argv, message in [
+            (["curves", "--fn", "relu"], "argument --fn: invalid choice: 'relu'"),
+            (["train", "--fn", "relu"], "argument --fn: invalid choice: 'relu'"),
+            (["bench", "--fns", "relu"], "unknown activation 'relu'; choose from softstep, htan, elu, modhtan"),
+        ]:
+            with pytest.raises(SystemExit) as info:
+                parser.parse_args(argv)
+            assert info.value.code == 2
+            assert message in capsys.readouterr().err
 
 
 class TestFiniteDifferences:

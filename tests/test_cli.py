@@ -148,8 +148,8 @@ class TestApproxBenchCommand:
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_exponent_override(self, capsys):
-        assert main(["approx-bench", "--count", "100", "--a", "1024"]) == 0
-        assert main(["approx-bench", "--count", "100", "--a", "1"]) == 2
+        assert main(["approx-bench", "--count", "100", "--rnf-a", "1024"]) == 0
+        assert main(["approx-bench", "--count", "100", "--rnf-a", "1"]) == 2
         capsys.readouterr()
 
 
@@ -597,11 +597,13 @@ class TestFlagsInFull:
         assert info.value.code == 2
         assert "unrecognized arguments: --random-x" in capsys.readouterr().err
 
-    def test_approx_bench_flag_prefix_is_usage_error(self, capsys):
+    # --a is retired: approx-bench takes the exponent as --rnf-a, as the other commands do
+    @pytest.mark.parametrize("flag, value", [("--cou", "100"), ("--a", "1024")])
+    def test_approx_bench_retired_or_abbreviated_flag_is_usage_error(self, flag, value, capsys):
         with pytest.raises(SystemExit) as info:
-            build_parser().parse_args(["approx-bench", "--cou", "100"])
+            build_parser().parse_args(["approx-bench", flag, value])
         assert info.value.code == 2
-        assert "unrecognized arguments: --cou 100" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 class TestParserBasics:

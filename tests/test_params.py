@@ -1,27 +1,18 @@
-"""The activation parameter table: one row per dataclass field, every row
-round-trips from CLI flags and from keyed text to an activation kind, a kind
-is built from exactly the rows it reads, and a bad or missing row is a
-ValueError."""
+"""The activation flags: one flag per dataclass field, each sets exactly its
+field, a kind ignores the flags of fields it does not own, a value out of its
+field's range is a usage error with the dataclass's message, and the help
+section that lists the flags is fixed."""
 
-from dataclasses import MISSING, fields, replace
+from dataclasses import fields, replace
 
 import pytest
 
-from modhtan.activations import (
-    KINDS,
-    PARAMS,
-    AdaptiveOffset,
-    Elu,
-    FixedOffset,
-    Htan,
-    ModHtan,
-    SoftStep,
-    kind_from_fields,
-)
-from modhtan.cli import _activation_from_flags, build_parser
+from modhtan.activations import KINDS, AdaptiveOffset, Elu, FixedOffset, Htan, ModHtan
+from modhtan.bench import dump_curves
+from modhtan.cli import _activation_from_flags, build_parser, main
 from modhtan.rnf import RnfParams
 
-# ModHtan.rnf is a nested group: its own fields are the rows
+# ModHtan.rnf is a nested group: its own fields have the flags
 GROUP_FIELDS = {(ModHtan, "rnf")}
 
 LEAF_FIELDS = [
@@ -31,180 +22,142 @@ LEAF_FIELDS = [
     if (cls, f.name) not in GROUP_FIELDS
 ]
 
-# Every row's key at its default, as scripts/output_digest.py builds kinds
-DEFAULTS = {p.key: p.default for p in PARAMS if p.default is not None}
-
-# Per row: flags that set it away from its default, and the default kind with that one change
+# Per leaf field: flags that set it away from its default, and the default kind with that one change
 MODHTAN = ModHtan()
 CHANGED = {
-    "elu_alpha": (["--alpha", "3"], replace(Elu(), alpha=3.0)),
-    "modhtan_offset_mode": (["--offset-mode", "fixed", "--offset", "1.5"],
-                            replace(MODHTAN, offset_mode=FixedOffset(1.5))),
-    "modhtan_offset_value": (["--offset-mode", "fixed", "--offset", "3"],
-                             replace(MODHTAN, offset_mode=FixedOffset(3.0))),
-    "modhtan_offset_delta": (["--delta", "3"], replace(MODHTAN, offset_mode=replace(AdaptiveOffset(), delta=3.0))),
-    "modhtan_offset_kappa": (["--kappa", "3"], replace(MODHTAN, offset_mode=replace(AdaptiveOffset(), kappa=3.0))),
-    "modhtan_euler_mode": (["--euler-mode", "direct"], replace(MODHTAN, euler_mode="direct")),
-    "rnf_a": (["--rnf-a", "3"], replace(MODHTAN, rnf=replace(RnfParams(), a=3))),
+    (Elu, "alpha"): (["--alpha", "3"], replace(Elu(), alpha=3.0)),
+    (ModHtan, "offset_mode"): (["--offset-mode", "fixed", "--offset", "1.5"],
+                               replace(MODHTAN, offset_mode=FixedOffset(1.5))),
+    (FixedOffset, "offset_1"): (["--offset-mode", "fixed", "--offset", "3"],
+                                replace(MODHTAN, offset_mode=FixedOffset(3.0))),
+    (AdaptiveOffset, "delta"): (["--delta", "3"], replace(MODHTAN, offset_mode=replace(AdaptiveOffset(), delta=3.0))),
+    (AdaptiveOffset, "kappa"): (["--kappa", "3"], replace(MODHTAN, offset_mode=replace(AdaptiveOffset(), kappa=3.0))),
+    (ModHtan, "euler_mode"): (["--euler-mode", "direct"], replace(MODHTAN, euler_mode="direct")),
+    (RnfParams, "a"): (["--rnf-a", "3"], replace(MODHTAN, rnf=replace(RnfParams(), a=3))),
 }
 
-
-@pytest.mark.parametrize("owner, name", LEAF_FIELDS, ids=[f"{c.__name__}.{n}" for c, n in LEAF_FIELDS])
-def test_every_leaf_field_has_exactly_one_row(owner, name):
-    assert sum((p.owner, p.field) == (owner, name) for p in PARAMS) == 1
-
-
-def test_rows_have_distinct_keys_and_flags():
-    keys = [p.key for p in PARAMS]
-    flags = [p.flag for p in PARAMS]
-    assert len(set(keys)) == len(keys)
-    assert len(set(flags)) == len(flags)
-
-
-@pytest.mark.parametrize("param", PARAMS, ids=[p.key for p in PARAMS])
-def test_row_round_trips(param):
-    flags, kind = CHANGED[param.key]
-    assert flags[flags.index(f"--{param.flag}") + 1] != param.default
-    argv = ["curves", "--fn", kind.name, *flags]
-    assert _activation_from_flags(kind.name, build_parser().parse_args(argv)) == kind
-
-    by_flag = {f"--{p.flag}": p.key for p in PARAMS}
-    rows = {by_flag[flag]: text for flag, text in zip(flags[::2], flags[1::2])}
-    assert kind_from_fields({**DEFAULTS, "hidden_kind": kind.name, **rows}) == kind
-
-
-@pytest.mark.parametrize(
-    "key, text, message",
-    [
-        ("modhtan_offset_delta", "big", "modhtan_offset_delta: expected float, got 'big'"),
-        ("modhtan_offset_mode", "sometimes",
-         "modhtan_offset_mode: expected one of ('adaptive', 'fixed'), got 'sometimes'"),
-        ("rnf_a", "1.5", "rnf_a: expected int, got '1.5'"),
-        ("hidden_kind", "relu", "hidden_kind: expected one of ('softstep', 'htan', 'elu', 'modhtan'), got 'relu'"),
-        ("modhtan_offset_kappa", "inf", "kappa must be positive and finite, got inf"),
-    ],
-    ids=["float-row", "choices-row", "int-row", "unknown-kind", "infinite-kappa"],
-)
-def test_bad_row_is_value_error(key, text, message):
-    with pytest.raises(ValueError) as info:
-        kind_from_fields({**DEFAULTS, "hidden_kind": "modhtan", key: text})
-    assert str(info.value) == message
-
-
-@pytest.mark.parametrize(
-    "values, message",
-    [
-        (DEFAULTS, "missing hidden_kind"),
-        ({**DEFAULTS, "hidden_kind": "modhtan", "modhtan_offset_mode": "fixed"}, "missing modhtan_offset_value"),
-    ],
-    ids=["kind", "fixed-offset"],
-)
-def test_missing_row_is_value_error(values, message):
-    with pytest.raises(ValueError) as info:
-        kind_from_fields(values)
-    assert str(info.value) == message
-
-
-
-# Per kind: the only rows it reads, and the kind they build
-OWN_ROWS = {
-    "softstep": ({}, SoftStep()),
-    "htan": ({}, Htan()),
-    "elu": ({"elu_alpha": "2.5"}, Elu(2.5)),
-    "modhtan-adaptive": (
-        {"modhtan_offset_mode": "adaptive", "modhtan_offset_delta": "0.5", "modhtan_offset_kappa": "0.25",
-         "modhtan_euler_mode": "direct", "rnf_a": "7"},
-        ModHtan(AdaptiveOffset(0.5, 0.25), RnfParams(7), "direct"),
-    ),
-    "modhtan-fixed": (
-        {"modhtan_offset_mode": "fixed", "modhtan_offset_value": "-2", "modhtan_euler_mode": "constant",
-         "rnf_a": "9"},
-        ModHtan(FixedOffset(-2.0), RnfParams(9), "constant"),
-    ),
+COMMANDS = {
+    "curves": lambda name: ["curves", "--fn", name],
+    "train": lambda name: ["train", "--fn", name],
+    "bench": lambda name: ["bench", "--fns", name],
 }
 
+GRID = ["--lo", "-5", "--hi", "5", "--step", "0.5"]
 
+
+def kind_of(argv, name):
+    return _activation_from_flags(name, build_parser().parse_args(argv))
+
+
+def field_id(key):
+    owner, name = key
+    return f"{owner.__name__}.{name}"
+
+
+def test_every_leaf_field_has_a_flag():
+    assert set(CHANGED) == set(LEAF_FIELDS)
+
+
+@pytest.mark.parametrize("key", list(CHANGED), ids=[field_id(k) for k in CHANGED])
+def test_flag_sets_exactly_its_field(key):
+    flags, kind = CHANGED[key]
+    assert kind != KINDS[kind.name]()
+    assert kind_of(["curves", "--fn", kind.name, *flags], kind.name) == kind
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
 @pytest.mark.parametrize("name", list(KINDS))
-def test_default_rows_build_the_default_kind(name):
-    assert kind_from_fields({**DEFAULTS, "hidden_kind": name}) == KINDS[name]()
-
-
-@pytest.mark.parametrize("case", list(OWN_ROWS))
-def test_kind_builds_from_its_own_rows_alone(case):
-    rows, kind = OWN_ROWS[case]
-    assert kind_from_fields({"hidden_kind": kind.name, **rows}) == kind
-
-
-@pytest.mark.parametrize("param", PARAMS, ids=[p.key for p in PARAMS])
-def test_default_text_parses_to_the_field_default(param):
-    default = {f.name: f.default for f in fields(param.owner)}[param.field]
-    if default is MISSING:
-        assert param.default is None
-    else:
-        parsed = param.parse(param.default)
-        assert parsed == (type(default) if isinstance(parsed, type) else default)
-
-
-@pytest.mark.parametrize("param", PARAMS, ids=[p.key for p in PARAMS])
-def test_every_row_its_kind_reads_is_required(param):
-    rows, kind = next((rows, kind) for rows, kind in OWN_ROWS.values() if param.key in rows)
-    values = {"hidden_kind": kind.name, **rows}
-    del values[param.key]
-    with pytest.raises(ValueError) as info:
-        kind_from_fields(values)
-    assert str(info.value) == f"missing {param.key}"
-    with pytest.raises(ValueError) as info:
-        kind_from_fields(values, label=lambda p: f"--{p.flag}")
-    assert str(info.value) == f"missing --{param.flag}"
+def test_no_flags_build_the_default_kind(name, command):
+    assert kind_of(COMMANDS[command](name), name) == KINDS[name]()
 
 
 @pytest.mark.parametrize(
-    "name, key, text, message",
+    "name, flags, kind",
     [
-        ("elu", "elu_alpha", "x", "elu_alpha: expected float, got 'x'"),
-        ("elu", "elu_alpha", "0", "alpha must be positive and finite, got 0.0"),
-        ("modhtan", "modhtan_offset_delta", "-0.5", "delta must be >= 0 and finite, got -0.5"),
-        ("modhtan", "modhtan_offset_delta", "nan", "delta must be >= 0 and finite, got nan"),
-        ("modhtan", "modhtan_offset_kappa", "0", "kappa must be positive and finite, got 0.0"),
-        ("modhtan", "modhtan_euler_mode", "sometimes",
-         "modhtan_euler_mode: expected one of ('constant', 'direct'), got 'sometimes'"),
-        ("modhtan", "rnf_a", "1", "calibration constant a must be >= 2 and at most the largest double, got 1"),
-        ("modhtan", "rnf_a", "2", "1 + x must stay strictly below a = 2"),
+        ("htan", ["--alpha", "0", "--kappa", "0", "--rnf-a", "1"], Htan()),
+        ("elu", ["--rnf-a", "1", "--kappa", "inf", "--offset-mode", "fixed"], Elu()),
+        ("elu", ["--alpha", "2.5", "--delta", "-1", "--euler-mode", "direct"], Elu(2.5)),
+        ("modhtan", ["--alpha", "-1"], ModHtan()),
+        ("modhtan", ["--offset-mode", "fixed", "--offset", "-2", "--delta", "-1", "--kappa", "0", "--alpha", "0"],
+         ModHtan(FixedOffset(-2.0))),
     ],
-    ids=["alpha-text", "alpha-zero", "delta-negative", "delta-nan", "kappa-zero", "euler-mode", "rnf-a-one",
-         "rnf-a-two"],
+    ids=["htan-other-kinds-flags", "elu-modhtan-flags", "elu-own-flag", "adaptive-modhtan-elu-flag",
+         "fixed-modhtan-adaptive-flags"],
 )
-def test_row_out_of_its_field_range_is_value_error(name, key, text, message):
-    with pytest.raises(ValueError) as info:
-        kind_from_fields({**DEFAULTS, "hidden_kind": name, key: text})
-    assert str(info.value) == message
+def test_flags_the_kind_does_not_own_are_ignored(name, flags, kind, tmp_path, capsys):
+    out, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    assert main(["curves", "--fn", name, *flags, *GRID, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    dump_curves(kind, -5.0, 5.0, 0.5, want)
+    assert out.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+@pytest.mark.parametrize(
+    "name, flags, message",
+    [
+        ("elu", ["--alpha", "0"], "alpha must be positive and finite, got 0.0"),
+        ("modhtan", ["--delta", "-0.5"], "delta must be >= 0 and finite, got -0.5"),
+        ("modhtan", ["--delta", "nan"], "delta must be >= 0 and finite, got nan"),
+        ("modhtan", ["--kappa", "0"], "kappa must be positive and finite, got 0.0"),
+        ("modhtan", ["--kappa", "inf"], "kappa must be positive and finite, got inf"),
+        ("modhtan", ["--rnf-a", "1"], "calibration constant a must be >= 2 and at most the largest double, got 1"),
+        ("modhtan", ["--rnf-a", "2"], "1 + x must stay strictly below a = 2"),
+        ("modhtan", ["--offset-mode", "fixed", "--offset", "0"], "fixed offset_1 must be nonzero and finite, got 0.0"),
+        ("modhtan", ["--offset-mode", "fixed", "--offset", "inf"],
+         "fixed offset_1 must be nonzero and finite, got inf"),
+        ("modhtan", ["--offset-mode", "fixed"], "missing --offset"),
+    ],
+    ids=["alpha-zero", "delta-negative", "delta-nan", "kappa-zero", "kappa-inf", "rnf-a-one", "rnf-a-two",
+         "fixed-offset-zero", "fixed-offset-inf", "fixed-offset-missing"],
+)
+def test_flag_out_of_its_field_range_is_usage_error(name, flags, message, command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = [*COMMANDS[command](name), *flags]
+    assert main([*argv, "--n", "20", "--epochs", "2"] if command != "curves" else argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
-    "text, message",
+    "flags, message",
     [
-        ("0", "fixed offset_1 must be nonzero and finite, got 0.0"),
-        ("inf", "fixed offset_1 must be nonzero and finite, got inf"),
-        ("x", "modhtan_offset_value: expected float, got 'x'"),
+        (["--alpha", "x"], "argument --alpha: invalid float value: 'x'"),
+        (["--offset-mode", "fixed", "--offset", "x"], "argument --offset: invalid float value: 'x'"),
+        (["--delta", "big"], "argument --delta: invalid float value: 'big'"),
+        (["--rnf-a", "1.5"], "argument --rnf-a: invalid int value: '1.5'"),
+        (["--offset-mode", "sometimes"], "argument --offset-mode: invalid choice: 'sometimes'"),
+        (["--euler-mode", "sometimes"], "argument --euler-mode: invalid choice: 'sometimes'"),
     ],
-    ids=["zero", "inf", "text"],
+    ids=["alpha-text", "offset-text", "delta-text", "rnf-a-float", "offset-mode", "euler-mode"],
 )
-def test_bad_fixed_offset_is_value_error(text, message):
-    values = {**DEFAULTS, "hidden_kind": "modhtan", "modhtan_offset_mode": "fixed", "modhtan_offset_value": text}
-    with pytest.raises(ValueError) as info:
-        kind_from_fields(values)
-    assert str(info.value) == message
+def test_unparsable_flag_is_argparse_usage_error(flags, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["curves", "--fn", "modhtan", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {message}" in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize(
-    "name, extra",
-    [
-        ("htan", {"elu_alpha": "x", "modhtan_offset_mode": "sometimes"}),
-        ("elu", {"rnf_a": "1.5", "modhtan_offset_kappa": "inf"}),
-        ("modhtan", {"elu_alpha": "-1", "modhtan_offset_value": "0"}),
-        ("modhtan", {"modhtan_k_o": "0.5", "rnf_n": "3.0", "W1": "1.0 2.0"}),
-    ],
-    ids=["htan-other-kinds-rows", "elu-modhtan-rows", "adaptive-modhtan-unread-rows", "unknown-keys"],
-)
-def test_rows_the_kind_does_not_read_are_ignored(name, extra):
-    assert kind_from_fields({**DEFAULTS, "hidden_kind": name, **extra}) == KINDS[name]()
+ACTIVATION_HELP = """\
+activation parameters:
+  --alpha ALPHA         elu scale (default 1.0)
+  --offset-mode {adaptive,fixed}
+                        modhtan offset_1 source (default adaptive)
+  --offset OFFSET       offset_1 when --offset-mode fixed
+  --delta DELTA         adaptive offset headroom factor (default 0.05)
+  --kappa KAPPA         adaptive offset floor (default 1e-06)
+  --euler-mode {constant,direct}
+                        tanh with slope ln E of the cached Euler constant, or
+                        the rational formula per input (default constant)
+  --rnf-a RNF_A         rational-power exponent a (default 10000000)
+"""
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_help_lists_the_activation_flags(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    assert main([command, "--help"]) == 0
+    sections = capsys.readouterr().out.split("\n\n")
+    assert [s.rstrip("\n") + "\n" for s in sections if s.startswith("activation parameters:")] == [ACTIVATION_HELP]
