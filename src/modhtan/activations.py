@@ -26,13 +26,13 @@ _X_NORM_CLAMP = 50.0
 
 @dataclass(frozen=True)
 class FixedOffset:
-    """Constant normalization offset; must be nonzero and finite."""
+    """Constant normalization offset, set in code (no flag builds one); must be positive and finite."""
 
     offset_1: float
 
     def __post_init__(self):
-        if self.offset_1 == 0 or not math.isfinite(self.offset_1):
-            raise ValueError(f"fixed offset_1 must be nonzero and finite, got {self.offset_1}")
+        if not 0 < self.offset_1 < math.inf:
+            raise ValueError(f"fixed offset_1 must be positive and finite, got {self.offset_1}")
 
 
 @dataclass(frozen=True)
@@ -64,14 +64,7 @@ class Htan:
 
 @dataclass(frozen=True)
 class Elu:
-    """Exponential linear unit; alpha scales its negative branch alpha * (exp(x) - 1)."""
-
-    alpha: float = 1.0
     name: ClassVar[str] = "elu"
-
-    def __post_init__(self):
-        if not 0 < self.alpha < math.inf:
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -140,20 +133,19 @@ def htan(xs, v, g):
     np.subtract(1.0, g, g)
 
 
-def elu(xs, kind: Elu, v, g):
-    """f = x for x > 0, alpha * (exp(x) - 1) for x <= 0; g = 1 for x > 0, f + alpha
-    for x <= 0, vanishing as f -> -alpha.
+def elu(xs, v, g):
+    """f = x for x > 0, exp(x) - 1 for x <= 0; g = 1 for x > 0, f + 1
+    for x <= 0, vanishing as f -> -1.
 
-    Computed without a mask as alpha * expm1(min(x, 0)) + max(x, -0.0): for
+    Computed without a mask as expm1(min(x, 0)) + max(x, -0.0): for
     x > 0 that is 0.0 + x, and for x <= 0 the negative branch plus -0.0,
     which leaves every value, -0.0 included, unchanged.
     """
     np.minimum(xs, 0.0, out=v)
     np.expm1(v, v)
-    np.multiply(v, kind.alpha, v)
     np.maximum(xs, -0.0, out=g)
     np.add(v, g, v)
-    np.add(v, kind.alpha, g)
+    np.add(v, 1.0, g)
     # putmask copies an array that is not C-contiguous; g.T is, for a sample-minor g or a 1-D grid
     np.putmask(g.T, xs.T > 0, 1.0)
 
@@ -250,7 +242,7 @@ def activate(kind: ActivationKind, batch, out=None) -> BatchActivation:
     elif isinstance(kind, Htan):
         htan(xs, values, grads)
     elif isinstance(kind, Elu):
-        elu(xs, kind, values, grads)
+        elu(xs, values, grads)
     elif isinstance(kind, ModHtan):
         offset = modhtan(xs, kind, values, grads)
     else:

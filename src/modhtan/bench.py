@@ -35,6 +35,7 @@ CURVE_PRESETS = {
     "within": (-10.0, 10.0, 0.01),
     "exploding": (-1000.0, 1000.0, 1.0),
 }
+MAX_CURVE_POINTS = 1_000_000  # a curve grid's bound: the presets take 2,001 points, and 1e9 would exhaust memory
 
 AVERAGE_LABEL = "average"
 
@@ -245,6 +246,8 @@ def curve_grid(lo: float, hi: float, step: float) -> np.ndarray:
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     count = max(int(round((hi - lo) / step)) + 1, 2)
+    if count > MAX_CURVE_POINTS:
+        raise ValueError(f"the grid needs {count} points, over the {MAX_CURVE_POINTS} a curve may have")
     return np.linspace(lo, hi, count)
 
 

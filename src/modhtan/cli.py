@@ -28,8 +28,6 @@ from .activations import (
     KINDS,
     ActivationKind,
     AdaptiveOffset,
-    Elu,
-    FixedOffset,
     ModHtan,
 )
 from .bench import (
@@ -69,10 +67,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_activation_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("activation parameters")
-    g.add_argument("--alpha", type=float, default=Elu.alpha, help="elu scale (default %(default)s)")
-    g.add_argument("--offset-mode", choices=("adaptive", "fixed"), default="adaptive",
-                   help="modhtan offset_1 source (default %(default)s)")
-    g.add_argument("--offset", type=float, default=None, help="offset_1 when --offset-mode fixed")
     g.add_argument("--delta", type=float, default=AdaptiveOffset.delta,
                    help="adaptive offset headroom factor (default %(default)s)")
     g.add_argument("--kappa", type=float, default=AdaptiveOffset.kappa,
@@ -109,20 +103,10 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _activation_from_flags(name: str, args: argparse.Namespace) -> ActivationKind:
-    """The kind called name, built from the flags of the fields it owns; other flags are ignored."""
-    if args.offset is not None and args.offset_mode != "fixed":
-        raise ValueError("--offset needs --offset-mode fixed")
-    if name == "elu":
-        return Elu(args.alpha)
+    """The kind called name; only modhtan has fields, so the other kinds ignore the flags."""
     if name != "modhtan":
         return KINDS[name]()
-    if args.offset_mode == "adaptive":
-        offset_mode = AdaptiveOffset(args.delta, args.kappa)
-    elif args.offset is None:
-        raise ValueError("missing --offset")
-    else:
-        offset_mode = FixedOffset(args.offset)
-    return ModHtan(offset_mode, RnfParams(args.rnf_a), args.euler_mode)
+    return ModHtan(AdaptiveOffset(args.delta, args.kappa), RnfParams(args.rnf_a), args.euler_mode)
 
 
 def _fn_names(text: str) -> list[str]:

@@ -114,10 +114,8 @@ class TestElu:
     def test_deep_negative_limit(self):
         assert value(Elu(), -1000.0) == -1.0
 
-    def test_alpha_scales_negative_branch(self):
-        kind = Elu(alpha=2.0)
-        assert value(kind, -1000.0) == -2.0
-        assert value(kind, -1.0) == pytest.approx(2.0 * (math.exp(-1.0) - 1.0), rel=1e-14)
+    def test_negative_branch_is_expm1(self):
+        assert value(Elu(), -1.0) == math.expm1(-1.0)
 
     def test_continuous_at_zero(self):
         assert abs(value(Elu(), 1e-9) - value(Elu(), -1e-9)) <= 1e-8
@@ -129,20 +127,12 @@ class TestElu:
     def test_grad_positive_branch(self):
         assert grad(Elu(), 5.0) == 1.0
 
-    def test_grad_at_zero_is_continuous_for_unit_alpha(self):
-        # x = 0 goes to the negative branch: f + alpha = 1 when alpha = 1
+    def test_grad_at_zero_is_continuous(self):
+        # x = 0 goes to the negative branch: f + 1 = 1
         assert grad(Elu(), 0.0) == 1.0
 
     def test_grad_vanishes_deep_negative(self):
         assert grad(Elu(), -1000.0) == 0.0
-
-    def test_alpha_must_be_positive(self):
-        with pytest.raises(ValueError):
-            Elu(alpha=0.0)
-        with pytest.raises(ValueError):
-            Elu(alpha=-1.0)
-        with pytest.raises(ValueError):
-            Elu(alpha=math.inf)  # inf * expm1(0) would be NaN
 
 
 class TestAdaptiveOffset:
@@ -252,6 +242,7 @@ class TestModHtan:
         pytest.param(ModHtan, "x_norm_clamp", 50.0, id="x_norm_clamp-50.0"),
         pytest.param(RnfParams, "n", 1.0, id="n-1.0"),
         pytest.param(RnfParams, "m", 1.0, id="m-1.0"),
+        pytest.param(Elu, "alpha", 2.0, id="alpha-2.0"),
     ])
     def test_retired_field_is_type_error(self, owner, field, given):
         with pytest.raises(TypeError, match=f"'{field}'"):
@@ -260,8 +251,9 @@ class TestModHtan:
     def test_param_validation(self):
         with pytest.raises(ValueError):
             ModHtan(euler_mode="fast")
-        with pytest.raises(ValueError):
-            FixedOffset(0.0)
+        for bad in (0.0, -0.0, -3.0):  # a frozen offset, (1 + delta) * max|x| + kappa, is always positive
+            with pytest.raises(ValueError, match="fixed offset_1 must be positive and finite"):
+                FixedOffset(bad)
         with pytest.raises(ValueError):
             AdaptiveOffset(delta=-0.1)
         with pytest.raises(ValueError):
@@ -374,9 +366,9 @@ class TestActivateDispatch:
         assert out.values.tolist() == [0.5, 0.5]
         assert out.grads.tolist() == [0.25, 0.25]
 
-    def test_elu_uses_params(self):
-        out = activate(Elu(alpha=2.0), [-1000.0, 3.0])
-        assert out.values.tolist() == [-2.0, 3.0]
+    def test_elu_batch(self):
+        out = activate(Elu(), [-1000.0, 3.0])
+        assert out.values.tolist() == [-1.0, 3.0]
         assert out.grads.tolist() == [0.0, 1.0]
 
     def test_modhtan_adaptive_offset_recorded(self):
@@ -403,7 +395,7 @@ class TestActivateDispatch:
         assert np.array_equal(out.grads, 1.0 - out.values**2)
 
     @pytest.mark.parametrize("kind", [SoftStep(), Htan(), Elu(), ModHtan(),
-                                      ModHtan(offset_mode=FixedOffset(-3.0))])
+                                      ModHtan(offset_mode=FixedOffset(1.0))])
     @pytest.mark.parametrize("x", [0.0, -0.0, 5e-324, 1.5, -1000.0])
     def test_0d_batch_equals_the_1_element_batch_bytewise(self, kind, x):
         scalar, one = activate(kind, x), activate(kind, [x])

@@ -1,13 +1,16 @@
 """Benchmark harness: report shapes, averaging, curve dumps, approx timing."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from modhtan import bench
 from modhtan.activations import Elu, Htan, ModHtan, SoftStep, activate
 from modhtan.bench import (
     CURVE_PRESETS,
+    MAX_CURVE_POINTS,
     ApproxBenchResult,
     BenchReport,
     BenchRow,
@@ -77,6 +80,13 @@ class TestExperimentSpec:
     def test_rejects_fewer_than_two_points(self, n_points):
         with pytest.raises(ValueError, match="n_points"):
             tiny_spec(n_points=n_points)
+
+    def test_one_hidden_unit_is_the_smallest_model(self):
+        with pytest.raises(ValueError, match="^n_hidden must be >= 1, got 0$"):
+            tiny_spec(n_hidden=0)
+        (run,) = iter_runs(tiny_spec(n_hidden=1))
+        assert run.model.n_hidden == 1
+        assert run.row.error is None and math.isfinite(run.train_mse)
 
 
 class TestRunExperiment:
@@ -253,6 +263,12 @@ class TestCurves:
         lo, hi, step = CURVE_PRESETS["exploding"]
         assert curve_grid(lo, hi, step).shape == (2001,)
 
+    def test_point_count_bound(self):
+        assert curve_grid(0.0, MAX_CURVE_POINTS - 1.0, 1.0).shape == (MAX_CURVE_POINTS,)
+        with pytest.raises(ValueError, match=f"^the grid needs {MAX_CURVE_POINTS + 1} points, over the "
+                                             f"{MAX_CURVE_POINTS} a curve may have$"):
+            curve_grid(0.0, float(MAX_CURVE_POINTS), 1.0)
+
     def test_bad_ranges_rejected(self):
         with pytest.raises(ValueError):
             curve_grid(1.0, -1.0, 0.1)
@@ -328,6 +344,13 @@ class TestApproxBench:
     def test_error_bound_on_sweep(self):
         result = approx_bench(10_000, -20.0, 20.0)
         assert result.max_rel_err <= 5e-5
+
+    def test_ns_per_op_from_the_clock(self, monkeypatch):
+        # a fake clock that advances 1000 ns and then 3000 ns more: rnf_exp's 1000 ns and the reference's 3000 ns
+        ticks = iter([5_000, 6_000, 9_000])
+        monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter_ns=lambda: next(ticks)))
+        result = approx_bench(8, -1.0, 1.0)
+        assert (result.ns_per_op_rnf, result.ns_per_op_ref) == (125.0, 375.0)
 
     def test_timing_fields_positive(self):
         result = approx_bench(1000, -2.0, 2.0)

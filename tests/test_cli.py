@@ -14,10 +14,10 @@ from modhtan.datasets import make_heart_fixture
 from modhtan.network import StallError
 
 
-# direct-mode modhtan where rnf_exp(-2 * x_norm) leaves the double range: near x = -0.98039 the fixed
-# offset 1.0 gives -2 * x_norm ~ 99.99, inside the clamp, and with a = 101 the base ~ 1e4 overflows
-DIRECT_OVERFLOW = ["--offset-mode", "fixed", "--offset", "1", "--euler-mode", "direct", "--rnf-a", "101",
-                   "--lo=-0.98039", "--hi=-0.98038", "--step", "1e-6"]
+# direct-mode modhtan where rnf_exp(-2 * x_norm) leaves the double range: near x = -0.9999 the adaptive
+# offset max|x| + 0.02 gives -2 * x_norm ~ 99.99, inside the clamp, and with a = 101 the base ~ 1e4 overflows
+DIRECT_OVERFLOW = ["--euler-mode", "direct", "--rnf-a", "101", "--delta", "0", "--kappa", "0.02",
+                   "--lo=-0.9999", "--hi=-0.99989", "--step", "1e-6"]
 # direct-mode modhtan whose -2 * x_norm, near 40 under the default offset, leaves rnf_exp's domain 1 + x < a
 DIRECT_DOMAIN = ["--euler-mode", "direct", "--rnf-a", "30"]
 DOMAIN_MESSAGE = "1 + x must stay strictly below a = 30"
@@ -82,6 +82,17 @@ class TestCurvesCommand:
         assert err.startswith("error: ") and message in err
         assert not out.exists()
 
+    def test_grid_over_the_point_bound_is_usage_error(self, tmp_path, capsys):
+        # 10**9 + 1 points would exhaust memory; the count is checked before any allocation
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["curves", "--fn", "htan", "--lo", "0", "--hi", "1", "--step", "1e-9", "--out", str(out)])
+        assert code == 2
+        message = "the grid needs 1000000001 points, over the 1000000 a curve may have"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
     def test_unwritable_path_is_runtime_error(self, capsys):
         code = main(["curves", "--fn", "htan", "--out", "/nonexistent-dir/x.csv"])
         assert code == 1
@@ -99,26 +110,6 @@ class TestCurvesCommand:
     def test_unwritable_output_is_runtime_error(self, argv, capsys):
         assert main(argv) == 1
         assert "error:" in capsys.readouterr().err
-
-    def test_fixed_offset_requires_value(self, tmp_path, capsys):
-        base = ["curves", "--fn", "modhtan", "--lo", "-1", "--hi", "1", "--step", "1",
-                "--offset-mode", "fixed", "--out", str(tmp_path / "m.csv")]
-        assert main(base) == 2
-        assert "--offset" in capsys.readouterr().err
-        assert main([*base, "--offset", "3.0"]) == 0
-
-    @pytest.mark.parametrize("argv", [
-        ["curves", "--fn", "modhtan", "--offset", "3", "--out", "m.csv"],
-        ["curves", "--fn", "modhtan", "--offset-mode", "adaptive", "--offset", "3", "--out", "m.csv"],
-        ["train", "--fn", "modhtan", "--n", "50", "--epochs", "3", "--offset", "2"],
-        ["bench", "--fns", "htan,modhtan", "--runs", "1", "--n", "20", "--epochs", "2", "--offset", "2",
-         "--out", "r.csv"],
-    ], ids=["curves", "curves-adaptive", "train", "bench"])
-    def test_offset_without_fixed_mode_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        assert main(argv) == 2
-        assert capsys.readouterr() == ("", "error: --offset needs --offset-mode fixed\n")
-        assert list(tmp_path.iterdir()) == []
 
 
 class TestApproxBenchCommand:
@@ -550,13 +541,13 @@ class TestParserReuse:
     GRID = ["--lo", "-5", "--hi", "5", "--step", "0.5"]
 
     def test_flags_of_one_call_do_not_reach_the_next(self, tmp_path, capsys):
-        fixed, default, want = tmp_path / "fixed.csv", tmp_path / "default.csv", tmp_path / "want.csv"
-        argv = ["curves", "--fn", "modhtan", "--offset-mode", "fixed", "--offset", "2"]
-        assert main([*argv, *self.GRID, "--out", str(fixed)]) == 0
+        flagged, default, want = tmp_path / "flagged.csv", tmp_path / "default.csv", tmp_path / "want.csv"
+        argv = ["curves", "--fn", "modhtan", "--delta", "2", "--euler-mode", "direct"]
+        assert main([*argv, *self.GRID, "--out", str(flagged)]) == 0
         assert main(["curves", "--fn", "modhtan", *self.GRID, "--out", str(default)]) == 0
         dump_curves(ModHtan(), -5.0, 5.0, 0.5, want)
         assert default.read_bytes() == want.read_bytes()
-        assert fixed.read_bytes() != want.read_bytes()
+        assert flagged.read_bytes() != want.read_bytes()
         capsys.readouterr()
 
     @pytest.mark.parametrize(
@@ -578,12 +569,13 @@ class TestParserReuse:
 
 
 class TestFlagsInFull:
-    """Every command takes its flags only in full: a retired modhtan flag,
+    """Every command takes its flags only in full: a retired activation flag,
     or a prefix of a live flag, is unrecognized on each of them."""
 
     @pytest.mark.parametrize("command", ["curves", "train", "bench"])
     @pytest.mark.parametrize("flag, value", [("--k", "3"), ("--cutoff", "3"), ("--center-normalize", "off"),
-                                             ("--clamp", "50"), ("--save", "m.txt"), ("--kap", "3")])
+                                             ("--clamp", "50"), ("--save", "m.txt"), ("--alpha", "1"),
+                                             ("--offset-mode", "fixed"), ("--offset", "1"), ("--kap", "3")])
     def test_retired_or_abbreviated_flag_is_usage_error(self, command, flag, value, capsys):
         with pytest.raises(SystemExit) as info:
             build_parser().parse_args([command, *REQUIRED.get(command, []), flag, value])

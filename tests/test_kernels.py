@@ -48,12 +48,12 @@ def oracle_htan(xs):
     return np.where(xs >= 0, mag, -mag)
 
 
-def oracle_elu(xs, kind):
-    return np.where(xs > 0, xs, kind.alpha * np.expm1(np.minimum(xs, 0.0)))
+def oracle_elu(xs):
+    return np.where(xs > 0, xs, np.expm1(np.minimum(xs, 0.0)))
 
 
-def oracle_elu_grad(xs, f, kind):
-    return np.where(xs > 0, 1.0, f + kind.alpha)
+def oracle_elu_grad(xs, f):
+    return np.where(xs > 0, 1.0, f + 1.0)
 
 
 def oracle_adaptive_offset(b, delta, kappa):
@@ -95,8 +95,8 @@ def oracle_activate(kind, xs):
         f = oracle_htan(xs)
         return f, 1.0 - f * f, None
     if isinstance(kind, Elu):
-        f = oracle_elu(xs, kind)
-        return f, oracle_elu_grad(xs, f, kind), None
+        f = oracle_elu(xs)
+        return f, oracle_elu_grad(xs, f), None
     if isinstance(kind.offset_mode, AdaptiveOffset):
         offset = oracle_adaptive_offset(xs, kind.offset_mode.delta, kind.offset_mode.kappa)
     else:
@@ -134,7 +134,7 @@ def _grid():
         [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1e308, -1e308, 1e-17, -1e-17],
         np.arange(lo, hi + step / 2, step),  # the exploding curve preset
         [19.0, -19.0, 19.3, -19.3, 25.0, -25.0, 40.0, -40.0, 710.0, -710.0],  # saturated
-        [-0.99, 2.99],  # |x_norm| = 99 and 299 under fixed offsets 1.0 and -3.0: the clamp binds
+        [-0.99],  # |x_norm| = 99 under fixed offset 1.0: the clamp binds
         rng.standard_normal(500) * 5.0,
     ])
 
@@ -147,18 +147,20 @@ GRIDS = {
     "finite_offset": GRID[np.abs(GRID) < 1e300],
     "2d": GRID[:60].reshape(20, 3),
     "minus_zero": np.array([-0.0]),
-    # the neighbourhoods of the poles x = -1 and x = 3 of fixed offsets 1.0 and -3.0, where the clamp binds
+    # the neighbourhoods of x = -1, fixed offset 1.0's pole, where the clamp binds, and of x = 3;
+    # x = -1.0 itself, at index 500, makes x + offset_1 exactly 0, the singular guard's case
     "poles": np.concatenate([np.linspace(-1.05, -0.95, 1001), np.linspace(2.95, 3.05, 1001)]),
+    # every x < -1: under fixed offset 1.0 each x + offset_1 is negative, so no guard runs
+    "below_pole": np.linspace(-3.0, -1.0001, 1001),
 }
 
 KINDS = [
     SoftStep(),
     Htan(),
     Elu(),
-    Elu(alpha=0.3),
     *(
         ModHtan(offset_mode=mode, euler_mode=euler)
-        for mode in (AdaptiveOffset(), FixedOffset(1.0), FixedOffset(-3.0))
+        for mode in (AdaptiveOffset(), FixedOffset(1.0))
         for euler in ("constant", "direct")
     ),
 ]
@@ -310,8 +312,8 @@ class TestTanhForms:
         assert math.copysign(1.0, htan_values(-0.0)) == -1.0
         assert math.copysign(1.0, htan_values(0.0)) == 1.0
         assert math.copysign(1.0, activate(ModHtan(), np.array([-0.0])).values[0]) == -1.0
-        fixed = ModHtan(offset_mode=FixedOffset(-3.0))
-        assert math.copysign(1.0, activate(fixed, -0.0).values) == 1.0  # -0.0 / -3.0 is +0.0
+        fixed = ModHtan(offset_mode=FixedOffset(1.0))
+        assert math.copysign(1.0, activate(fixed, -0.0).values) == -1.0  # -0.0 / (-0.0 + 1.0) is -0.0
 
 
 def _problem(n_in, n_hidden, n_out, kind=Htan(), seed=0, samples=60):
@@ -349,7 +351,7 @@ class TestJacobianOracle:
 
 
 class TestWorkspaceReuse:
-    @pytest.mark.parametrize("kind", KINDS[:4] + [ModHtan()], ids=_kind_id)
+    @pytest.mark.parametrize("kind", KINDS[:3] + [ModHtan()], ids=_kind_id)
     def test_forward_into_workspace_bytewise(self, kind):
         model, X, _ = _problem(13, 3, 1, kind=kind, seed=1)
         other, _, _ = _problem(13, 3, 1, kind=ModHtan(offset_mode=FixedOffset(2.0)), seed=2)
@@ -479,11 +481,14 @@ class TestClampSkip:
     """Inputs skip the x_norm clamp when max|x| / min|x + offset_1|
     is within it; every result keeps the oracle's bytes, clamped or not."""
 
-    @pytest.mark.parametrize("offset_1", [1.0, 1.5, 2.0, 3.0, -1.5, -3.0])
+    # a shift moves the batch below the pole x = -offset_1, where every x + offset_1 is negative:
+    # max|x| / min|x + offset_1| is 7 after -2.5 and 2 after -5.0
+    @pytest.mark.parametrize("offset_1, shift", [(1.0, 0.0), (1.5, 0.0), (2.0, 0.0), (3.0, 0.0), (1.0, -2.5),
+                                                 (1.0, -5.0)])
     @pytest.mark.parametrize("clamp", [0.5, 1.0, 2.0, 50.0])
-    def test_bytewise_on_either_side_of_the_bound(self, offset_1, clamp):
+    def test_bytewise_on_either_side_of_the_bound(self, offset_1, shift, clamp):
         xs = np.concatenate([np.linspace(-1.0, 1.0, 201), [0.0, -0.0, 5e-324]])
-        xs = xs if offset_1 > 0 else -xs
+        xs = xs + shift if shift else xs  # adding 0.0 would turn -0.0 into 0.0
         expected = oracle_normalized_input(xs, offset_1, clamp)
         got = _normalized_input(xs, xs.min(), xs.max(), offset_1, clamp, np.empty_like(xs))
         assert got.tobytes() == expected.tobytes()
@@ -502,7 +507,7 @@ class TestNormalizedInputOracle:
     modhtan's own and with none (inf, where the guard's value shows): the
     guard, overflow and clip paths at any clamp argument."""
 
-    OFFSETS = {"AdaptiveOffset": None, "FixedOffset1.0": 1.0, "FixedOffset-3.0": -3.0}
+    OFFSETS = {"AdaptiveOffset": None, "FixedOffset1.0": 1.0}
 
     @staticmethod
     def _offset(name, xs):
@@ -530,6 +535,16 @@ class TestNormalizedInputOracle:
         got = _normalized_input(xs, xs.min(), xs.max(), offset_1, clamp, x_norm)
         assert got is x_norm
         assert x_norm.tobytes() == oracle_normalized_input(xs, offset_1, clamp).tobytes()
+
+    @pytest.mark.parametrize("clamp", [2.0, 5.0, _X_NORM_CLAMP, np.inf])
+    def test_at_and_below_the_pole_of_a_positive_offset(self, clamp):
+        # x = -1 makes x + 1.0 exactly 0, which the singular guard maps to -clamp; below the pole
+        # every denominator is negative, so the batch takes no guard and x / (x + 1.0) > 0
+        poles, below = GRIDS["poles"], GRIDS["below_pole"]
+        got = _normalized_input(poles, poles.min(), poles.max(), 1.0, clamp, np.empty_like(poles))
+        assert got[poles == -1.0].tolist() == [-clamp]
+        got = _normalized_input(below, below.min(), below.max(), 1.0, clamp, np.empty_like(below))
+        assert (got > 0).all()
 
 
 class TestClampConstant:

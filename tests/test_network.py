@@ -197,7 +197,7 @@ class TestGradient:
         assert grads[3] == pytest.approx(math.tanh(1.0), rel=1e-12)
 
     @pytest.mark.parametrize(
-        "kind", [SoftStep(), Htan(), Elu(alpha=1.0)], ids=["softstep", "htan", "elu"]
+        "kind", [SoftStep(), Htan(), Elu()], ids=["softstep", "htan", "elu"]
     )
     def test_matches_finite_differences(self, kind):
         rng = np.random.default_rng(23)

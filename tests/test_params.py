@@ -1,23 +1,28 @@
-"""The activation flags: one flag per dataclass field, each sets exactly its
-field, a kind ignores the flags of fields it does not own, a value out of its
-field's range is a usage error with the dataclass's message, and the help
-section that lists the flags is fixed."""
+"""The activation flags: one flag per field of each dataclass the CLI builds,
+each sets exactly its field, the kinds without fields ignore the flags, a value
+out of its field's range is a usage error with the dataclass's message, and
+the help section that lists the flags is fixed."""
 
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
+from typing import get_args, get_type_hints
 
 import pytest
 
-from modhtan.activations import KINDS, AdaptiveOffset, Elu, FixedOffset, Htan, ModHtan
+from modhtan.activations import KINDS, AdaptiveOffset, Elu, FixedOffset, Htan, ModHtan, SoftStep
 from modhtan.bench import dump_curves
 from modhtan.cli import _activation_from_flags, build_parser, main
 from modhtan.rnf import RnfParams
 
-# ModHtan.rnf is a nested group: its own fields have the flags
-GROUP_FIELDS = {(ModHtan, "rnf")}
+# ModHtan.rnf and ModHtan.offset_mode are nested groups: the fields of RnfParams, and of
+# AdaptiveOffset, the offset_mode branch the CLI builds, have the flags
+GROUP_FIELDS = {(ModHtan, "rnf"), (ModHtan, "offset_mode")}
+# FixedOffset is the one class no flag builds: code freezes a trained offset_1 into it, and no
+# run takes a constant offset from the command line
+CODE_ONLY = FixedOffset
 
 LEAF_FIELDS = [
     (cls, f.name)
-    for cls in (Elu, ModHtan, FixedOffset, AdaptiveOffset, RnfParams)
+    for cls in (*KINDS.values(), AdaptiveOffset, RnfParams)
     for f in fields(cls)
     if (cls, f.name) not in GROUP_FIELDS
 ]
@@ -25,11 +30,6 @@ LEAF_FIELDS = [
 # Per leaf field: flags that set it away from its default, and the default kind with that one change
 MODHTAN = ModHtan()
 CHANGED = {
-    (Elu, "alpha"): (["--alpha", "3"], replace(Elu(), alpha=3.0)),
-    (ModHtan, "offset_mode"): (["--offset-mode", "fixed", "--offset", "1.5"],
-                               replace(MODHTAN, offset_mode=FixedOffset(1.5))),
-    (FixedOffset, "offset_1"): (["--offset-mode", "fixed", "--offset", "3"],
-                                replace(MODHTAN, offset_mode=FixedOffset(3.0))),
     (AdaptiveOffset, "delta"): (["--delta", "3"], replace(MODHTAN, offset_mode=replace(AdaptiveOffset(), delta=3.0))),
     (AdaptiveOffset, "kappa"): (["--kappa", "3"], replace(MODHTAN, offset_mode=replace(AdaptiveOffset(), kappa=3.0))),
     (ModHtan, "euler_mode"): (["--euler-mode", "direct"], replace(MODHTAN, euler_mode="direct")),
@@ -56,6 +56,10 @@ def field_id(key):
 
 def test_every_leaf_field_has_a_flag():
     assert set(CHANGED) == set(LEAF_FIELDS)
+    # the dataclasses a kind's fields may hold: the two with flags, and the code-only one
+    held = {t for cls in KINDS.values() for hint in get_type_hints(cls).values()
+            for t in get_args(hint) or (hint,) if is_dataclass(t)}
+    assert held == {AdaptiveOffset, RnfParams, CODE_ONLY}
 
 
 @pytest.mark.parametrize("key", list(CHANGED), ids=[field_id(k) for k in CHANGED])
@@ -74,15 +78,11 @@ def test_no_flags_build_the_default_kind(name, command):
 @pytest.mark.parametrize(
     "name, flags, kind",
     [
-        ("htan", ["--alpha", "0", "--kappa", "0", "--rnf-a", "1"], Htan()),
-        ("elu", ["--rnf-a", "1", "--kappa", "inf", "--offset-mode", "fixed"], Elu()),
-        ("elu", ["--alpha", "2.5", "--delta", "-1", "--euler-mode", "direct"], Elu(2.5)),
-        ("modhtan", ["--alpha", "-1"], ModHtan()),
-        ("modhtan", ["--offset-mode", "fixed", "--offset", "-2", "--delta", "-1", "--kappa", "0", "--alpha", "0"],
-         ModHtan(FixedOffset(-2.0))),
+        ("htan", ["--kappa", "0", "--rnf-a", "1"], Htan()),
+        ("elu", ["--rnf-a", "1", "--kappa", "inf", "--delta", "-1", "--euler-mode", "direct"], Elu()),
+        ("softstep", ["--delta", "nan", "--rnf-a", "2"], SoftStep()),
     ],
-    ids=["htan-other-kinds-flags", "elu-modhtan-flags", "elu-own-flag", "adaptive-modhtan-elu-flag",
-         "fixed-modhtan-adaptive-flags"],
+    ids=["htan", "elu", "softstep"],
 )
 def test_flags_the_kind_does_not_own_are_ignored(name, flags, kind, tmp_path, capsys):
     out, want = tmp_path / "got.csv", tmp_path / "want.csv"
@@ -96,20 +96,14 @@ def test_flags_the_kind_does_not_own_are_ignored(name, flags, kind, tmp_path, ca
 @pytest.mark.parametrize(
     "name, flags, message",
     [
-        ("elu", ["--alpha", "0"], "alpha must be positive and finite, got 0.0"),
         ("modhtan", ["--delta", "-0.5"], "delta must be >= 0 and finite, got -0.5"),
         ("modhtan", ["--delta", "nan"], "delta must be >= 0 and finite, got nan"),
         ("modhtan", ["--kappa", "0"], "kappa must be positive and finite, got 0.0"),
         ("modhtan", ["--kappa", "inf"], "kappa must be positive and finite, got inf"),
         ("modhtan", ["--rnf-a", "1"], "calibration constant a must be >= 2 and at most the largest double, got 1"),
         ("modhtan", ["--rnf-a", "2"], "1 + x must stay strictly below a = 2"),
-        ("modhtan", ["--offset-mode", "fixed", "--offset", "0"], "fixed offset_1 must be nonzero and finite, got 0.0"),
-        ("modhtan", ["--offset-mode", "fixed", "--offset", "inf"],
-         "fixed offset_1 must be nonzero and finite, got inf"),
-        ("modhtan", ["--offset-mode", "fixed"], "missing --offset"),
     ],
-    ids=["alpha-zero", "delta-negative", "delta-nan", "kappa-zero", "kappa-inf", "rnf-a-one", "rnf-a-two",
-         "fixed-offset-zero", "fixed-offset-inf", "fixed-offset-missing"],
+    ids=["delta-negative", "delta-nan", "kappa-zero", "kappa-inf", "rnf-a-one", "rnf-a-two"],
 )
 def test_flag_out_of_its_field_range_is_usage_error(name, flags, message, command, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -122,14 +116,12 @@ def test_flag_out_of_its_field_range_is_usage_error(name, flags, message, comman
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["--alpha", "x"], "argument --alpha: invalid float value: 'x'"),
-        (["--offset-mode", "fixed", "--offset", "x"], "argument --offset: invalid float value: 'x'"),
         (["--delta", "big"], "argument --delta: invalid float value: 'big'"),
+        (["--kappa", "x"], "argument --kappa: invalid float value: 'x'"),
         (["--rnf-a", "1.5"], "argument --rnf-a: invalid int value: '1.5'"),
-        (["--offset-mode", "sometimes"], "argument --offset-mode: invalid choice: 'sometimes'"),
         (["--euler-mode", "sometimes"], "argument --euler-mode: invalid choice: 'sometimes'"),
     ],
-    ids=["alpha-text", "offset-text", "delta-text", "rnf-a-float", "offset-mode", "euler-mode"],
+    ids=["delta-text", "kappa-text", "rnf-a-float", "euler-mode"],
 )
 def test_unparsable_flag_is_argparse_usage_error(flags, message, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -142,10 +134,6 @@ def test_unparsable_flag_is_argparse_usage_error(flags, message, tmp_path, monke
 
 ACTIVATION_HELP = """\
 activation parameters:
-  --alpha ALPHA         elu scale (default 1.0)
-  --offset-mode {adaptive,fixed}
-                        modhtan offset_1 source (default adaptive)
-  --offset OFFSET       offset_1 when --offset-mode fixed
   --delta DELTA         adaptive offset headroom factor (default 0.05)
   --kappa KAPPA         adaptive offset floor (default 1e-06)
   --euler-mode {constant,direct}

@@ -327,6 +327,8 @@ class TestLm:
             LmConfig(mu_dec=1.5)
         with pytest.raises(ValueError):
             LmConfig(mu_max=1e-9)
+        with pytest.raises(ValueError, match="^mu_max must be finite and exceed mu0$"):
+            LmConfig(mu0=1.0, mu_max=1.0)  # the ceiling must lie strictly above the start
         with pytest.raises(ValueError, match="^epochs must be >= 1$"):
             LmConfig(epochs=0)
         for mu_max in (np.inf, np.nan):  # a finite ceiling stops an overflowed mu before it is solved
