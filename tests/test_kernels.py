@@ -134,7 +134,7 @@ def _grid():
         [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1e308, -1e308, 1e-17, -1e-17],
         np.arange(lo, hi + step / 2, step),  # the exploding curve preset
         [19.0, -19.0, 19.3, -19.3, 25.0, -25.0, 40.0, -40.0, 710.0, -710.0],  # saturated
-        [-0.99],  # |x_norm| = 99 under fixed offset 1.0: the clamp binds
+        [-0.99, -1.99],  # |x_norm| = 99 and 199 under fixed offsets 1.0 and 2.0: the clamp binds
         rng.standard_normal(500) * 5.0,
     ])
 
@@ -150,7 +150,8 @@ GRIDS = {
     # the neighbourhoods of x = -1, fixed offset 1.0's pole, where the clamp binds, and of x = 3;
     # x = -1.0 itself, at index 500, makes x + offset_1 exactly 0, the singular guard's case
     "poles": np.concatenate([np.linspace(-1.05, -0.95, 1001), np.linspace(2.95, 3.05, 1001)]),
-    # every x < -1: under fixed offset 1.0 each x + offset_1 is negative, so no guard runs
+    # every x < -1: under fixed offset 1.0 each x + offset_1 is negative, so no guard runs;
+    # fixed offset 2.0's pole x = -2 lies inside it
     "below_pole": np.linspace(-3.0, -1.0001, 1001),
 }
 
@@ -160,7 +161,7 @@ KINDS = [
     Elu(),
     *(
         ModHtan(offset_mode=mode, euler_mode=euler)
-        for mode in (AdaptiveOffset(), FixedOffset(1.0))
+        for mode in (AdaptiveOffset(), FixedOffset(1.0), FixedOffset(2.0))
         for euler in ("constant", "direct")
     ),
 ]
@@ -507,7 +508,7 @@ class TestNormalizedInputOracle:
     modhtan's own and with none (inf, where the guard's value shows): the
     guard, overflow and clip paths at any clamp argument."""
 
-    OFFSETS = {"AdaptiveOffset": None, "FixedOffset1.0": 1.0}
+    OFFSETS = {"AdaptiveOffset": None, "FixedOffset1.0": 1.0, "FixedOffset2.0": 2.0}
 
     @staticmethod
     def _offset(name, xs):

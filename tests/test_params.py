@@ -98,12 +98,16 @@ def test_flags_the_kind_does_not_own_are_ignored(name, flags, kind, tmp_path, ca
     [
         ("modhtan", ["--delta", "-0.5"], "delta must be >= 0 and finite, got -0.5"),
         ("modhtan", ["--delta", "nan"], "delta must be >= 0 and finite, got nan"),
+        ("modhtan", ["--delta", "inf"], "delta must be >= 0 and finite, got inf"),
         ("modhtan", ["--kappa", "0"], "kappa must be positive and finite, got 0.0"),
+        ("modhtan", ["--kappa", "-1e-6"], "kappa must be positive and finite, got -1e-06"),
+        ("modhtan", ["--kappa", "nan"], "kappa must be positive and finite, got nan"),
         ("modhtan", ["--kappa", "inf"], "kappa must be positive and finite, got inf"),
         ("modhtan", ["--rnf-a", "1"], "calibration constant a must be >= 2 and at most the largest double, got 1"),
         ("modhtan", ["--rnf-a", "2"], "1 + x must stay strictly below a = 2"),
     ],
-    ids=["delta-negative", "delta-nan", "kappa-zero", "kappa-inf", "rnf-a-one", "rnf-a-two"],
+    ids=["delta-negative", "delta-nan", "delta-inf", "kappa-zero", "kappa-negative", "kappa-nan", "kappa-inf",
+         "rnf-a-one", "rnf-a-two"],
 )
 def test_flag_out_of_its_field_range_is_usage_error(name, flags, message, command, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
