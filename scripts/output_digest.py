@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from modhtan.activations import AdaptiveOffset, Elu, FixedOffset, Htan, ModHtan, SoftStep, activate
+from modhtan.activations import Elu, Htan, ModHtan, SoftStep, activate
 from modhtan.bench import CURVE_PRESETS, ExperimentSpec, dump_curves, emit_report, run_experiment
 from modhtan.datasets import SplitSpec, gen_quadratic, load_heart, make_heart_fixture, split
 from modhtan.network import nguyen_widrow_init
@@ -24,10 +24,10 @@ from modhtan.training import GdmConfig, LmConfig, train_gdm, train_lm
 
 # the activation configurations of tests/test_kernels.py
 KERNEL_KINDS = [SoftStep(), Htan(), Elu(), *(
-    ModHtan(offset_mode=mode, euler_mode=euler)
-    for mode in (AdaptiveOffset(), FixedOffset(1.0)) for euler in ("constant", "direct")
+    ModHtan(fixed_offset=offset, euler_mode=euler)
+    for offset in (None, 1.0) for euler in ("constant", "direct")
 )]
-FIT_KINDS = [Htan(), Elu(), ModHtan(), ModHtan(offset_mode=FixedOffset(2.0)), ModHtan(euler_mode="direct")]
+FIT_KINDS = [Htan(), Elu(), ModHtan(), ModHtan(fixed_offset=2.0), ModHtan(euler_mode="direct")]
 LM, GDM = LmConfig(epochs=80), GdmConfig(epochs=80)
 
 

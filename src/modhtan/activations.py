@@ -16,37 +16,15 @@ from typing import ClassVar, NamedTuple, Union
 
 import numpy as np
 
-from .rnf import RnfParams, euler_constant, rnf_exp
+from .rnf import euler_constant, rnf_exp
 
 _TINY = sys.float_info.min  # smallest normal double; below this the x + offset_1 denominator counts as singular
 # Bound on |x_norm|.  Any bound from ~19 to ~354 gives the same output bytes: below ~19 it truncates
 # the function before tanh rounds to +-1; past ~354.9, E**(2 * |x_norm|) overflows in direct mode.
 _X_NORM_CLAMP = 50.0
-
-
-@dataclass(frozen=True)
-class FixedOffset:
-    """Constant normalization offset, set in code (no flag builds one); must be positive and finite."""
-
-    offset_1: float
-
-    def __post_init__(self):
-        if not 0 < self.offset_1 < math.inf:
-            raise ValueError(f"fixed offset_1 must be positive and finite, got {self.offset_1}")
-
-
-@dataclass(frozen=True)
-class AdaptiveOffset:
-    """Per-batch offset (1 + delta) * max|x| + kappa, always exceeding max|x|."""
-
-    delta: float = 0.05
-    kappa: float = 1e-6
-
-    def __post_init__(self):
-        if not 0 <= self.delta < math.inf:
-            raise ValueError(f"delta must be >= 0 and finite, got {self.delta}")
-        if not 0 < self.kappa < math.inf:
-            raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
+# The adaptive offset (1 + _DELTA) * max|x| + _KAPPA: headroom factor and floor
+_DELTA = 0.05
+_KAPPA = 1e-6
 
 
 EULER_MODES = ("constant", "direct")
@@ -71,25 +49,22 @@ class Elu:
 class ModHtan:
     """The normalized hyperbolic tangent and its configuration.
 
+    fixed_offset, set in code only (no flag builds one), replaces the
+    per-batch adaptive offset_1; it must be positive and finite.
     euler_mode picks between the tanh form with the cached Euler
     approximation's log as slope ("constant") and evaluating the
     rational-power formula per input ("direct").
     """
 
-    offset_mode: FixedOffset | AdaptiveOffset = AdaptiveOffset()
-    rnf: RnfParams = RnfParams()
+    fixed_offset: float | None = None
     euler_mode: str = "constant"
     name: ClassVar[str] = "modhtan"
 
     def __post_init__(self):
+        if self.fixed_offset is not None and not 0 < self.fixed_offset < math.inf:
+            raise ValueError(f"fixed offset_1 must be positive and finite, got {self.fixed_offset}")
         if self.euler_mode not in EULER_MODES:
             raise ValueError(f"euler_mode must be one of {EULER_MODES}, got {self.euler_mode!r}")
-        e = euler_constant(self.rnf)  # an RnfDomainError is a ValueError already
-        if e <= 1:  # the base (a-1)/(a-2) may round to 1, and ln E = 0 flattens the curve
-            raise ValueError(f"modhtan needs an Euler constant E > 1; {self.rnf} gives E = {e}")
-        exact = self.rnf.a * math.log1p(1.0 / (self.rnf.a - 2.0))  # ln E before the base (a-1)/(a-2) rounds
-        if abs(math.log(e) - exact) > 1e-3 * exact:
-            raise ValueError(f"{self.rnf} rounds modhtan's ln E = {exact} to {math.log(e)}")
 
 
 ActivationKind = Union[SoftStep, Htan, Elu, ModHtan]
@@ -150,8 +125,8 @@ def elu(xs, v, g):
     np.putmask(g.T, xs.T > 0, 1.0)
 
 
-def adaptive_offset(lo, hi, mode: AdaptiveOffset) -> float:
-    """(1 + delta) * max|x| + kappa over a batch with minimum lo and maximum hi.
+def adaptive_offset(lo, hi) -> float:
+    """(1 + _DELTA) * max|x| + _KAPPA over a batch with minimum lo and maximum hi.
 
     Exceeds every |x| in the batch, so x + offset > 0 and the normalized
     input keeps the sign of x.
@@ -161,7 +136,7 @@ def adaptive_offset(lo, hi, mode: AdaptiveOffset) -> float:
     if not (math.isfinite(hi) and math.isfinite(lo)):  # NaN or infinite when some entry is
         raise ValueError("adaptive offset needs finite batch entries")
     # Python float arithmetic: an inf offset near float max is handled downstream
-    return (1.0 + mode.delta) * float(max(hi, -lo)) + mode.kappa
+    return (1.0 + _DELTA) * float(max(hi, -lo)) + _KAPPA
 
 
 def _normalized_input(xs, x_lo, x_hi, offset_1, clamp, x_norm):
@@ -205,14 +180,13 @@ def modhtan(xs, kind: ModHtan, v, g) -> float:
     would zero the 1 - f**2 gradient.
     """
     lo, hi = xs.min(initial=np.inf), xs.max(initial=-np.inf)  # the one pass over the batch for both
-    mode = kind.offset_mode
-    offset_1 = adaptive_offset(lo, hi, mode) if isinstance(mode, AdaptiveOffset) else mode.offset_1
+    offset_1 = adaptive_offset(lo, hi) if kind.fixed_offset is None else kind.fixed_offset
     _normalized_input(xs, lo, hi, offset_1, _X_NORM_CLAMP, v)
     if kind.euler_mode == "constant":
-        np.multiply(v, math.log(euler_constant(kind.rnf)), v)
+        np.multiply(v, math.log(euler_constant()), v)
         np.tanh(v, v)
     else:
-        np.add(rnf_exp(np.multiply(v, -2.0, v), kind.rnf), 1.0, v)
+        np.add(rnf_exp(np.multiply(v, -2.0, v)), 1.0, v)
         np.subtract(np.divide(2.0, v, v), 1.0, v)
     v.clip(math.nextafter(-1.0, 0.0), math.nextafter(1.0, 0.0), out=v)
     # a surrogate, not the derivative of modhtan: 1 - f**2 leaves out the d(x_norm)/dx factor

@@ -27,7 +27,6 @@ from .activations import (
     EULER_MODES,
     KINDS,
     ActivationKind,
-    AdaptiveOffset,
     ModHtan,
 )
 from .bench import (
@@ -61,20 +60,15 @@ class _Parser(argparse.ArgumentParser):
     """Reads -1e-3 as a value, not an option; argparse's own pattern has no exponent."""
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, allow_abbrev=False, **kwargs)  # flags in full: --k is an error, not --kappa
+        super().__init__(*args, allow_abbrev=False, **kwargs)  # flags in full: --euler is an error, not --euler-mode
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
 def _add_activation_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("activation parameters")
-    g.add_argument("--delta", type=float, default=AdaptiveOffset.delta,
-                   help="adaptive offset headroom factor (default %(default)s)")
-    g.add_argument("--kappa", type=float, default=AdaptiveOffset.kappa,
-                   help="adaptive offset floor (default %(default)s)")
     g.add_argument("--euler-mode", choices=EULER_MODES, default=ModHtan.euler_mode,
                    help="tanh with slope ln E of the cached Euler constant, or the rational formula per input "
                         "(default %(default)s)")
-    g.add_argument("--rnf-a", type=int, default=RnfParams.a, help="rational-power exponent a (default %(default)s)")
 
 
 def _add_trainer_flags(p: argparse.ArgumentParser) -> None:
@@ -103,10 +97,10 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _activation_from_flags(name: str, args: argparse.Namespace) -> ActivationKind:
-    """The kind called name; only modhtan has fields, so the other kinds ignore the flags."""
+    """The kind called name; only modhtan has a flag, so the other kinds ignore --euler-mode."""
     if name != "modhtan":
         return KINDS[name]()
-    return ModHtan(AdaptiveOffset(args.delta, args.kappa), RnfParams(args.rnf_a), args.euler_mode)
+    return ModHtan(euler_mode=args.euler_mode)
 
 
 def _fn_names(text: str) -> list[str]:

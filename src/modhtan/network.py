@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .activations import ActivationKind, activate
-from .rnf import RnfDomainError
 
 
 class StallError(RuntimeError):
@@ -118,10 +117,7 @@ def forward(model: MlpModel, X, out: ForwardCache | None = None) -> tuple[np.nda
         np.add(z1, b1, z1)
         if not np.isfinite(z1).all():
             raise StallError("hidden pre-activations contain non-finite values")
-        try:
-            h, g, offset = activate(model.hidden_kind, z1, None if out is None else (h, g))
-        except (OverflowError, RnfDomainError) as exc:  # direct-mode modhtan's rnf_exp out of range
-            raise StallError(f"hidden activations: {exc}") from None
+        h, g, offset = activate(model.hidden_kind, z1, None if out is None else (h, g))
         y = np.matmul(h, model.W2.T, out=y)
         np.add(y, model.b2, y)
     if not np.isfinite(y).all():

@@ -19,12 +19,12 @@ import pytest
 
 from modhtan import activations
 from modhtan.activations import (
-    AdaptiveOffset,
     Elu,
-    FixedOffset,
     Htan,
     ModHtan,
     SoftStep,
+    _DELTA,
+    _KAPPA,
     _X_NORM_CLAMP,
     _normalized_input,
     activate,
@@ -56,9 +56,9 @@ def oracle_elu_grad(xs, f):
     return np.where(xs > 0, 1.0, f + 1.0)
 
 
-def oracle_adaptive_offset(b, delta, kappa):
+def oracle_adaptive_offset(b):
     with np.errstate(over="ignore"):
-        return float((1.0 + delta) * np.max(np.abs(b)) + kappa)
+        return float((1.0 + _DELTA) * np.max(np.abs(b)) + _KAPPA)
 
 
 def oracle_normalized_input(xs, offset_1, clamp):
@@ -79,9 +79,9 @@ def oracle_normalized_input(xs, offset_1, clamp):
 def oracle_modhtan(xs, kind, offset_1):
     x_norm = oracle_normalized_input(xs, offset_1, _X_NORM_CLAMP)
     if kind.euler_mode == "constant":
-        t = euler_constant(kind.rnf) ** (-2.0 * x_norm)
+        t = euler_constant() ** (-2.0 * x_norm)
     else:
-        t = rnf_exp(-2.0 * x_norm, kind.rnf)
+        t = rnf_exp(-2.0 * x_norm)
     out = 2.0 / (1.0 + t) - 1.0
     return np.clip(out, np.nextafter(-1.0, 0.0), np.nextafter(1.0, 0.0))
 
@@ -97,10 +97,7 @@ def oracle_activate(kind, xs):
     if isinstance(kind, Elu):
         f = oracle_elu(xs)
         return f, oracle_elu_grad(xs, f), None
-    if isinstance(kind.offset_mode, AdaptiveOffset):
-        offset = oracle_adaptive_offset(xs, kind.offset_mode.delta, kind.offset_mode.kappa)
-    else:
-        offset = kind.offset_mode.offset_1
+    offset = oracle_adaptive_offset(xs) if kind.fixed_offset is None else kind.fixed_offset
     f = oracle_modhtan(xs, kind, offset)
     return f, 1.0 - f * f, offset
 
@@ -160,8 +157,8 @@ KINDS = [
     Htan(),
     Elu(),
     *(
-        ModHtan(offset_mode=mode, euler_mode=euler)
-        for mode in (AdaptiveOffset(), FixedOffset(1.0), FixedOffset(2.0))
+        ModHtan(fixed_offset=offset, euler_mode=euler)
+        for offset in (None, 1.0, 2.0)
         for euler in ("constant", "direct")
     ),
 ]
@@ -170,8 +167,7 @@ KINDS = [
 def _kind_id(kind):
     if not isinstance(kind, ModHtan):
         return repr(kind)
-    mode = kind.offset_mode
-    offset = f"FixedOffset{mode.offset_1}" if isinstance(mode, FixedOffset) else type(mode).__name__
+    offset = "adaptive" if kind.fixed_offset is None else f"fixed{kind.fixed_offset}"
     return f"modhtan-{offset}-{kind.euler_mode}"
 
 
@@ -189,12 +185,7 @@ class TestActivationOracle:
     @pytest.mark.parametrize("kind", BYTEWISE_KINDS, ids=_kind_id)
     @np.errstate(over="ignore")  # -2 * |1e308| overflows, in the oracle too
     def test_values_and_grads_bytewise(self, kind, grid):
-        try:
-            expected = oracle_activate(kind, grid)
-        except (ArithmeticError, ValueError) as exc:  # direct mode refuses some inputs
-            with pytest.raises(type(exc)):
-                activate(kind, grid)
-            return
+        expected = oracle_activate(kind, grid)
         got = activate(kind, grid)
         assert got.values.tobytes() == expected[0].tobytes()
         assert got.grads.tobytes() == expected[1].tobytes()
@@ -248,7 +239,7 @@ def reference_values(kind, xs, offset_1):
     if isinstance(kind, Htan):
         return longdouble_formula(np.clip(xs, -_SATURATED, _SATURATED), np.longdouble(1.0))
     x_norm = oracle_normalized_input(xs, offset_1, _X_NORM_CLAMP)
-    return longdouble_formula(x_norm, np.log(np.longdouble(euler_constant(kind.rnf))))
+    return longdouble_formula(x_norm, np.log(np.longdouble(euler_constant())))
 
 
 def max_ulp_error(values, reference):
@@ -264,9 +255,12 @@ def max_ulp_error(values, reference):
 class TestTanhFormAccuracy:
     """htan and constant-mode modhtan compute 2 / (1 + E**(-2v)) - 1 as
     tanh(v * ln E), with E = e and v = x for htan.
-    Against a long-double evaluation of the formula, their error never
-    exceeds that of the expression forms above and stays within ULP_BOUND;
-    the gradients stay the surrogate 1 - f**2 of the values."""
+    Against a long-double evaluation of the formula, their error stays
+    within ULP_BOUND, and on each of GRIDS it does not exceed that of the
+    expression forms above.  That comparison holds on these grids, not on
+    every batch: on the neighbourhood of x = -1 alone, the adaptive kind
+    is 0.845 ulp off where the expression form is 0.4995.  The gradients
+    stay the surrogate 1 - f**2 of the values."""
 
     @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
     @pytest.mark.parametrize("kind", TANH_KINDS, ids=_kind_id)
@@ -280,6 +274,12 @@ class TestTanhFormAccuracy:
         error = max_ulp_error(got.values, reference)
         assert error <= max_ulp_error(old_values, reference)
         assert error <= ULP_BOUND
+
+    @pytest.mark.parametrize("kind", TANH_KINDS, ids=_kind_id)
+    def test_within_the_bound_near_a_pole_alone(self, kind):
+        grid = np.linspace(-1.05, -0.95, 1001)
+        got = activate(kind, grid)
+        assert max_ulp_error(got.values, reference_values(kind, grid, got.offset_1)) <= ULP_BOUND
 
     @pytest.mark.parametrize("kind", TANH_KINDS, ids=_kind_id)
     def test_into_stale_buffers_bytewise(self, kind):
@@ -313,7 +313,7 @@ class TestTanhForms:
         assert math.copysign(1.0, htan_values(-0.0)) == -1.0
         assert math.copysign(1.0, htan_values(0.0)) == 1.0
         assert math.copysign(1.0, activate(ModHtan(), np.array([-0.0])).values[0]) == -1.0
-        fixed = ModHtan(offset_mode=FixedOffset(1.0))
+        fixed = ModHtan(fixed_offset=1.0)
         assert math.copysign(1.0, activate(fixed, -0.0).values) == -1.0  # -0.0 / (-0.0 + 1.0) is -0.0
 
 
@@ -355,7 +355,7 @@ class TestWorkspaceReuse:
     @pytest.mark.parametrize("kind", KINDS[:3] + [ModHtan()], ids=_kind_id)
     def test_forward_into_workspace_bytewise(self, kind):
         model, X, _ = _problem(13, 3, 1, kind=kind, seed=1)
-        other, _, _ = _problem(13, 3, 1, kind=ModHtan(offset_mode=FixedOffset(2.0)), seed=2)
+        other, _, _ = _problem(13, 3, 1, kind=ModHtan(fixed_offset=2.0), seed=2)
         _, workspace = forward(other, X)  # last held another kind's data
         y_ref, ref = forward(model, X)
         y, cache = forward(model, X, workspace)
@@ -508,15 +508,12 @@ class TestNormalizedInputOracle:
     modhtan's own and with none (inf, where the guard's value shows): the
     guard, overflow and clip paths at any clamp argument."""
 
-    OFFSETS = {"AdaptiveOffset": None, "FixedOffset1.0": 1.0, "FixedOffset2.0": 2.0}
+    OFFSETS = {"adaptive": None, "fixed1.0": 1.0, "fixed2.0": 2.0}
 
     @staticmethod
     def _offset(name, xs):
         offset = TestNormalizedInputOracle.OFFSETS[name]
-        if offset is None:
-            mode = AdaptiveOffset()
-            return oracle_adaptive_offset(xs, mode.delta, mode.kappa)
-        return offset
+        return oracle_adaptive_offset(xs) if offset is None else offset
 
     @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
     @pytest.mark.parametrize("offset", OFFSETS)

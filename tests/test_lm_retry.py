@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import modhtan.training as training
-from modhtan.activations import AdaptiveOffset, Elu, FixedOffset, Htan, ModHtan, SoftStep, activate
+from modhtan.activations import Elu, Htan, ModHtan, SoftStep, activate
 from modhtan.datasets import gen_quadratic
 from modhtan.network import (
     MlpModel,
@@ -103,8 +103,8 @@ KINDS = {
     "softstep": SoftStep(),
     "htan": Htan(),
     "elu": Elu(),
-    "modhtan-adaptive": ModHtan(offset_mode=AdaptiveOffset()),
-    "modhtan-fixed": ModHtan(offset_mode=FixedOffset(2.0)),
+    "modhtan-adaptive": ModHtan(),
+    "modhtan-fixed": ModHtan(fixed_offset=2.0),
     "modhtan-direct": ModHtan(euler_mode="direct"),
 }
 

@@ -9,14 +9,7 @@ import numpy as np
 import pytest
 
 from modhtan import activations
-from modhtan.activations import (
-    AdaptiveOffset,
-    Elu,
-    FixedOffset,
-    Htan,
-    ModHtan,
-    SoftStep,
-)
+from modhtan.activations import Elu, Htan, ModHtan, SoftStep
 from modhtan.network import (
     MlpModel,
     StallError,
@@ -26,7 +19,6 @@ from modhtan.network import (
     nguyen_widrow_init,
     with_params,
 )
-from modhtan.rnf import RnfParams
 
 
 def make_111(w1=1.0, b1=0.0, w2=1.0, b2=0.0, kind=Htan()):
@@ -137,34 +129,16 @@ class TestForward:
         with pytest.raises(StallError):
             forward(model, np.array([[10.0]]))
 
-    @pytest.mark.parametrize(
-        "kind, x, message",
-        [
-            # x_norm = -0.98039 / 0.01961 ~ -49.99, inside the clamp; with a = 101 the base of
-            # rnf_exp(-2 * x_norm ~ 99.99) is ~ 1e4, and its 101st power overflows
-            (ModHtan(offset_mode=FixedOffset(1.0), rnf=RnfParams(a=101), euler_mode="direct"), -0.98039,
-             "rnf_exp result exceeds"),
-            # x = -1 gives x_norm ~ -20 under the default offset, and 1 - 2 * x_norm ~ 41 >= a = 30
-            (ModHtan(rnf=RnfParams(a=30), euler_mode="direct"), -1.0, "1 \\+ x must stay strictly below a = 30"),
-        ],
-        ids=["overflow", "domain"],
-    )
-    def test_direct_modhtan_overflow_is_a_stall(self, kind, x, message):
-        model = make_111(kind=kind)
-        with pytest.raises(StallError, match=f"^hidden activations: {message}"):
-            forward(model, np.array([[x], [0.5]]))
-
     def test_modhtan_offset_lands_in_cache(self):
         model = MlpModel(1, 2, 1, [1.0, 2.0, 0.0, 0.0, 1.0, 1.0, 0.0], ModHtan())  # W1, b1, W2, b2
         _, cache = forward(model, np.array([[1.0], [-2.0]]))
         # max |z1| over the batch is 4
         assert cache.offset_1 == pytest.approx(1.05 * 4.0 + 1e-6, rel=1e-15)
 
-    @pytest.mark.parametrize("offset_mode, offset_calls", [(AdaptiveOffset(), 1), (FixedOffset(2.0), 0)],
-                             ids=["adaptive", "fixed"])
-    def test_activate_calls_the_modhtan_module_globals(self, offset_mode, offset_calls, monkeypatch):
+    @pytest.mark.parametrize("fixed_offset, offset_calls", [(None, 1), (2.0, 0)], ids=["adaptive", "fixed"])
+    def test_activate_calls_the_modhtan_module_globals(self, fixed_offset, offset_calls, monkeypatch):
         # the benchmark's per-layer trace times these two by patching the module globals
-        model = nguyen_widrow_init(2, 3, 1, ModHtan(offset_mode=offset_mode), seed=0)
+        model = nguyen_widrow_init(2, 3, 1, ModHtan(fixed_offset=fixed_offset), seed=0)
         calls = {"modhtan": [], "adaptive_offset": []}
         for name in calls:
             def recorded(*args, _name=name, _original=getattr(activations, name)):
@@ -173,8 +147,8 @@ class TestForward:
             monkeypatch.setattr(activations, name, recorded)
         _, cache = forward(model, np.random.default_rng(2).normal(size=(4, 2)))
         assert len(calls["modhtan"]) == 1
-        # the adaptive offset takes the batch's exact min and max and the model's AdaptiveOffset
-        assert calls["adaptive_offset"] == [(cache.z1.min(), cache.z1.max(), offset_mode)] * offset_calls
+        # the adaptive offset takes the batch's exact min and max
+        assert calls["adaptive_offset"] == [(cache.z1.min(), cache.z1.max())] * offset_calls
 
 
 class TestGradient:

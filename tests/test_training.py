@@ -303,7 +303,7 @@ class TestLm:
         assert len(caches) == 10
         assert len({offset for offset, _, _ in caches}) > 1  # the adaptive offset moves with z1
         for offset, lo, hi in caches:
-            assert offset == adaptive_offset(lo, hi, kind.offset_mode)
+            assert offset == adaptive_offset(lo, hi)
 
     def test_converged_heart_fit_runs_every_epoch(self, tmp_path):
         # htan on this fixture drives mu to the floor; one epoch then rejects
