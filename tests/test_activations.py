@@ -2,6 +2,7 @@
 and its batch-adaptive offset."""
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from modhtan.activations import (
     ACTIVATION_NAMES,
+    EULER_MODES,
     KINDS,
     Elu,
     Htan,
@@ -19,6 +21,7 @@ from modhtan.activations import (
     SoftStep,
     _DELTA,
     _KAPPA,
+    _X_NORM_CLAMP,
     _normalized_input,
     activate,
     adaptive_offset,
@@ -254,15 +257,63 @@ class TestModHtan:
     def test_param_validation(self):
         with pytest.raises(ValueError):
             ModHtan(euler_mode="fast")
-        # a frozen offset, (1 + _DELTA) * max|x| + _KAPPA, is always positive and finite
-        for bad in (0.0, -0.0, -3.0, math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match="fixed offset_1 must be positive and finite"):
-                ModHtan(fixed_offset=bad)
+
+    # a frozen offset, (1 + _DELTA) * max|x| + _KAPPA, is always positive and finite
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -3.0, math.nan, math.inf, -math.inf])
+    def test_fixed_offset_must_be_positive_and_finite(self, bad):
+        with pytest.raises(ValueError, match="^fixed offset_1 must be positive and finite"):
+            ModHtan(fixed_offset=bad)
+
+    @pytest.mark.parametrize("good", [5e-324, _KAPPA, 1.0, 2, sys.float_info.max],
+                             ids=["denormal", "kappa", "one", "int", "max"])
+    def test_any_positive_finite_fixed_offset_builds(self, good):
+        out = activate(ModHtan(fixed_offset=good), [-1.0, 0.0, 1.0])
+        assert out.offset_1 == good
+        assert np.all(np.isfinite(out.values)) and np.all(np.abs(out.values) < 1.0)
 
     def test_replace_freezes_an_offset(self):
         kind = replace(ModHtan(), fixed_offset=2.0)
         assert kind == ModHtan(fixed_offset=2.0)
         assert activate(kind, [1.0]).offset_1 == 2.0
+
+    @pytest.mark.parametrize("euler_mode", EULER_MODES)
+    @pytest.mark.parametrize("batch", [
+        np.linspace(-3.0, 3.0, 7),
+        [0.0],
+        [-1e300, 1e300],
+        [5e-324],
+        np.random.default_rng(0).normal(size=(3, 4)),
+        [-5e4, -17.0, -1.0, 0.0, 2.5, 300.0, 8e7],
+    ], ids=["grid", "zero", "huge", "denormal", "2d", "mixed"])
+    def test_frozen_adaptive_offset_gives_the_same_bytes(self, batch, euler_mode):
+        # freezing a batch's own adaptive offset_1 (ROADMAP item 1) changes no output byte
+        adaptive = activate(ModHtan(euler_mode=euler_mode), batch)
+        frozen = activate(ModHtan(fixed_offset=adaptive.offset_1, euler_mode=euler_mode), batch)
+        assert frozen.offset_1 == adaptive.offset_1
+        assert frozen.values.tobytes() == adaptive.values.tobytes()
+        assert frozen.grads.tobytes() == adaptive.grads.tobytes()
+
+    # direct mode computes rnf_exp(-2 * x_norm); the clamp keeps that within [e**-100, e**100]
+    # and inside rnf_exp's domain 1 + x < a, so no batch can overflow it or leave its domain
+    @pytest.mark.parametrize("euler_mode", EULER_MODES)
+    @pytest.mark.parametrize("batch, fixed_offset, x_norm", [
+        ([-1.0], 1.0, -_X_NORM_CLAMP),  # a zero denominator, guarded to -clamp
+        ([-1.0], 0.99, _X_NORM_CLAMP),  # x_norm = 100, clamped
+        ([-0.98039], 1.0, -49.99439062),  # just inside the clamp
+        ([-1.0, 1.0], None, -1.0 / (_DELTA + _KAPPA)),  # the adaptive offset's lowest x_norm
+        ([1.0, -1e-300], None, 1.0 / (2.0 + _DELTA + _KAPPA)),  # and its highest
+        ([1.7e308], 1.7e308, 0.5),  # an overflowed denominator, rewritten
+    ], ids=["clamp-low", "clamp-high", "inside-clamp", "adaptive-low", "adaptive-high", "overflowed-den"])
+    def test_finite_at_the_extremes_of_x_norm(self, batch, fixed_offset, x_norm, euler_mode):
+        xs = np.array(batch)
+        reached = _normalized_input(xs, xs.min(), xs.max(), offset(batch) if fixed_offset is None else fixed_offset,
+                                    _X_NORM_CLAMP, np.empty_like(xs))
+        assert reached[0] == pytest.approx(x_norm, rel=1e-8)
+        got = activate(ModHtan(fixed_offset=fixed_offset, euler_mode=euler_mode), xs)
+        assert np.all(np.isfinite(got.values)) and np.all(np.abs(got.values) < 1.0)
+        assert np.all(got.grads > 0.0)
+        want = np.tanh(reached * math.log(euler_constant()))
+        assert np.max(np.abs(got.values - want)) <= 1e-5
 
 
 class TestNormalizationGeometry:

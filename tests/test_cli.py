@@ -560,9 +560,25 @@ USAGE_TABLE = [
     pytest.param(["approx-bench", "--count", "100", "--rnf-a", "1"], 2,
                  "error: calibration constant a must be >= 2 and at most the largest double, got 1",
                  id="approx-bench--rnf-a-1"),
+    pytest.param(["approx-bench", "--count", "100", "--rnf-a", "2"], 2,
+                 "error: 1 + x must stay strictly below a = 2", id="approx-bench--rnf-a-2"),
+    pytest.param(["approx-bench", "--count", "100", "--rnf-a", "1.5"], 2,
+                 "modhtan approx-bench: error: argument --rnf-a: invalid int value: '1.5'",
+                 id="approx-bench--rnf-a-float"),
     # argparse's quoting of the choices that follow differs between Python versions
-    pytest.param(["curves", "--fn", "modhtan", "--euler-mode", "sometimes"], 2,
-                 "modhtan curves: error: argument --euler-mode: invalid choice: 'sometimes'", id="curves--euler-mode"),
+    *(
+        pytest.param([*command, "--euler-mode", "sometimes"], 2,
+                     f"modhtan {command[0]}: error: argument --euler-mode: invalid choice: 'sometimes'",
+                     id=f"{command[0]}--euler-mode")
+        for command in [["curves", "--fn", "modhtan"], ["train", "--fn", "modhtan"], ["bench", "--fns", "modhtan"]]
+    ),
+    # every model command takes the one activation flag left
+    *(
+        pytest.param([*command, "--euler-mode", "direct"], 0, None, id=f"{command[0]}--euler-mode-direct")
+        for command in [["curves", "--fn", "modhtan", "--lo", "-1", "--hi", "1", "--step", "0.5"],
+                        ["train", "--fn", "modhtan", "--n", "20", "--epochs", "2"],
+                        ["bench", "--fns", "modhtan", "--runs", "1", "--n", "20", "--epochs", "2", "--out", "r.csv"]]
+    ),
     pytest.param(["bench", "--fns", "htan,nosuch", "--runs", "1", "--n", "40"], 2,
                  "modhtan bench: error: argument --fns: unknown activation 'nosuch'; "
                  "choose from softstep, htan, elu, modhtan", id="bench--fns-unknown"),

@@ -129,6 +129,22 @@ class TestForward:
         with pytest.raises(StallError):
             forward(model, np.array([[10.0]]))
 
+    @pytest.mark.parametrize(
+        "kind, x",
+        [
+            # x_norm = -0.98039 / 0.01961 ~ -49.99, inside the clamp: rnf_exp(~99.99) ~ e**100 is finite
+            (ModHtan(fixed_offset=1.0, euler_mode="direct"), -0.98039),
+            # x = -1 gives x_norm ~ -20 under the default offset, and 1 - 2 * x_norm ~ 41 is far below a = 10**7
+            (ModHtan(euler_mode="direct"), -1.0),
+        ],
+        ids=["near-clamp", "adaptive-low"],
+    )
+    def test_direct_modhtan_does_not_stall(self, kind, x):
+        model = make_111(kind=kind)
+        y, cache = forward(model, np.array([[x], [0.5]]))
+        assert np.all(np.isfinite(y))
+        assert np.all(np.abs(cache.h) < 1.0)
+
     def test_modhtan_offset_lands_in_cache(self):
         model = MlpModel(1, 2, 1, [1.0, 2.0, 0.0, 0.0, 1.0, 1.0, 0.0], ModHtan())  # W1, b1, W2, b2
         _, cache = forward(model, np.array([[1.0], [-2.0]]))

@@ -38,6 +38,14 @@ class TestRnfExp:
         rel = np.abs(rnf_exp(xs) - np.exp(xs)) / np.exp(xs)
         assert rel.max() <= 2e-6
 
+    # modhtan's direct mode calls rnf_exp(-2 * x_norm) with |x_norm| <= 50: the whole of [-100, 100]
+    # is finite, inside the domain 1 + x < a, and off exp by the leading term |x + x**2/2| / a
+    @pytest.mark.parametrize("x", [-100.0, -40.0, -1.0, 40.0, 100.0])
+    def test_error_bound_over_the_clamped_range(self, x):
+        a = DEFAULT_RNF_PARAMS.a
+        rel = abs(rnf_exp(x) - math.exp(x)) / math.exp(x)
+        assert rel <= 1.01 * abs(x + x * x / 2.0) / a
+
     def test_strictly_increasing(self):
         xs = np.linspace(-20.0, 20.0, 2001)
         ys = rnf_exp(xs)
