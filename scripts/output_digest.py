@@ -2,8 +2,11 @@
 """Print one `family sha256` line for each family of the program's outputs:
 `activate` values, gradients and offset_1 over several grids; LM and GDM fits
 (losses, mu, termination, stall events, parameter bytes); bench CSVs without
-runtime_s; curves CSVs.  Kinds are built with the dataclass constructors at
-their defaults, so running this one script against two versions of the package,
+runtime_s; curves CSVs.  These cover the kinds a command can build;
+`activate_fixed` and `train_lm_fixed` hash the activations and LM fits of
+fixed-offset modhtan, which only code builds.  Kinds are built with the
+dataclass constructors at their defaults, so running this one script against
+two versions of the package,
 
     PYTHONPATH=path/to/checkout/src python scripts/output_digest.py
 
@@ -22,12 +25,11 @@ from modhtan.datasets import SplitSpec, gen_quadratic, load_heart, make_heart_fi
 from modhtan.network import nguyen_widrow_init
 from modhtan.training import GdmConfig, LmConfig, train_gdm, train_lm
 
-# the activation configurations of tests/test_kernels.py
-KERNEL_KINDS = [SoftStep(), Htan(), Elu(), *(
-    ModHtan(fixed_offset=offset, euler_mode=euler)
-    for offset in (None, 1.0) for euler in ("constant", "direct")
-)]
-FIT_KINDS = [Htan(), Elu(), ModHtan(), ModHtan(fixed_offset=2.0), ModHtan(euler_mode="direct")]
+# the activation configurations of tests/test_kernels.py, those a command can build and the fixed-offset ones
+KERNEL_KINDS = [SoftStep(), Htan(), Elu(), ModHtan(), ModHtan(euler_mode="direct")]
+FIXED_KINDS = [ModHtan(fixed_offset=1.0), ModHtan(fixed_offset=1.0, euler_mode="direct")]
+FIT_KINDS = [Htan(), Elu(), ModHtan(), ModHtan(euler_mode="direct")]
+FIXED_FIT_KIND = ModHtan(fixed_offset=2.0)
 LM, GDM = LmConfig(epochs=80), GdmConfig(epochs=80)
 
 
@@ -38,12 +40,12 @@ def digest(*parts):
     return h.hexdigest()
 
 
-def activations():
+def activations(kinds):
     rng = np.random.default_rng(7)
     grids = [np.linspace(-30.0, 30.0, 601), np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e308, -1e308]),
              np.asfortranarray(rng.standard_normal((500, 50)) * 5.0), np.asfortranarray(rng.standard_normal((216, 2)))]
     return [(r.values.tobytes(), r.grads.tobytes(), r.offset_1)
-            for r in (activate(k, xs) for k in KERNEL_KINDS for xs in grids)]
+            for r in (activate(k, xs) for k in kinds for xs in grids)]
 
 
 def fit(trainer, cfg, k, X, T, seed, n_hidden):
@@ -57,6 +59,7 @@ def main():
         make_heart_fixture(tmp / "heart.dat")
         data, heart = gen_quadratic(400), load_heart(tmp / "heart.dat")
         lm_fits = [fit(train_lm, LM, k, data.X, data.T, seed, 3) for k in FIT_KINDS for seed in (0, 1, 2)]
+        fixed_fits = [fit(train_lm, LM, FIXED_FIT_KIND, data.X, data.T, seed, 3) for seed in (0, 1, 2)]
         for k, seed in ((FIT_KINDS[0], 3), (FIT_KINDS[2], 4)):
             train, _ = split(heart, SplitSpec(seed=seed))
             lm_fits.append(fit(train_lm, LM, k, train.X, train.T, seed, 2))
@@ -71,12 +74,14 @@ def main():
             bench += [[c for i, c in enumerate(line.split(",")) if i != 2]
                       for line in (tmp / "bench.csv").read_text().splitlines()]
         curves = []
-        for k in (*KERNEL_KINDS[:3], FIT_KINDS[2], FIT_KINDS[4]):
+        for k in KERNEL_KINDS:
             for lo, hi, step in CURVE_PRESETS.values():
                 dump_curves(k, lo, hi, step, tmp / "curve.csv")
                 curves.append((tmp / "curve.csv").read_bytes())
-        print("activate", digest(*activations()))
+        print("activate", digest(*activations(KERNEL_KINDS)))
+        print("activate_fixed", digest(*activations(FIXED_KINDS)))
         print("train_lm", digest(*lm_fits))
+        print("train_lm_fixed", digest(*fixed_fits))
         print("train_gdm", digest(*gdm_fits))
         print("bench", digest(bench))
         print("curves", digest(*curves))

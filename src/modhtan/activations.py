@@ -10,7 +10,6 @@ gradients of any of them over a batch.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import ClassVar, NamedTuple, Union
 
@@ -18,10 +17,6 @@ import numpy as np
 
 from .rnf import euler_constant, rnf_exp
 
-_TINY = sys.float_info.min  # smallest normal double; below this the x + offset_1 denominator counts as singular
-# Bound on |x_norm|.  Any bound from ~19 to ~354 gives the same output bytes: below ~19 it truncates
-# the function before tanh rounds to +-1; past ~354.9, E**(2 * |x_norm|) overflows in direct mode.
-_X_NORM_CLAMP = 50.0
 # The adaptive offset (1 + _DELTA) * max|x| + _KAPPA: headroom factor and floor
 _DELTA = 0.05
 _KAPPA = 1e-6
@@ -139,33 +134,33 @@ def adaptive_offset(lo, hi) -> float:
     return (1.0 + _DELTA) * float(max(hi, -lo)) + _KAPPA
 
 
-def _normalized_input(xs, x_lo, x_hi, offset_1, clamp, x_norm):
-    """The normalized input x / (x + offset_1) of xs, whose minimum and maximum are
-    x_lo and x_hi, clamped to [-clamp, clamp], written to x_norm and returned.
+def _normalized_input(xs, kind: ModHtan, x_norm, scratch) -> float:
+    """Write the normalized input x / (x + offset) of xs to x_norm; return offset_1.
 
-    A zero or denormal denominator is replaced by sign(x) * clamp (0 at
-    x = 0); a denominator that overflows (both addends huge and positive) is
-    rewritten as 1 / (1 + offset_1 / x).
+    offset is the batch's adaptive offset_1, or kind's fixed offset_1 floored,
+    entry by entry, by that entry's own adaptive offset (1 + _DELTA) * |x| +
+    _KAPPA, held in scratch.  Either way each x + offset is at least
+    _DELTA * |x| + _KAPPA, so x_norm has the sign of x and lies in
+    (-1/_DELTA, 1/(2 + _DELTA)).  A denominator that overflows (both addends
+    huge and positive) is rewritten as 1 / (1 + offset / x).
     """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        den = np.add(xs, offset_1, x_norm)  # may overflow to inf for huge batches; handled below
-        lo, hi = x_lo + offset_1, x_hi + offset_1  # den's min and max: rounding is monotone
-        # no guard is needed when every den is finite and on one side of zero,
-        # at least _TINY away from it; a NaN bound fails these tests
-        guarded = not ((lo >= _TINY or hi <= -_TINY) and -np.inf < lo and hi < np.inf)
-        # nor a clamp when max|x| / min|den|, never below a rounded |x / den|, is within it
-        clamped = guarded or not max(-x_lo, x_hi) / min(abs(lo), abs(hi)) <= clamp
-        if guarded:
-            overflowed = np.isinf(den)
-            singular = np.abs(den) < _TINY
+    lo, hi = xs.min(initial=np.inf), xs.max(initial=-np.inf)  # the one pass over the batch for both
+    # an offset overflows to inf past |x| ~ 1.7e308; an infinite entry (a fixed offset lets it in) gives NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind.fixed_offset is None:
+            offset_1 = offset = offset_hi = adaptive_offset(lo, hi)
+        else:  # the floor never binds on a frozen adaptive offset: no entry's own offset exceeds the batch's
+            offset_1 = kind.fixed_offset
+            offset = np.add(np.multiply(np.abs(xs, scratch), 1.0 + _DELTA, scratch), _KAPPA, scratch)
+            offset_hi = np.maximum(offset, offset_1, out=offset).max(initial=offset_1)
+        den = np.add(xs, offset, x_norm)  # may overflow to inf for huge batches; handled below
+        # no den overflowed when hi + offset_hi, at least den's max, is below inf; a NaN bound takes the rewrite
+        overflowed = None if hi + offset_hi < np.inf else np.isinf(den)
         np.divide(xs, den, x_norm)
-    if guarded and np.any(overflowed):
-        safe = np.where(overflowed, xs, 1.0)
-        np.copyto(x_norm, 1.0 / (1.0 + offset_1 / safe), where=overflowed)
-    if guarded and np.any(singular):
-        guard = np.where(xs == 0.0, 0.0, np.copysign(clamp, xs))
-        np.copyto(x_norm, guard, where=singular)
-    return x_norm.clip(-clamp, clamp, out=x_norm) if clamped else x_norm
+        if overflowed is not None and overflowed.any():
+            safe = np.where(overflowed, xs, 1.0)
+            np.copyto(x_norm, 1.0 / (1.0 + offset / safe), where=overflowed)
+    return offset_1
 
 
 def modhtan(xs, kind: ModHtan, v, g) -> float:
@@ -175,13 +170,11 @@ def modhtan(xs, kind: ModHtan, v, g) -> float:
     rational-power approximation of e.  With c = ln E this is
     tanh(c * x_norm), the form "constant" mode computes: one np.tanh pass,
     accurate near f = 0, -0.0 kept.  "direct" mode evaluates the rational
-    formula at -2 * x_norm per input.  Outputs stay strictly inside
-    (-1, 1): rounding lands on a bound once |x_norm| passes ~19, which
-    would zero the 1 - f**2 gradient.
+    formula at -2 * x_norm, within (-1, 2 / _DELTA), per input.  Outputs
+    stay strictly inside (-1, 1): rounding lands on -1 once x_norm passes
+    ~-19, which would zero the 1 - f**2 gradient.
     """
-    lo, hi = xs.min(initial=np.inf), xs.max(initial=-np.inf)  # the one pass over the batch for both
-    offset_1 = adaptive_offset(lo, hi) if kind.fixed_offset is None else kind.fixed_offset
-    _normalized_input(xs, lo, hi, offset_1, _X_NORM_CLAMP, v)
+    offset_1 = _normalized_input(xs, kind, v, g)
     if kind.euler_mode == "constant":
         np.multiply(v, math.log(euler_constant()), v)
         np.tanh(v, v)

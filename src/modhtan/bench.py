@@ -35,7 +35,7 @@ CURVE_PRESETS = {
     "within": (-10.0, 10.0, 0.01),
     "exploding": (-1000.0, 1000.0, 1.0),
 }
-MAX_CURVE_POINTS = 1_000_000  # a curve grid's bound: the presets take 2,001 points, and 1e9 would exhaust memory
+MAX_POINTS = 1_000_000  # bounds a curve grid (presets: 2,001) and a synthetic dataset; 1e9 points would exhaust memory
 
 AVERAGE_LABEL = "average"
 
@@ -71,8 +71,8 @@ class ExperimentSpec:
             raise ValueError("heart dataset needs heart_path")
         if self.n_hidden < 1:
             raise ValueError(f"n_hidden must be >= 1, got {self.n_hidden}")
-        if self.n_points < 2:
-            raise ValueError(f"n_points must be >= 2, got {self.n_points}")
+        if not 2 <= self.n_points <= MAX_POINTS:
+            raise ValueError(f"n_points must be from 2 to {MAX_POINTS}, got {self.n_points}")
         SplitSpec(self.test_fraction)  # raises for a fraction outside (0, 1)
 
 
@@ -246,8 +246,8 @@ def curve_grid(lo: float, hi: float, step: float) -> np.ndarray:
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     count = max(int(round((hi - lo) / step)) + 1, 2)
-    if count > MAX_CURVE_POINTS:
-        raise ValueError(f"the grid needs {count} points, over the {MAX_CURVE_POINTS} a curve may have")
+    if count > MAX_POINTS:
+        raise ValueError(f"the grid needs {count} points, over the {MAX_POINTS} a curve may have")
     return np.linspace(lo, hi, count)
 
 

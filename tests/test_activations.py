@@ -21,7 +21,6 @@ from modhtan.activations import (
     SoftStep,
     _DELTA,
     _KAPPA,
-    _X_NORM_CLAMP,
     _normalized_input,
     activate,
     adaptive_offset,
@@ -167,9 +166,21 @@ class TestAdaptiveOffset:
         assert all(x + off > 0.0 for x in batch)
 
 
-def normalize(x, offset_1, clamp=50.0):
-    xs = np.array(x)
-    return float(_normalized_input(xs, xs.min(), xs.max(), offset_1, clamp, np.empty_like(xs)))
+def x_norm(batch, fixed_offset=None):
+    """modhtan's normalized input of a batch, as an array shaped like it."""
+    xs = np.array(batch, dtype=float)
+    out = np.empty_like(xs)
+    _normalized_input(xs, ModHtan(fixed_offset=fixed_offset), out, np.empty_like(xs))
+    return out
+
+
+def normalize(x, offset_1):
+    return float(x_norm(x, offset_1))
+
+
+def own_offset(x):
+    """An entry's own adaptive offset, the floor under a fixed one."""
+    return (1.0 + _DELTA) * abs(x) + _KAPPA
 
 
 class TestNormalize:
@@ -177,19 +188,24 @@ class TestNormalize:
         assert normalize(0.0, 1.0) == 0.0
 
     def test_positive_region(self):
-        assert normalize(1000.0, 10.0) == pytest.approx(1000.0 / 1010.0, rel=1e-15)
+        assert normalize(1000.0, 2000.0) == 1000.0 / 3000.0
+        # a fixed offset below the entry's own is floored by it
+        assert normalize(1000.0, 10.0) == 1000.0 / (1000.0 + own_offset(1000.0))
 
     def test_negative_region(self):
         # every input is normalized, those near the origin too
-        assert normalize(-10.5, 1.0) == -10.5 / -9.5
         assert normalize(-1.0, 100.0) == -1.0 / 99.0
+        assert normalize(-10.5, 1.0) == -10.5 / (-10.5 + own_offset(-10.5))
 
-    def test_singular_denominator_guard(self):
-        assert normalize(-1.0, 1.0) == -50.0
+    def test_at_the_pole_the_floor_binds(self):
+        # x + 1.0 would be 0; the floor leaves the denominator 0.05 + 1e-6
+        assert normalize(-1.0, 1.0) == -1.0 / (-1.0 + own_offset(-1.0))
+        assert normalize(-1.0, 1.0) == pytest.approx(-1.0 / (_DELTA + _KAPPA), rel=1e-14)
 
-    def test_clamp_applies(self):
-        # x/(x + offset) = -9999 without the clamp
-        assert normalize(-9999.0, 10000.0) == -50.0
+    def test_floor_bounds_x_norm_before_the_pole(self):
+        # x / (x + offset_1) = -9999 without the floor
+        assert normalize(-9999.0, 10000.0) == -9999.0 / (-9999.0 + own_offset(-9999.0))
+        assert -1.0 / _DELTA < normalize(-9999.0, 10000.0) < -19.99
 
 
 class TestModHtan:
@@ -197,8 +213,16 @@ class TestModHtan:
         assert value(ModHtan(fixed_offset=1.0), 0.0) == 0.0
 
     def test_against_tanh_oracle_fixed_offset(self):
-        got = value(ModHtan(fixed_offset=10.0), 1000.0)
-        assert abs(got - math.tanh(1000.0 / 1010.0)) <= 1e-5
+        got = value(ModHtan(fixed_offset=2000.0), 1000.0)
+        assert abs(got - math.tanh(1000.0 / 3000.0)) <= 1e-5
+        floored = value(ModHtan(fixed_offset=10.0), 1000.0)
+        assert abs(floored - math.tanh(1000.0 / (1000.0 + own_offset(1000.0)))) <= 1e-5
+
+    def test_past_the_pole_keeps_the_sign(self):
+        # x / (x + 3.0) at x = -5 is +2.5: without the floor f(-5) was +0.987
+        kind = ModHtan(fixed_offset=3.0)
+        assert value(kind, -5.0) == math.nextafter(-1.0, 0.0)
+        assert value(kind, 1e6) == pytest.approx(math.tanh(math.log(euler_constant()) / (2.0 + _DELTA)), rel=1e-12)
 
     def test_adaptive_huge_input(self):
         got = value(ModHtan(), 1e300)
@@ -293,22 +317,24 @@ class TestModHtan:
         assert frozen.values.tobytes() == adaptive.values.tobytes()
         assert frozen.grads.tobytes() == adaptive.grads.tobytes()
 
-    # direct mode computes rnf_exp(-2 * x_norm); the clamp keeps that within [e**-100, e**100]
-    # and inside rnf_exp's domain 1 + x < a, so no batch can overflow it or leave its domain
+    # direct mode computes rnf_exp(-2 * x_norm); x_norm in (-1/_DELTA, 1/(2 + _DELTA)) keeps that within
+    # (e**-1, e**40) and inside rnf_exp's domain 1 + x < a, so no batch can overflow it or leave its domain
     @pytest.mark.parametrize("euler_mode", EULER_MODES)
-    @pytest.mark.parametrize("batch, fixed_offset, x_norm", [
-        ([-1.0], 1.0, -_X_NORM_CLAMP),  # a zero denominator, guarded to -clamp
-        ([-1.0], 0.99, _X_NORM_CLAMP),  # x_norm = 100, clamped
-        ([-0.98039], 1.0, -49.99439062),  # just inside the clamp
+    @pytest.mark.parametrize("batch, fixed_offset, expected", [
+        ([-1.0], 1.0, -1.0 / (_DELTA + _KAPPA)),  # at the pole x = -offset_1, floored
+        ([-5.0], 3.0, -5.0 / (5.0 * _DELTA + _KAPPA)),  # past the pole, floored
+        ([-1e6], 5e-324, -1e6 / (1e6 * _DELTA + _KAPPA)),  # a fixed offset the floor always overrides
+        ([1e6], 3.0, 1e6 / (1e6 * (2.0 + _DELTA) + _KAPPA)),  # and a fixed offset's highest x_norm
         ([-1.0, 1.0], None, -1.0 / (_DELTA + _KAPPA)),  # the adaptive offset's lowest x_norm
         ([1.0, -1e-300], None, 1.0 / (2.0 + _DELTA + _KAPPA)),  # and its highest
-        ([1.7e308], 1.7e308, 0.5),  # an overflowed denominator, rewritten
-    ], ids=["clamp-low", "clamp-high", "inside-clamp", "adaptive-low", "adaptive-high", "overflowed-den"])
-    def test_finite_at_the_extremes_of_x_norm(self, batch, fixed_offset, x_norm, euler_mode):
+        ([1e308], 1.7e308, 1.0 / 2.7),  # an overflowed denominator, rewritten
+        ([1.7e308], 1.0, 1.0 / (2.0 + _DELTA)),  # and one whose offset the floor sets
+    ], ids=["pole", "past-pole", "tiny-offset", "fixed-high", "adaptive-low", "adaptive-high", "overflowed-den",
+            "overflowed-floored-den"])
+    def test_finite_at_the_extremes_of_x_norm(self, batch, fixed_offset, expected, euler_mode):
         xs = np.array(batch)
-        reached = _normalized_input(xs, xs.min(), xs.max(), offset(batch) if fixed_offset is None else fixed_offset,
-                                    _X_NORM_CLAMP, np.empty_like(xs))
-        assert reached[0] == pytest.approx(x_norm, rel=1e-8)
+        reached = x_norm(xs, fixed_offset)
+        assert reached[0] == pytest.approx(expected, rel=1e-8)
         got = activate(ModHtan(fixed_offset=fixed_offset, euler_mode=euler_mode), xs)
         assert np.all(np.isfinite(got.values)) and np.all(np.abs(got.values) < 1.0)
         assert np.all(got.grads > 0.0)
@@ -366,6 +392,44 @@ class TestNormalizationGeometry:
         got = activate(ModHtan(), s * batch).values
         want = activate(ModHtan(), batch).values
         assert np.max(np.abs(got - want)) <= bound + self.ROUNDING
+
+
+class TestFixedOffsetFloor:
+    """A fixed offset_1 is floored, entry by entry, by that entry's own
+    adaptive offset (1 + _DELTA) * |x| + _KAPPA.  So x + offset >= _DELTA * |x| + _KAPPA
+    for any positive offset: no pole, x_norm keeps the sign of x and lies in the
+    adaptive path's (-1/_DELTA, 1/(2 + _DELTA)), and each entry's value depends on
+    that entry alone."""
+
+    ROUNDING = 16 * np.finfo(float).eps
+
+    @given(
+        arrays(float, array_shapes(max_dims=2, max_side=20), elements=finite_floats),
+        st.floats(min_value=0.0, max_value=sys.float_info.max, exclude_min=True),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_sign_kept_and_range_bounded(self, batch, fixed_offset):
+        got = x_norm(batch, fixed_offset)
+        assert np.array_equal(np.signbit(got), np.signbit(batch))
+        # rounding of the offset and the denominator moves the bounds by a few ulps
+        assert np.all(got > -(1.0 + self.ROUNDING) / _DELTA)
+        assert np.all(got < (1.0 + self.ROUNDING) / (2.0 + _DELTA))
+
+    # the batch reaches both sides of each pole, +-1e308 and denormals; 249 = 83 x 3 entries
+    BATCH = np.concatenate([np.linspace(-6.0, 6.0, 241), [-1.0, -3.0, 1e308, -1e308, 5e-324, -0.0, 1e6, -1e6]])
+    LAYOUTS = {"1d": BATCH, "2d": BATCH.reshape(83, 3), "2d-sample-minor": np.asfortranarray(BATCH.reshape(83, 3))}
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("euler_mode", EULER_MODES)
+    @pytest.mark.parametrize("fixed_offset", [5e-324, 1.0, 3.0, 1e300])
+    def test_elementwise_bytewise(self, fixed_offset, euler_mode, layout):
+        batch = self.LAYOUTS[layout]
+        kind = ModHtan(fixed_offset=fixed_offset, euler_mode=euler_mode)
+        whole = activate(kind, batch)
+        alone = [activate(kind, x) for x in batch.ravel()]
+        assert whole.values.tobytes() == np.reshape([r.values for r in alone], batch.shape).tobytes()
+        assert whole.grads.tobytes() == np.reshape([r.grads for r in alone], batch.shape).tobytes()
+        assert whole.offset_1 == fixed_offset
 
 
 class TestActivateDispatch:

@@ -10,7 +10,7 @@ from modhtan import bench
 from modhtan.activations import Elu, Htan, ModHtan, SoftStep, activate
 from modhtan.bench import (
     CURVE_PRESETS,
-    MAX_CURVE_POINTS,
+    MAX_POINTS,
     ApproxBenchResult,
     BenchReport,
     BenchRow,
@@ -80,6 +80,12 @@ class TestExperimentSpec:
     def test_rejects_fewer_than_two_points(self, n_points):
         with pytest.raises(ValueError, match="n_points"):
             tiny_spec(n_points=n_points)
+
+    def test_points_bounded_like_a_curve_grid(self):
+        # checked before gen_quadratic allocates anything
+        assert tiny_spec(n_points=MAX_POINTS).n_points == MAX_POINTS
+        with pytest.raises(ValueError, match=f"^n_points must be from 2 to {MAX_POINTS}, got {MAX_POINTS + 1}$"):
+            tiny_spec(n_points=MAX_POINTS + 1)
 
     def test_one_hidden_unit_is_the_smallest_model(self):
         with pytest.raises(ValueError, match="^n_hidden must be >= 1, got 0$"):
@@ -264,10 +270,10 @@ class TestCurves:
         assert curve_grid(lo, hi, step).shape == (2001,)
 
     def test_point_count_bound(self):
-        assert curve_grid(0.0, MAX_CURVE_POINTS - 1.0, 1.0).shape == (MAX_CURVE_POINTS,)
-        with pytest.raises(ValueError, match=f"^the grid needs {MAX_CURVE_POINTS + 1} points, over the "
-                                             f"{MAX_CURVE_POINTS} a curve may have$"):
-            curve_grid(0.0, float(MAX_CURVE_POINTS), 1.0)
+        assert curve_grid(0.0, MAX_POINTS - 1.0, 1.0).shape == (MAX_POINTS,)
+        with pytest.raises(ValueError, match=f"^the grid needs {MAX_POINTS + 1} points, over the "
+                                             f"{MAX_POINTS} a curve may have$"):
+            curve_grid(0.0, float(MAX_POINTS), 1.0)
 
     def test_bad_ranges_rejected(self):
         with pytest.raises(ValueError):

@@ -349,32 +349,6 @@ class TestBenchCommand:
 
 class TestFitFlags:
     @pytest.mark.parametrize("command", [["train", "--fn", "htan"], ["bench", "--runs", "1"]], ids=["train", "bench"])
-    @pytest.mark.parametrize(
-        "flags",
-        [
-            ["--mu0", "-1"],
-            ["--mu-dec", "2"],
-            ["--lr", "-1", "--trainer", "gdm"],
-            ["--momentum", "1.5", "--trainer", "gdm"],
-            ["--test-fraction", "1.5", "--data", "heart"],
-            ["--n", "1"],
-            ["--epochs", "0"],
-            ["--hidden", "0"],
-            ["--seed", "-1"],
-            ["--mu-max", "inf"],
-            ["--mu-inc", "inf"],
-            ["--mu-inc", "1.01"],
-            ["--lr", "inf", "--trainer", "gdm"],
-        ],
-        ids=["mu0", "mu-dec", "lr", "momentum", "test-fraction", "n", "epochs", "hidden", "seed", "mu-max",
-             "mu-inc-inf", "mu-inc-near-1", "lr-inf"],
-    )
-    def test_bad_value_is_usage_error(self, command, flags, heart_file, capsys):
-        code = main([*command, "--n", "20", "--epochs", "2", "--path", str(heart_file), *flags])
-        assert code == 2
-        assert capsys.readouterr().err.startswith("error: ")
-
-    @pytest.mark.parametrize("command", [["train", "--fn", "htan"], ["bench", "--runs", "1"]], ids=["train", "bench"])
     def test_negative_seed_is_named(self, command, capsys):
         assert main([*command, "--n", "20", "--epochs", "2", "--seed", "-1"]) == 2
         assert capsys.readouterr().err == "error: base_seed must be >= 0, got -1\n"
@@ -587,6 +561,29 @@ USAGE_TABLE = [
     pytest.param(["bench", "--fns", "htan,htan", "--runs", "1", "--n", "30", "--epochs", "3", "--out", "r.md", "r.csv"],
                  2, "error: activation 'htan' is listed twice; the report keys its results by name",
                  id="bench--fns-duplicate"),
+    # a bad fit value is rejected by the experiment's dataclasses before anything is trained;
+    # --n 1000001 before gen_quadratic allocates its points
+    *(
+        pytest.param([*command, "--n", "20", "--epochs", "2", *flags], 2, line, id=f"{command[0]}--{name}")
+        for command in [["train", "--fn", "htan"], ["bench", "--runs", "1"]]
+        for name, flags, line in [
+            ("mu0", ["--mu0", "-1"], "error: mu0 must be positive"),
+            ("mu-dec", ["--mu-dec", "2"], "error: mu_dec must be in (0, 1)"),
+            ("lr", ["--lr", "-1", "--trainer", "gdm"], "error: learning_rate must be positive and finite"),
+            ("momentum", ["--momentum", "1.5", "--trainer", "gdm"], "error: momentum must be in [0, 1)"),
+            ("test-fraction", ["--test-fraction", "1.5", "--data", "heart", "--path", "heart.dat"],
+             "error: test_fraction must be in (0, 1), got 1.5"),
+            ("n", ["--n", "1"], "error: n_points must be from 2 to 1000000, got 1"),
+            ("n-over-max", ["--n", "1000001"], "error: n_points must be from 2 to 1000000, got 1000001"),
+            ("epochs", ["--epochs", "0"], "error: epochs must be >= 1"),
+            ("hidden", ["--hidden", "0"], "error: n_hidden must be >= 1, got 0"),
+            ("seed", ["--seed", "-1"], "error: base_seed must be >= 0, got -1"),
+            ("mu-max", ["--mu-max", "inf"], "error: mu_max must be finite and exceed mu0"),
+            ("mu-inc-inf", ["--mu-inc", "inf"], "error: mu_inc must be finite and > 1"),
+            ("mu-inc-near-1", ["--mu-inc", "1.01"], "error: mu_inc 1.01 lets an epoch try 6944 candidates, over 1000"),
+            ("lr-inf", ["--lr", "inf", "--trainer", "gdm"], "error: learning_rate must be positive and finite"),
+        ]
+    ),
 ]
 
 

@@ -5,7 +5,7 @@ import runpy
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "output_digest.py"
-FAMILIES = ["activate", "train_lm", "train_gdm", "bench", "curves"]
+FAMILIES = ["activate", "activate_fixed", "train_lm", "train_lm_fixed", "train_gdm", "bench", "curves"]
 
 
 def test_one_stable_line_per_family(capsys):
