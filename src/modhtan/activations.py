@@ -152,14 +152,19 @@ def _normalized_input(xs, kind: ModHtan, x_norm, scratch) -> float:
         else:  # the floor never binds on a frozen adaptive offset: no entry's own offset exceeds the batch's
             offset_1 = kind.fixed_offset
             offset = np.add(np.multiply(np.abs(xs, scratch), 1.0 + _DELTA, scratch), _KAPPA, scratch)
-            offset_hi = np.maximum(offset, offset_1, out=offset).max(initial=offset_1)
+            np.maximum(offset, offset_1, out=offset)
+            offset_hi = max((1.0 + _DELTA) * max(hi, -lo) + _KAPPA, offset_1)  # as rounding is monotone
         den = np.add(xs, offset, x_norm)  # may overflow to inf for huge batches; handled below
         # no den overflowed when hi + offset_hi, at least den's max, is below inf; a NaN bound takes the rewrite
         overflowed = None if hi + offset_hi < np.inf else np.isinf(den)
         np.divide(xs, den, x_norm)
         if overflowed is not None and overflowed.any():
             safe = np.where(overflowed, xs, 1.0)
-            np.copyto(x_norm, 1.0 / (1.0 + offset / safe), where=overflowed)
+            ratio = offset / safe
+            if kind.fixed_offset is not None:  # a floor overflows past |x| ~ 1.71e308, where offset_1 is
+                # below (1 + _DELTA) * |x|: |offset / x| is 1 + _DELTA + _KAPPA / |x|, rounding to 1 + _DELTA
+                ratio = np.where(np.isinf(ratio), np.copysign(1.0 + _DELTA, safe), ratio)
+            np.copyto(x_norm, 1.0 / (1.0 + ratio), where=overflowed)
     return offset_1
 
 

@@ -26,7 +26,7 @@ from modhtan.activations import (
     adaptive_offset,
 )
 from modhtan.cli import _activation_from_flags, build_parser
-from modhtan.rnf import RnfParams, euler_constant
+from modhtan.rnf import RnfDomainError, RnfParams, euler_constant
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -329,8 +329,10 @@ class TestModHtan:
         ([1.0, -1e-300], None, 1.0 / (2.0 + _DELTA + _KAPPA)),  # and its highest
         ([1e308], 1.7e308, 1.0 / 2.7),  # an overflowed denominator, rewritten
         ([1.7e308], 1.0, 1.0 / (2.0 + _DELTA)),  # and one whose offset the floor sets
+        ([1.75e308], 1.0, 1.0 / (2.0 + _DELTA)),  # and one whose floor overflows too
+        ([-1.75e308], 1.0, -1.0 / _DELTA),  # a negative x whose floor overflows
     ], ids=["pole", "past-pole", "tiny-offset", "fixed-high", "adaptive-low", "adaptive-high", "overflowed-den",
-            "overflowed-floored-den"])
+            "overflowed-floored-den", "overflowed-floor", "overflowed-floor-negative"])
     def test_finite_at_the_extremes_of_x_norm(self, batch, fixed_offset, expected, euler_mode):
         xs = np.array(batch)
         reached = x_norm(xs, fixed_offset)
@@ -430,6 +432,17 @@ class TestFixedOffsetFloor:
         assert whole.values.tobytes() == np.reshape([r.values for r in alone], batch.shape).tobytes()
         assert whole.grads.tobytes() == np.reshape([r.grads for r in alone], batch.shape).tobytes()
         assert whole.offset_1 == fixed_offset
+
+    @np.errstate(invalid="ignore")
+    def test_non_finite_entries_give_nan(self):
+        # the adaptive path rejects a non-finite batch; a fixed offset passes each such entry on as a
+        # NaN x_norm, which constant mode maps to NaN and direct mode's rnf_exp rejects
+        kind = ModHtan(fixed_offset=1.0)
+        got = activate(kind, [math.inf, -math.inf, math.nan, 1.75e308, -2.0])
+        assert np.isnan(got.values[:3]).all()
+        assert got.values[3:].tobytes() == activate(kind, [1.75e308, -2.0]).values.tobytes()
+        with pytest.raises(RnfDomainError, match="x must be finite"):
+            activate(ModHtan(fixed_offset=1.0, euler_mode="direct"), [math.inf])
 
 
 class TestActivateDispatch:
