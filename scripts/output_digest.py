@@ -49,7 +49,7 @@ def activations(kinds):
 
 
 def fit(trainer, cfg, k, X, T, seed, n_hidden):
-    model, history = trainer(nguyen_widrow_init(X.shape[1], n_hidden, T.shape[1], k, seed=seed), X, T, cfg)
+    model, history = trainer(nguyen_widrow_init(X.shape[1], n_hidden, k, seed=seed), X, T, cfg)
     return history.loss, history.mu, history.termination, history.stall_events, model.theta.tobytes()
 
 

@@ -109,15 +109,15 @@ def elu(xs, v, g):
 
     Computed without a mask as expm1(min(x, 0)) + max(x, -0.0): for
     x > 0 that is 0.0 + x, and for x <= 0 the negative branch plus -0.0,
-    which leaves every value, -0.0 included, unchanged.
+    which leaves every value, -0.0 included, unchanged.  g is min(f + 1, 1):
+    f + 1 is at least 1 for x > 0 and at most 1 for x <= 0.
     """
     np.minimum(xs, 0.0, out=v)
     np.expm1(v, v)
     np.maximum(xs, -0.0, out=g)
     np.add(v, g, v)
     np.add(v, 1.0, g)
-    # putmask copies an array that is not C-contiguous; g.T is, for a sample-minor g or a 1-D grid
-    np.putmask(g.T, xs.T > 0, 1.0)
+    np.minimum(g, 1.0, out=g)
 
 
 def adaptive_offset(lo, hi) -> float:
@@ -142,11 +142,15 @@ def _normalized_input(xs, kind: ModHtan, x_norm, scratch) -> float:
     _KAPPA, held in scratch.  Either way each x + offset is at least
     _DELTA * |x| + _KAPPA, so x_norm has the sign of x and lies in
     (-1/_DELTA, 1/(2 + _DELTA)).  A denominator that overflows (both addends
-    huge and positive) is rewritten as 1 / (1 + offset / x).
+    huge and positive) is rewritten as 1 / (1 + offset / x).  Where the offset
+    itself overflowed (past |x| ~ 1.712e308), offset / x is taken as
+    (1 + _DELTA) * (m / x) + _KAPPA / x, m being the batch's max|x| for the
+    adaptive offset or the entry's own |x| for a floor.
     """
     lo, hi = xs.min(initial=np.inf), xs.max(initial=-np.inf)  # the one pass over the batch for both
-    # an offset overflows to inf past |x| ~ 1.7e308; an infinite entry (a fixed offset lets it in) gives NaN
-    with np.errstate(over="ignore", invalid="ignore"):
+    # an offset overflows to inf past |x| ~ 1.7e308; an infinite entry (a fixed offset lets it in) gives NaN,
+    # and an x = 0 in an overflowed batch divides its m by zero, to x_norm = 1 / (1 + inf) = 0 with x's sign
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if kind.fixed_offset is None:
             offset_1 = offset = offset_hi = adaptive_offset(lo, hi)
         else:  # the floor never binds on a frozen adaptive offset: no entry's own offset exceeds the batch's
@@ -161,9 +165,8 @@ def _normalized_input(xs, kind: ModHtan, x_norm, scratch) -> float:
         if overflowed is not None and overflowed.any():
             safe = np.where(overflowed, xs, 1.0)
             ratio = offset / safe
-            if kind.fixed_offset is not None:  # a floor overflows past |x| ~ 1.71e308, where offset_1 is
-                # below (1 + _DELTA) * |x|: |offset / x| is 1 + _DELTA + _KAPPA / |x|, rounding to 1 + _DELTA
-                ratio = np.where(np.isinf(ratio), np.copysign(1.0 + _DELTA, safe), ratio)
+            m = max(hi, -lo) if kind.fixed_offset is None else np.abs(safe)  # whose (1 + _DELTA) * m overflowed
+            ratio = np.where(np.isinf(ratio), (1.0 + _DELTA) * (m / safe) + _KAPPA / safe, ratio)
             np.copyto(x_norm, 1.0 / (1.0 + ratio), where=overflowed)
     return offset_1
 
@@ -176,8 +179,9 @@ def modhtan(xs, kind: ModHtan, v, g) -> float:
     tanh(c * x_norm), the form "constant" mode computes: one np.tanh pass,
     accurate near f = 0, -0.0 kept.  "direct" mode evaluates the rational
     formula at -2 * x_norm, within (-1, 2 / _DELTA), per input.  Outputs
-    stay strictly inside (-1, 1): rounding lands on -1 once x_norm passes
-    ~-19, which would zero the 1 - f**2 gradient.
+    stay above -1: rounding lands on -1 once x_norm passes ~-19, which would
+    zero the 1 - f**2 gradient.  x_norm < 1/(2 + _DELTA) keeps them below
+    tanh(c / (2 + _DELTA)) ~ 0.4525 in either mode, so no upper bound binds.
     """
     offset_1 = _normalized_input(xs, kind, v, g)
     if kind.euler_mode == "constant":
@@ -186,7 +190,7 @@ def modhtan(xs, kind: ModHtan, v, g) -> float:
     else:
         np.add(rnf_exp(np.multiply(v, -2.0, v)), 1.0, v)
         np.subtract(np.divide(2.0, v, v), 1.0, v)
-    v.clip(math.nextafter(-1.0, 0.0), math.nextafter(1.0, 0.0), out=v)
+    np.maximum(v, math.nextafter(-1.0, 0.0), out=v)
     # a surrogate, not the derivative of modhtan: 1 - f**2 leaves out the d(x_norm)/dx factor
     np.multiply(v, v, g)
     np.subtract(1.0, g, g)

@@ -117,14 +117,13 @@ def iter_runs(spec: ExperimentSpec) -> Iterator[Run]:
         data = load_heart(spec.heart_path)
     metric_name = "mse" if synthetic else "accuracy_pct"
     fit = train_gdm if isinstance(spec.trainer, GdmConfig) else train_lm
-    n_in, n_out = data.X.shape[1], data.T.shape[1]
     for kind in spec.activations:
         for run in range(spec.runs):
             seed = spec.base_seed + run
             train_ds = data
             if not synthetic:
                 train_ds, test_ds = split(data, SplitSpec(spec.test_fraction, seed=seed))
-            model = nguyen_widrow_init(n_in, spec.n_hidden, n_out, kind, seed=seed)
+            model = nguyen_widrow_init(data.X.shape[1], spec.n_hidden, kind, seed=seed)
             t0 = time.perf_counter()
             model, history = fit(model, train_ds.X, train_ds.T, spec.trainer)
             runtime = time.perf_counter() - t0

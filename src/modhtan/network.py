@@ -1,13 +1,13 @@
-"""One-hidden-layer feed-forward network with a linear output layer.
+"""One-hidden-layer feed-forward network with one linear output unit.
 
 A model holds one parameter vector theta; W1, b1, W2 and b2 are views of it,
-in that order with W1 and W2 row-major, as are J's columns.  The Jacobian is
-the network's only derivative: the training loss is half the mean squared
-error over all output entries, so its gradient is J^T e / e.size.
+in that order with W1 row-major, as are J's columns.  The Jacobian is the
+network's only derivative: the training loss is half the mean squared error
+over the samples, so its gradient is J^T e / e.size.
 
 Per-sample arrays are sample-minor (F-ordered): z1, h, g and J keep their
-[sample, unit] and [residual, parameter] indexing, with each hidden unit's
-and each parameter's column one contiguous run.  The outputs y stay C-ordered.
+[sample, unit] and [sample, parameter] indexing, with each hidden unit's and
+each parameter's column one contiguous run.  The outputs y stay C-ordered.
 """
 
 from __future__ import annotations
@@ -28,16 +28,15 @@ class StallError(RuntimeError):
 class MlpModel:
     n_in: int
     n_hidden: int
-    n_out: int
     theta: np.ndarray  # every parameter; a float64 array is held, not copied
     hidden_kind: ActivationKind
     W1: np.ndarray = field(init=False)  # n_hidden x n_in
     b1: np.ndarray = field(init=False)  # n_hidden
-    W2: np.ndarray = field(init=False)  # n_out x n_hidden
-    b2: np.ndarray = field(init=False)  # n_out
+    W2: np.ndarray = field(init=False)  # 1 x n_hidden
+    b2: np.ndarray = field(init=False)  # 1
 
     def __post_init__(self):
-        shapes = _shapes(self.n_in, self.n_hidden, self.n_out)
+        shapes = _shapes(self.n_in, self.n_hidden)
         starts = np.cumsum([0] + [math.prod(shape) for shape in shapes.values()]).tolist()
         self.theta = np.asarray(self.theta, dtype=float)
         if self.theta.shape != (starts[-1],):
@@ -46,12 +45,12 @@ class MlpModel:
             setattr(self, name, self.theta[start:end].reshape(shape))  # a view
 
 
-def _shapes(n_in: int, n_hidden: int, n_out: int) -> dict[str, tuple[int, ...]]:
+def _shapes(n_in: int, n_hidden: int) -> dict[str, tuple[int, ...]]:
     """The parameter layout: theta's arrays in order, each row-major; a dimension below 1 is a ValueError."""
-    for name, value in (("n_in", n_in), ("n_hidden", n_hidden), ("n_out", n_out)):
+    for name, value in (("n_in", n_in), ("n_hidden", n_hidden)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
-    return {"W1": (n_hidden, n_in), "b1": (n_hidden,), "W2": (n_out, n_hidden), "b2": (n_out,)}
+    return {"W1": (n_hidden, n_in), "b1": (n_hidden,), "W2": (1, n_hidden), "b2": (1,)}
 
 
 @dataclass
@@ -59,7 +58,7 @@ class ForwardCache:
     z1: np.ndarray        # hidden pre-activations, samples x n_hidden, F-ordered
     h: np.ndarray         # hidden activations, laid out as z1
     g: np.ndarray         # hidden gradients (elementwise, at z1), laid out as z1
-    y: np.ndarray         # outputs, samples x n_out, C-ordered
+    y: np.ndarray         # outputs, samples x 1, C-ordered
     offset_1: float | None  # modhtan offset used for this batch, else None
 
 
@@ -69,10 +68,10 @@ def n_params(model: MlpModel) -> int:
 
 def with_params(model: MlpModel, theta: np.ndarray) -> MlpModel:
     """Model of model's shape and kind whose weight arrays are views of theta."""
-    return MlpModel(model.n_in, model.n_hidden, model.n_out, theta, model.hidden_kind)
+    return MlpModel(model.n_in, model.n_hidden, theta, model.hidden_kind)
 
 
-def nguyen_widrow_init(n_in: int, n_hidden: int, n_out: int, hidden_kind: ActivationKind, seed: int) -> MlpModel:
+def nguyen_widrow_init(n_in: int, n_hidden: int, hidden_kind: ActivationKind, seed: int) -> MlpModel:
     """Layer initialization that spreads hidden units over the input range.
 
     Hidden weights are drawn uniform in [-1, 1] and each unit's row is
@@ -80,15 +79,15 @@ def nguyen_widrow_init(n_in: int, n_hidden: int, n_out: int, hidden_kind: Activa
     uniform in [-beta, beta].  The linear output layer is uniform in
     [-0.5, 0.5].  Deterministic for a given seed.
     """
-    _shapes(n_in, n_hidden, n_out)  # rejects a dimension below 1
+    _shapes(n_in, n_hidden)  # rejects a dimension below 1
     rng = np.random.default_rng(seed)
     beta = 0.7 * n_hidden ** (1.0 / n_in)
     W1 = rng.uniform(-1.0, 1.0, size=(n_hidden, n_in))
     W1 = beta * W1 / np.linalg.norm(W1, axis=1, keepdims=True)
     b1 = rng.uniform(-beta, beta, size=n_hidden)
-    W2 = rng.uniform(-0.5, 0.5, size=(n_out, n_hidden))
-    b2 = rng.uniform(-0.5, 0.5, size=n_out)
-    return MlpModel(n_in, n_hidden, n_out, np.concatenate([W1.ravel(), b1, W2.ravel(), b2]), hidden_kind)
+    W2 = rng.uniform(-0.5, 0.5, size=(1, n_hidden))
+    b2 = rng.uniform(-0.5, 0.5, size=1)
+    return MlpModel(n_in, n_hidden, np.concatenate([W1.ravel(), b1, W2.ravel(), b2]), hidden_kind)
 
 
 def forward(model: MlpModel, X, out: ForwardCache | None = None) -> tuple[np.ndarray, ForwardCache]:
@@ -129,31 +128,24 @@ def jacobian(model: MlpModel, X, T, cache: ForwardCache, out: np.ndarray | None 
     """Residual Jacobian J and residual vector e = (y - t) flattened.
 
     X and T are the 2-D float arrays the cache was computed from.  J has one
-    row per residual (samples major, outputs minor) and one column per
-    parameter in theta's order; J^T e / e.size is the training loss's
-    gradient.  J is F-ordered, each column contiguous.  out, when given, is a
-    J from an earlier call for the same model shape and sample count: its
-    constant columns (output-layer zeros and ones) are kept, the rest rewritten.
+    row per sample and one column per parameter in theta's order; J^T e /
+    e.size is the training loss's gradient.  J is F-ordered, each column
+    contiguous.  out, when given, is a J from an earlier call for the same
+    model shape and sample count: its b2 column of ones is kept, the rest
+    rewritten.
     """
-    samples, n_out, n_hidden, n_in = X.shape[0], model.n_out, model.n_hidden, model.n_in
-    b1_at, w2_at, b2_at = model.W1.size, model.W1.size + n_hidden, model.theta.size - n_out
-    shape = (samples * n_out, model.theta.size)
+    b1_at, w2_at = model.W1.size, model.W1.size + model.n_hidden
+    shape = (X.shape[0], model.theta.size)
     J = out
     if J is None:
-        J = np.zeros(shape, order="F")
-        J.reshape(samples, n_out, -1)[:, :, b2_at:] = np.eye(n_out)
+        J = np.empty(shape, order="F")
+        J[:, -1] = 1.0  # d y / d b2
     elif J.shape != shape or not J.flags.f_contiguous:
         raise ValueError(f"out must be an F-contiguous array of shape {shape}")
-    rows = J.reshape(samples, n_out, -1)  # views throughout: only the contiguous row axis is split
-    # d y_o / d b1_h = W2[o, h] * g[s, h]; d y_o / d W1[h, i] = that times X[s, i]
-    d_b1 = rows[:, :, b1_at:w2_at]
-    np.multiply(model.W2, cache.g[:, None, :], d_b1)
-    d_w1 = rows[:, :, :b1_at].reshape(samples, n_out, n_hidden, n_in)
-    np.multiply(d_b1[:, :, :, None], X[:, None, None, :], d_w1)
-    # d y_o / d W2[p, h] = h[s, h] where p = o, else the constant 0
-    d_w2 = rows[:, :, w2_at:b2_at].reshape(samples, n_out, n_out, n_hidden)
-    for o in range(n_out):
-        np.positive(cache.h, d_w2[:, o, o, :])  # a copy
+    # d y / d b1_h = W2[0, h] * g[s, h]; d y / d W1[h, i] = that times X[s, i]
+    d_b1 = np.multiply(model.W2, cache.g, J[:, b1_at:w2_at])
+    d_w1 = J[:, :b1_at].reshape(X.shape[0], model.n_hidden, model.n_in)  # a view: J is F-ordered
+    np.multiply(d_b1[:, :, None], X[:, None, :], d_w1)
+    np.positive(cache.h, J[:, w2_at:-1])  # d y / d W2[0, h] = h[s, h], a copy
     e = (cache.y - T).ravel()
     return J, e
-

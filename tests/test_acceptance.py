@@ -78,7 +78,7 @@ def test_extreme_input_robustness():
 
 def test_network_matches_scalar_oracle():
     rng = np.random.default_rng(7)
-    model = nguyen_widrow_init(2, 2, 1, Htan(), seed=7)
+    model = nguyen_widrow_init(2, 2, Htan(), seed=7)
     X = rng.normal(size=(100, 2))
     T = rng.normal(size=(100, 1))
     y, cache = forward(model, X)

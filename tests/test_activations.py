@@ -331,8 +331,12 @@ class TestModHtan:
         ([1.7e308], 1.0, 1.0 / (2.0 + _DELTA)),  # and one whose offset the floor sets
         ([1.75e308], 1.0, 1.0 / (2.0 + _DELTA)),  # and one whose floor overflows too
         ([-1.75e308], 1.0, -1.0 / _DELTA),  # a negative x whose floor overflows
+        ([1.75e308], None, 1.0 / (2.0 + _DELTA)),  # an adaptive offset past float max
+        ([-1.75e308], None, -1.0 / _DELTA),  # and its negative
+        ([1.72e308, 1.75e308], None, 1.0 / (1.0 + (1.0 + _DELTA) * (1.75 / 1.72))),  # below the batch's max|x|
     ], ids=["pole", "past-pole", "tiny-offset", "fixed-high", "adaptive-low", "adaptive-high", "overflowed-den",
-            "overflowed-floored-den", "overflowed-floor", "overflowed-floor-negative"])
+            "overflowed-floored-den", "overflowed-floor", "overflowed-floor-negative", "overflowed-adaptive",
+            "overflowed-adaptive-negative", "overflowed-adaptive-below-max"])
     def test_finite_at_the_extremes_of_x_norm(self, batch, fixed_offset, expected, euler_mode):
         xs = np.array(batch)
         reached = x_norm(xs, fixed_offset)

@@ -191,7 +191,7 @@ class TestRunExperiment:
         for kind in kinds:
             for r in range(spec.runs):
                 train, test = split(data, SplitSpec(0.2, seed=5 + r))
-                model, history = train_lm(nguyen_widrow_init(13, 2, 1, kind, seed=5 + r), train.X, train.T, cfg)
+                model, history = train_lm(nguyen_widrow_init(13, 2, kind, seed=5 + r), train.X, train.T, cfg)
                 train_mse = mse(forward(model, train.X)[0], train.T)
                 accuracy = classification_accuracy(forward(model, test.X)[0], test.T)
                 expected.append((r, kind.name, model.theta.tobytes(), history.loss, train_mse, accuracy))

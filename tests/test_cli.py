@@ -6,7 +6,7 @@ import warnings
 import pytest
 
 from modhtan import bench, cli, training
-from modhtan.activations import Htan, ModHtan
+from modhtan.activations import Htan, ModHtan, activate
 from modhtan.bench import dump_curves
 from modhtan.cli import build_parser, main
 from modhtan.datasets import make_heart_fixture
@@ -31,6 +31,20 @@ class TestCurvesCommand:
         out = tmp_path / "s.csv"
         assert main(["curves", "--fn", "softstep", "--preset", "exploding", "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 2002  # header + 2001 samples
+
+    @pytest.mark.parametrize("euler_mode", ["constant", "direct"])
+    def test_modhtan_rises_past_the_offset_overflow(self, tmp_path, euler_mode):
+        # past max|x| ~ 1.712e308 the adaptive offset overflows float max; x_norm still falls with the
+        # ratio max|x| / x, so the curve climbs to the value every batch takes at its max|x|
+        out = tmp_path / "m.csv"
+        assert main(["curves", "--fn", "modhtan", "--euler-mode", euler_mode, "--lo", "1.72e308", "--hi", "1.75e308",
+                     "--step", "1e306", "--out", str(out)]) == 0
+        values = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+        assert len(values) == 4 and values == sorted(values)
+        kind = ModHtan(euler_mode=euler_mode)
+        # f(1.7e308) under this curve's offset, and alone, where x_norm is 1 / (2 + _DELTA) as at the curve's end
+        assert values[0] >= activate(kind, [1.7e308, 1.75e308]).values[0] > 0.0
+        assert values[-1] == activate(kind, [1.7e308]).values[0]
 
     def test_default_output_name(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -65,10 +65,12 @@ def oracle_normalized_input(xs, offset_1):
     overflowed = np.isinf(den)
     if np.any(overflowed):
         safe = np.where(overflowed, xs, 1.0)
-        with np.errstate(over="ignore"):
+        # an infinite offset / x: a floor past |x| ~ 1.71e308, or an adaptive offset_1 past max|x| ~ 1.71e308,
+        # is (1 + _DELTA) * m + _KAPPA with m = |x| or max|x|
+        m = np.abs(safe) if np.isfinite(offset_1) else np.max(np.abs(xs))
+        with np.errstate(over="ignore", divide="ignore"):
             ratio = offset / safe
-        if np.isfinite(offset_1):  # only a floor past |x| ~ 1.71e308 overflows; offset / x rounds to 1 + _DELTA
-            ratio = np.where(np.isinf(ratio), np.copysign(1.0 + _DELTA, safe), ratio)
+            ratio = np.where(np.isinf(ratio), (1.0 + _DELTA) * (m / safe) + _KAPPA / safe, ratio)
         x_norm = np.where(overflowed, 1.0 / (1.0 + ratio), x_norm)
     return x_norm
 
@@ -100,13 +102,10 @@ def oracle_activate(kind, xs):
 
 
 def oracle_jacobian(model, X, T, cache):
-    samples, n_out = X.shape[0], model.n_out
-    eye_o = np.eye(n_out)
-    j_w1 = np.einsum("oh,sh,si->sohi", model.W2, cache.g, X).reshape(samples, n_out, -1)
-    j_b1 = np.einsum("oh,sh->soh", model.W2, cache.g)
-    j_w2 = np.einsum("op,sh->soph", eye_o, cache.h).reshape(samples, n_out, -1)
-    j_b2 = np.broadcast_to(eye_o, (samples, n_out, n_out))
-    J = np.concatenate([j_w1, j_b1, j_w2, j_b2], axis=2).reshape(samples * n_out, -1)
+    samples = X.shape[0]
+    j_w1 = np.einsum("h,sh,si->shi", model.W2[0], cache.g, X).reshape(samples, -1)
+    j_b1 = np.einsum("h,sh->sh", model.W2[0], cache.g)
+    J = np.concatenate([j_w1, j_b1, cache.h, np.ones((samples, 1))], axis=1)
     return J, (cache.y - T).ravel()
 
 
@@ -333,11 +332,11 @@ class TestTanhForms:
         assert math.copysign(1.0, activate(fixed, -0.0).values) == -1.0  # -0.0 / (-0.0 + 1.0) is -0.0
 
 
-def _problem(n_in, n_hidden, n_out, kind=Htan(), seed=0, samples=60):
+def _problem(n_in, n_hidden, kind=Htan(), seed=0, samples=60):
     rng = np.random.default_rng(seed)
-    model = nguyen_widrow_init(n_in, n_hidden, n_out, kind, seed=seed)
+    model = nguyen_widrow_init(n_in, n_hidden, kind, seed=seed)
     X = rng.uniform(-1.0, 1.0, size=(samples, n_in))
-    T = rng.uniform(-1.0, 1.0, size=(samples, n_out))
+    T = rng.uniform(-1.0, 1.0, size=(samples, 1))
     return model, X, T
 
 
@@ -347,7 +346,7 @@ class TestJacobianOracle:
     match is by value, not by bytes: where g = 0 and W2 < 0 a plain product
     is -0.0, while einsum accumulates the product into +0.0."""
 
-    @pytest.mark.parametrize("dims", [(13, 2, 1), (3, 4, 2), (1, 50, 1)], ids=["n_in=13", "n_out=2", "wide"])
+    @pytest.mark.parametrize("dims", [(13, 2), (3, 4), (1, 50)], ids=["n_in=13", "n_in=3", "wide"])
     def test_matches_einsum(self, dims):
         model, X, T = _problem(*dims)
         _, cache = forward(model, X)
@@ -357,7 +356,7 @@ class TestJacobianOracle:
         assert e.tobytes() == e_ref.tobytes()
 
     def test_zero_gradient_entries_match_by_value(self):
-        model, X, T = _problem(3, 4, 2)
+        model, X, T = _problem(3, 4)
         model.W2[:] = -np.abs(model.W2)  # W2 < 0 everywhere
         _, cache = forward(model, X)
         cache.g[::2] = 0.0  # every other sample saturates all units
@@ -370,8 +369,8 @@ class TestJacobianOracle:
 class TestWorkspaceReuse:
     @pytest.mark.parametrize("kind", KINDS[:3] + [ModHtan()], ids=_kind_id)
     def test_forward_into_workspace_bytewise(self, kind):
-        model, X, _ = _problem(13, 3, 1, kind=kind, seed=1)
-        other, _, _ = _problem(13, 3, 1, kind=ModHtan(fixed_offset=2.0), seed=2)
+        model, X, _ = _problem(13, 3, kind=kind, seed=1)
+        other, _, _ = _problem(13, 3, kind=ModHtan(fixed_offset=2.0), seed=2)
         _, workspace = forward(other, X)  # last held another kind's data
         y_ref, ref = forward(model, X)
         y, cache = forward(model, X, workspace)
@@ -382,8 +381,8 @@ class TestWorkspaceReuse:
         assert cache.offset_1 == ref.offset_1
 
     def test_jacobian_buffer_reused_across_caches(self):
-        model, X, T = _problem(3, 4, 2)  # W1 12, b1 4, W2 8, b2 2 columns
-        other, _, _ = _problem(3, 4, 2, seed=5)
+        model, X, T = _problem(3, 4)  # W1 12, b1 4, W2 4, b2 1 columns
+        other, _, _ = _problem(3, 4, seed=5)
         _, first = forward(other, X)
         J, _ = jacobian(other, X, T, first)
         _, cache = forward(model, X)
@@ -392,13 +391,22 @@ class TestWorkspaceReuse:
         assert J_again is J
         assert J.tobytes() == J_fresh.tobytes()
         assert e.tobytes() == e_fresh.tobytes()
-        rows = J.reshape(len(X), 2, -1)
-        w2 = rows[:, :, 16:24].reshape(len(X), 2, 2, 4)
-        assert not w2[:, 0, 1].any() and not w2[:, 1, 0].any()
-        assert np.array_equal(rows[:, :, 24:], np.broadcast_to(np.eye(2), (len(X), 2, 2)))
+        assert J.shape == (len(X), 21) and np.all(J[:, 20] == 1.0)
+
+    @pytest.mark.parametrize("dims", [(13, 2), (3, 4), (1, 50)], ids=["n_in=13", "n_in=3", "wide"])
+    def test_jacobian_writes_every_column_but_the_ones(self, dims):
+        # a fresh J is np.empty plus its b2 column of ones: every other column must be written
+        model, X, T = _problem(*dims)
+        _, cache = forward(model, X)
+        J_fresh, _ = jacobian(model, X, T, cache)
+        out = np.full(J_fresh.shape, np.nan, order="F")
+        out[:, -1] = 1.0
+        J, _ = jacobian(model, X, T, cache, out)
+        assert J is out
+        assert J.tobytes() == J_fresh.tobytes()
 
     def test_jacobian_rejects_a_mismatched_buffer(self):
-        model, X, T = _problem(3, 4, 2)
+        model, X, T = _problem(3, 4)
         _, cache = forward(model, X)
         J, _ = jacobian(model, X, T, cache)
         with pytest.raises(ValueError, match="F-contiguous"):
@@ -408,9 +416,9 @@ class TestWorkspaceReuse:
 
     @pytest.mark.parametrize("stage", ["hidden", "output"])
     def test_workspace_reusable_after_stall(self, stage):
-        model, X, _ = _problem(13, 3, 1, seed=3)
+        model, X, _ = _problem(13, 3, seed=3)
         _, workspace = forward(model, X)
-        broken, _, _ = _problem(13, 3, 1, seed=3)
+        broken, _, _ = _problem(13, 3, seed=3)
         if stage == "hidden":
             broken.W1[:] = 1e308  # z1 overflows
         else:
@@ -425,7 +433,7 @@ class TestWorkspaceReuse:
     def test_seeded_train_lm_repeats_in_process(self):
         runs = []
         for _ in range(2):
-            model, X, T = _problem(13, 3, 1, kind=ModHtan(), seed=4)
+            model, X, T = _problem(13, 3, kind=ModHtan(), seed=4)
             fitted, history = train_lm(model, X, T, LmConfig(epochs=30))
             runs.append((history.loss, history.mu, history.termination, fitted.theta.tobytes()))
         assert len(runs[0][0]) > 1
@@ -437,9 +445,10 @@ class TestBiasAddOrder:
 
     @pytest.mark.parametrize("width", [1, 2, 7, 8, 50])
     def test_forward_layers_bytewise(self, width):
-        model, X, _ = _problem(3, width, width, seed=width)
+        model, X, _ = _problem(3, width, seed=width)
         model.b1[::2] = -0.0
-        model.b2[1::2] = -0.0
+        if width % 2:
+            model.b2[:] = -0.0
         X[::4] = 0.0
         for out in (None, forward(model, X)[1]):
             y, cache = forward(model, X, out)
@@ -455,7 +464,7 @@ class TestOneInputForward:
 
     @staticmethod
     def _signed_zero_problem(kind, width):
-        model, X, _ = _problem(1, width, 1, kind=kind, seed=width)
+        model, X, _ = _problem(1, width, kind=kind, seed=width)
         X[::3] = 0.0
         X[1::3] = -0.0
         model.W1[::2] = -model.W1[::2]
@@ -483,7 +492,7 @@ class TestOneInputForward:
 
     @pytest.mark.parametrize("n_in", [1, 13])
     def test_fresh_arrays_are_sample_minor(self, n_in):
-        model, X, T = _problem(n_in, 3, 2)
+        model, X, T = _problem(n_in, 3)
         _, cache = forward(model, X)
         for name in ("z1", "h", "g"):
             assert getattr(cache, name).flags.f_contiguous, name

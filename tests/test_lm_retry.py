@@ -110,18 +110,19 @@ KINDS = {
 
 
 def _problem(shape, kind, seed):
-    n_in, n_hidden, n_out = shape
+    n_in, n_hidden = shape
     rng = np.random.default_rng(100 + seed)
-    if n_in == 1 and n_out == 1:
+    if n_in == 1:
         data = gen_quadratic(120)
         X, T = data.X, data.T
     else:
         X = rng.uniform(-1.0, 1.0, size=(90, n_in))
-        T = np.stack([np.sin(2.0 * X[:, o % n_in]) * X[:, -1] for o in range(n_out)], axis=1)
-    return nguyen_widrow_init(n_in, n_hidden, n_out, kind, seed=seed), X, T
+        T = (np.sin(2.0 * X[:, 0]) * X[:, -1])[:, None]
+    return nguyen_widrow_init(n_in, n_hidden, kind, seed=seed), X, T
 
 
-SHAPES = {"13-2-1": (13, 2, 1), "1-2-1": (1, 2, 1), "1-50-1": (1, 50, 1), "3-4-2": (3, 4, 2)}
+# (inputs, hidden units); the network has one output
+SHAPES = {"13-2-1": (13, 2), "1-2-1": (1, 2), "1-50-1": (1, 50), "3-4-1": (3, 4)}
 
 
 class TestOracleMatrix:
@@ -139,7 +140,7 @@ class TestOracleMatrix:
         # differ from numpy's J.T @ J
         data = gen_quadratic(5000)
         for seed in range(2):
-            model = nguyen_widrow_init(1, 2, 1, kind, seed=seed)
+            model = nguyen_widrow_init(1, 2, kind, seed=seed)
             assert_matches_oracle(model, data.X, data.T, LmConfig(epochs=60))
 
 
@@ -152,18 +153,17 @@ def c_ordered_layers(model, X):
     else:
         z1 = np.matmul(X, model.W1.T) + model.b1
     h, g, _ = activate(model.hidden_kind, z1)
-    samples, n_out, n_hidden = len(X), model.n_out, model.n_hidden
-    rows = np.zeros((samples, n_out, n_params(model)))
+    samples, n_hidden = len(X), model.n_hidden
+    J = np.zeros((samples, n_params(model)))
     b1_at = n_hidden * model.n_in
     w2_at = b1_at + n_hidden
-    d_b1 = rows[:, :, b1_at:w2_at]
-    np.multiply(model.W2, g[:, None, :], d_b1)
-    d_w1 = rows[:, :, :b1_at].reshape(samples, n_out, n_hidden, -1)
-    np.multiply(d_b1[:, :, :, None], X[:, None, None, :], d_w1)
-    for o in range(n_out):
-        rows[:, o, w2_at + o * n_hidden:w2_at + (o + 1) * n_hidden] = h
-        rows[:, o, w2_at + n_out * n_hidden + o] = 1.0
-    return z1, h, g, rows.reshape(samples * n_out, -1)
+    d_b1 = J[:, b1_at:w2_at]
+    np.multiply(model.W2, g, d_b1)
+    d_w1 = J[:, :b1_at].reshape(samples, n_hidden, -1)
+    np.multiply(d_b1[:, :, None], X[:, None, :], d_w1)
+    J[:, w2_at:-1] = h
+    J[:, -1] = 1.0
+    return z1, h, g, J
 
 
 class TestSampleMinorLayers:
@@ -188,7 +188,7 @@ class TestEpochEndings:
     def test_mu_max_drops_the_second_solution(self):
         # mu0 * mu_inc is already past mu_max, so the first rejection ends the
         # fit without a second solve
-        model, X, T = _problem((13, 2, 1), Htan(), 0)
+        model, X, T = _problem((13, 2), Htan(), 0)
         loss, mu, termination, *_ = assert_matches_oracle(model, X, T, LmConfig(mu_max=5e-3, epochs=200))
         assert termination == "mu_max"
         assert len(loss) == 1 and mu == []
@@ -196,7 +196,7 @@ class TestEpochEndings:
     def test_first_candidate_accepted(self):
         # an epoch that ends at mu * mu_dec took its first candidate, the one
         # solve at mu
-        model, X, T = _problem((1, 2, 1), Htan(), 0)
+        model, X, T = _problem((1, 2), Htan(), 0)
         cfg = LmConfig(epochs=40)
         _, mu, *_ = assert_matches_oracle(model, X, T, cfg)
         assert any(after == before * cfg.mu_dec for before, after in zip(mu, mu[1:]))
@@ -204,7 +204,7 @@ class TestEpochEndings:
     def test_accepted_streak_stops_at_the_mu_floor(self):
         # each acceptance divides mu by 1e9, so from mu0 = 1e-3 the third
         # accepted epoch would take mu below _MU_MIN
-        model, X, T = _problem((1, 50, 1), KINDS["modhtan-adaptive"], 1)
+        model, X, T = _problem((1, 50), KINDS["modhtan-adaptive"], 1)
         _, mu, *_ = assert_matches_oracle(model, X, T, LmConfig(mu_dec=1e-9, epochs=10))
         assert min(mu) == training._MU_MIN
         assert mu.count(training._MU_MIN) > 1
@@ -212,7 +212,7 @@ class TestEpochEndings:
     def test_singular_damped_matrix_grows_mu(self):
         # two identical hidden units give J two equal columns; a damping far
         # below the ulp of J^T J leaves the damped matrix exactly singular
-        model = MlpModel(1, 2, 1, [0.8, 0.8, 0.1, 0.1, 0.4, 0.4, 0.0], Htan())  # W1, b1, W2, b2
+        model = MlpModel(1, 2, [0.8, 0.8, 0.1, 0.1, 0.4, 0.4, 0.0], Htan())  # W1, b1, W2, b2
         data = gen_quadratic(50)
         cfg = LmConfig(mu0=1e-30, epochs=20)
         _, cache = forward(model, data.X)
@@ -223,7 +223,7 @@ class TestEpochEndings:
         _, mu, *_ = assert_matches_oracle(model, data.X, data.T, cfg)
         assert mu and mu[0] > 1e3 * cfg.mu0  # the singular levels were rejected
 
-    @pytest.mark.parametrize("shape", [(13, 2, 1), (1, 50, 1)], ids=["13-2-1", "1-50-1"])
+    @pytest.mark.parametrize("shape", [(13, 2), (1, 50)], ids=["13-2-1", "1-50-1"])
     @pytest.mark.parametrize("kind", [KINDS["htan"], KINDS["modhtan-adaptive"]], ids=["htan", "modhtan-adaptive"])
     def test_many_rejections_per_epoch_on_the_syrk_path(self, monkeypatch, kind, shape):
         # mu_inc = 2 rejects several candidates per epoch; each one's damped
@@ -247,7 +247,7 @@ class TestEpochEndings:
     def test_overflowing_second_level_is_dropped_quietly(self):
         # mu0 * mu_inc overflows to inf, past the finite mu_max: a rejection
         # ends the fit before inf * 0 is formed, so no warning leaks
-        model, X, T = _problem((13, 2, 1), Htan(), 0)
+        model, X, T = _problem((13, 2), Htan(), 0)
         cfg = LmConfig(mu0=1e9, mu_inc=1e300, mu_max=1e10, epochs=3)
         loss, *_ = assert_matches_oracle(model, X, T, cfg)
         assert len(loss) == 3
@@ -256,9 +256,9 @@ class TestEpochEndings:
     def test_non_finite_start_is_a_stall(self, target):
         # the oracle applies train_lm's starting rule: a non-finite first loss
         # stalls the fit before its first Jacobian
-        model, X, T = _problem((3, 4, 2), Htan(), 0)
+        model, X, T = _problem((3, 4), Htan(), 0)
         T = T.copy()
-        T[5, 1] = target
+        T[5, 0] = target
         loss, mu, termination, events, _ = assert_matches_oracle(model, X, T, LmConfig(epochs=10))
         assert (loss, mu, termination, events) == ([], [], "stall", [(0, "training loss is non-finite")])
 
@@ -275,7 +275,7 @@ class TestEpochEndings:
 
             return fake, calls
 
-        model, X, T = _problem((13, 2, 1), Htan(), 1)
+        model, X, T = _problem((13, 2), Htan(), 1)
         cfg = LmConfig(epochs=10)
         oracle_forward, oracle_calls = stalling()
         expected = _outcome(*oracle_train_lm(model, X, T, cfg, forward=oracle_forward))
@@ -287,7 +287,7 @@ class TestEpochEndings:
 
 class TestParameterSlots:
     def test_caller_model_untouched_and_result_owns_its_parameters(self):
-        model, X, T = _problem((3, 4, 2), ModHtan(), 2)
+        model, X, T = _problem((3, 4), ModHtan(), 2)
         before = {name: getattr(model, name).copy() for name in ("W1", "b1", "W2", "b2")}
         fitted, history = train_lm(model, X, T, LmConfig(epochs=15))
         assert len(history.mu) > 1
@@ -313,7 +313,7 @@ class TestParameterSlots:
         monkeypatch.setattr(training, "with_params", counting(built, with_params))
         monkeypatch.setattr(training, "forward", counting(forwards, forward))
         # the default schedule rejects about one candidate per epoch here
-        model, X, T = _problem((1, 2, 1), Htan(), 0)
+        model, X, T = _problem((1, 2), Htan(), 0)
         _, history = train_lm(model, X, T, LmConfig(epochs=epochs))
         assert len(history.mu) == epochs
         assert len(forwards) - 1 > epochs  # candidates: every forward after the fit's first
@@ -322,7 +322,7 @@ class TestParameterSlots:
     def test_no_accepted_step_returns_the_callers_model(self):
         X = np.array([[0.0], [1.0]])
         T = np.zeros((2, 1))
-        model = MlpModel(1, 1, 1, np.zeros(4), Htan())
+        model = MlpModel(1, 1, np.zeros(4), Htan())
         fitted, history = train_lm(model, X, T, LmConfig(epochs=10))
         assert history.termination == "grad_tol"
         assert fitted is model

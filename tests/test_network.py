@@ -2,6 +2,7 @@
 J^T e / e.size, stalls."""
 
 import dataclasses
+import hashlib
 import math
 import re
 
@@ -22,7 +23,7 @@ from modhtan.network import (
 
 
 def make_111(w1=1.0, b1=0.0, w2=1.0, b2=0.0, kind=Htan()):
-    return MlpModel(1, 1, 1, [w1, b1, w2, b2], kind)
+    return MlpModel(1, 1, [w1, b1, w2, b2], kind)
 
 
 def gradient(model, X, T, cache):
@@ -49,37 +50,47 @@ def assert_matches_finite_differences(analytic, model, X, T, h=1e-6):
 
 class TestInit:
     def test_deterministic(self):
-        a = nguyen_widrow_init(1, 2, 1, Htan(), seed=42)
-        b = nguyen_widrow_init(1, 2, 1, Htan(), seed=42)
+        a = nguyen_widrow_init(1, 2, Htan(), seed=42)
+        b = nguyen_widrow_init(1, 2, Htan(), seed=42)
         for name in ("W1", "b1", "W2", "b2"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_different_seeds_differ(self):
-        a = nguyen_widrow_init(1, 2, 1, Htan(), seed=0)
-        b = nguyen_widrow_init(1, 2, 1, Htan(), seed=1)
+        a = nguyen_widrow_init(1, 2, Htan(), seed=0)
+        b = nguyen_widrow_init(1, 2, Htan(), seed=1)
         assert not np.array_equal(a.W1, b.W1)
 
     def test_hidden_row_norm_one_input(self):
-        model = nguyen_widrow_init(1, 2, 1, Htan(), seed=3)
+        model = nguyen_widrow_init(1, 2, Htan(), seed=3)
         norms = np.linalg.norm(model.W1, axis=1)
         assert np.max(np.abs(norms - 1.4)) <= 1e-12  # 0.7 * 2**(1/1)
 
     def test_hidden_row_norm_heart_shape(self):
-        model = nguyen_widrow_init(13, 2, 1, Htan(), seed=3)
+        model = nguyen_widrow_init(13, 2, Htan(), seed=3)
         beta = 0.7 * 2.0 ** (1.0 / 13.0)
         norms = np.linalg.norm(model.W1, axis=1)
         assert np.max(np.abs(norms - beta)) <= 1e-12
 
     def test_bias_and_output_ranges(self):
-        model = nguyen_widrow_init(4, 8, 3, Htan(), seed=9)
+        model = nguyen_widrow_init(4, 8, Htan(), seed=9)
         beta = 0.7 * 8.0 ** (1.0 / 4.0)
         assert np.all(np.abs(model.b1) <= beta)
         assert np.all(np.abs(model.W2) <= 0.5)
         assert np.all(np.abs(model.b2) <= 0.5)
+        assert model.W2.shape == (1, 8) and model.b2.shape == (1,)
+
+    @pytest.mark.parametrize("dims, digest", [
+        ((13, 2), "6c73fdcb7702396c10d1ab2ca5696cfb84e0368a5d42da7b2f02fd8f6d4e0f8c"),
+        ((1, 50), "6bb69661d30dbdcd527a19b4437cca38380b3fa8216531038bf75976a869d850"),
+    ], ids=["heart", "wide"])
+    def test_theta_bytes_pinned(self, dims, digest):
+        # the draws W1, b1, W2 (1 x n_hidden), b2 (1), in that order, as the trainers and benchmarks start from
+        theta = nguyen_widrow_init(*dims, Htan(), seed=7).theta
+        assert hashlib.sha256(theta.tobytes()).hexdigest() == digest
 
     def test_bad_dimensions_rejected(self):
-        for dims, message in [((0, 2, 1), "n_in must be >= 1, got 0"), ((-1, 2, 1), "n_in must be >= 1, got -1"),
-                              ((1, 0, 1), "n_hidden must be >= 1, got 0"), ((1, 2, 0), "n_out must be >= 1, got 0")]:
+        for dims, message in [((0, 2), "n_in must be >= 1, got 0"), ((-1, 2), "n_in must be >= 1, got -1"),
+                              ((1, 0), "n_hidden must be >= 1, got 0")]:
             with pytest.raises(ValueError, match=f"^{message}$"):
                 nguyen_widrow_init(*dims, Htan(), seed=0)
             with pytest.raises(ValueError, match=f"^{message}$"):
@@ -89,7 +100,7 @@ class TestInit:
 class TestForward:
     def test_zero_model_outputs_zero(self):
         for kind in (Htan(), ModHtan()):
-            model = MlpModel(2, 3, 1, np.zeros(13), kind)
+            model = MlpModel(2, 3, np.zeros(13), kind)
             y, _ = forward(model, np.random.default_rng(0).normal(size=(4, 2)))
             assert np.array_equal(y, np.zeros((4, 1)))
 
@@ -100,7 +111,7 @@ class TestForward:
 
     def test_matches_scalar_loop_oracle(self):
         rng = np.random.default_rng(11)
-        model = nguyen_widrow_init(2, 2, 1, Htan(), seed=5)
+        model = nguyen_widrow_init(2, 2, Htan(), seed=5)
         X = rng.normal(size=(5, 2))
         y, _ = forward(model, X)
         for s in range(5):
@@ -146,7 +157,7 @@ class TestForward:
         assert np.all(np.abs(cache.h) < 1.0)
 
     def test_modhtan_offset_lands_in_cache(self):
-        model = MlpModel(1, 2, 1, [1.0, 2.0, 0.0, 0.0, 1.0, 1.0, 0.0], ModHtan())  # W1, b1, W2, b2
+        model = MlpModel(1, 2, [1.0, 2.0, 0.0, 0.0, 1.0, 1.0, 0.0], ModHtan())  # W1, b1, W2, b2
         _, cache = forward(model, np.array([[1.0], [-2.0]]))
         # max |z1| over the batch is 4
         assert cache.offset_1 == pytest.approx(1.05 * 4.0 + 1e-6, rel=1e-15)
@@ -154,7 +165,7 @@ class TestForward:
     @pytest.mark.parametrize("fixed_offset, offset_calls", [(None, 1), (2.0, 0)], ids=["adaptive", "fixed"])
     def test_activate_calls_the_modhtan_module_globals(self, fixed_offset, offset_calls, monkeypatch):
         # the benchmark's per-layer trace times these two by patching the module globals
-        model = nguyen_widrow_init(2, 3, 1, ModHtan(fixed_offset=fixed_offset), seed=0)
+        model = nguyen_widrow_init(2, 3, ModHtan(fixed_offset=fixed_offset), seed=0)
         calls = {"modhtan": [], "adaptive_offset": []}
         for name in calls:
             def recorded(*args, _name=name, _original=getattr(activations, name)):
@@ -169,7 +180,7 @@ class TestForward:
 
 class TestGradient:
     def test_zero_residual_zero_grads(self):
-        model = nguyen_widrow_init(2, 3, 2, Htan(), seed=7)
+        model = nguyen_widrow_init(2, 3, Htan(), seed=7)
         X = np.random.default_rng(1).normal(size=(6, 2))
         y, cache = forward(model, X)
         grads = gradient(model, X, y, cache)
@@ -191,7 +202,7 @@ class TestGradient:
     )
     def test_matches_finite_differences(self, kind):
         rng = np.random.default_rng(23)
-        model = nguyen_widrow_init(2, 2, 1, kind, seed=23)
+        model = nguyen_widrow_init(2, 2, kind, seed=23)
         X = rng.normal(size=(10, 2))
         T = rng.normal(size=(10, 1))
         _, cache = forward(model, X)
@@ -200,20 +211,20 @@ class TestGradient:
 
 class TestJacobian:
     def test_zero_residual_vector(self):
-        model = nguyen_widrow_init(2, 2, 1, Htan(), seed=3)
+        model = nguyen_widrow_init(2, 2, Htan(), seed=3)
         X = np.random.default_rng(4).normal(size=(5, 2))
         y, cache = forward(model, X)
         _, e = jacobian(model, X, y, cache)
         assert np.array_equal(e, np.zeros(5))
 
-    def test_multi_output_gradient_matches_finite_differences(self):
-        model = nguyen_widrow_init(3, 4, 2, Htan(), seed=8)
+    def test_multi_input_gradient_matches_finite_differences(self):
+        model = nguyen_widrow_init(3, 4, Htan(), seed=8)
         rng = np.random.default_rng(8)
         X = rng.normal(size=(7, 3))
-        T = rng.normal(size=(7, 2))
+        T = rng.normal(size=(7, 1))
         _, cache = forward(model, X)
         J, e = jacobian(model, X, T, cache)
-        assert J.shape == (7 * 2, n_params(model))
+        assert J.shape == (7, n_params(model))  # samples x parameters
         assert_matches_finite_differences(J.T @ e / e.size, model, X, T)
 
     def test_hand_chain_rule_single_sample(self):
@@ -233,7 +244,7 @@ class TestJacobian:
 
 class TestParamVector:
     def test_pack_unpack_round_trip(self):
-        model = nguyen_widrow_init(2, 3, 2, Htan(), seed=1)
+        model = nguyen_widrow_init(2, 3, Htan(), seed=1)
         theta = model.theta.copy()
         assert theta.shape == (n_params(model),)
         again = with_params(model, theta)
@@ -242,7 +253,7 @@ class TestParamVector:
 
     def test_weight_arrays_are_views_of_theta(self):
         theta = np.arange(13.0)  # (2, 3, 1): W1 6, b1 3, W2 3, b2 1
-        model = MlpModel(2, 3, 1, theta, Htan())
+        model = MlpModel(2, 3, theta, Htan())
         assert model.theta is theta  # a float64 vector is held, not copied
         assert np.array_equal(np.concatenate([model.W1.ravel(), model.b1, model.W2.ravel(), model.b2]), theta)
         assert model.W1.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
@@ -258,7 +269,7 @@ class TestParamVector:
     def test_shape_mismatch_rejected(self):
         for theta in (np.zeros(8), np.zeros((9, 1))):  # (2, 2, 1) has 9 parameters
             with pytest.raises(ValueError, match=rf"^theta must have shape \(9,\), got {re.escape(str(theta.shape))}$"):
-                MlpModel(2, 2, 1, theta, Htan())
-        model = nguyen_widrow_init(2, 2, 1, Htan(), seed=1)
+                MlpModel(2, 2, theta, Htan())
+        model = nguyen_widrow_init(2, 2, Htan(), seed=1)
         with pytest.raises(ValueError):
             with_params(model, np.zeros(n_params(model) - 1))

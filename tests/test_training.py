@@ -29,8 +29,8 @@ from modhtan.training import (
 )
 
 
-def zero_model(n_in=1, n_hidden=2, n_out=1, kind=Htan()):
-    return MlpModel(n_in, n_hidden, n_out, np.zeros((n_in + 1) * n_hidden + (n_hidden + 1) * n_out), kind)
+def zero_model(n_in=1, n_hidden=2, kind=Htan()):
+    return MlpModel(n_in, n_hidden, np.zeros((n_in + 1) * n_hidden + n_hidden + 1), kind)
 
 
 class TestMetrics:
@@ -67,7 +67,7 @@ class TestGdmStall:
         # modhtan keeps the loss finite while lr 1e30 overflows the weights,
         # so only the check on the updated parameters catches it
         data = gen_quadratic(40)
-        model = nguyen_widrow_init(1, 2, 1, ModHtan(), seed=0)
+        model = nguyen_widrow_init(1, 2, ModHtan(), seed=0)
         _, history = train_gdm(model, data.X, data.T, GdmConfig(learning_rate=1e30, epochs=epochs))
         assert history.termination == "stall"
         assert history.stall_events == [(5, "parameters contain non-finite values")]
@@ -77,14 +77,14 @@ class TestGdmStall:
     def test_output_overflow_is_a_stall_without_a_warning(self):
         # the first step leaves finite weights whose outputs overflow
         data = gen_quadratic(40)
-        model = nguyen_widrow_init(1, 2, 1, Elu(), seed=0)
+        model = nguyen_widrow_init(1, 2, Elu(), seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             _, history = train_gdm(model, data.X, data.T, GdmConfig(learning_rate=1e306, momentum=0.0, epochs=3))
         assert history.stall_events == [(1, "outputs contain non-finite values")]
 
     def test_saturated_hidden_layer_is_not_a_stall(self):
-        model = MlpModel(1, 1, 1, [1e6, 0.0, 1.0, 0.0], Htan())
+        model = MlpModel(1, 1, [1e6, 0.0, 1.0, 0.0], Htan())
         _, history = train_gdm(model, np.array([[1.0]]), np.zeros((1, 1)), GdmConfig(epochs=5))
         assert history.termination == "epochs"
         assert history.stall_events == []
@@ -92,7 +92,7 @@ class TestGdmStall:
 
 def overflowing_model():
     # finite weights whose outputs square past the float range: the first loss is inf
-    return MlpModel(1, 2, 1, [1.0, 0.5, 0.0, 0.0, 1e200, 1e200, 0.0], Htan())  # W1, b1, W2, b2
+    return MlpModel(1, 2, [1.0, 0.5, 0.0, 0.0, 1e200, 1e200, 0.0], Htan())  # W1, b1, W2, b2
 
 
 class TestNonFiniteStart:
@@ -115,7 +115,7 @@ class TestNonFiniteStart:
         ds = gen_quadratic(16)
         T = ds.T.copy()
         T[3, 0] = np.nan
-        self._lm_stalls_at_once(nguyen_widrow_init(1, 2, 1, Htan(), seed=0), ds.X, T)
+        self._lm_stalls_at_once(nguyen_widrow_init(1, 2, Htan(), seed=0), ds.X, T)
 
     def test_gdm_overflowing_loss(self):
         ds = gen_quadratic(16)
@@ -148,7 +148,7 @@ class TestGdm:
     def test_zero_momentum_equals_plain_gradient_descent(self):
         ds = gen_quadratic(16)
         cfg = GdmConfig(learning_rate=0.05, momentum=0.0, epochs=40)
-        start = nguyen_widrow_init(1, 2, 1, Htan(), seed=4)
+        start = nguyen_widrow_init(1, 2, Htan(), seed=4)
         trained, _ = train_gdm(start, ds.X, ds.T, cfg)
 
         theta = start.theta.copy()
@@ -162,7 +162,7 @@ class TestGdm:
 
     def test_caller_model_untouched_and_result_owns_its_parameters(self):
         ds = gen_quadratic(32)
-        model = nguyen_widrow_init(1, 3, 1, ModHtan(), seed=2)
+        model = nguyen_widrow_init(1, 3, ModHtan(), seed=2)
         before = {name: getattr(model, name).copy() for name in ("W1", "b1", "W2", "b2")}
         fitted, history = train_gdm(model, ds.X, ds.T, GdmConfig(epochs=10))
         assert history.termination == "epochs"
@@ -174,7 +174,7 @@ class TestGdm:
 
     def test_runs_exactly_epochs(self):
         ds = gen_quadratic(16)
-        _, history = train_gdm(nguyen_widrow_init(1, 2, 1, Htan(), seed=0), ds.X, ds.T,
+        _, history = train_gdm(nguyen_widrow_init(1, 2, Htan(), seed=0), ds.X, ds.T,
                                GdmConfig(epochs=7))
         assert len(history.loss) == 7
         assert len(history.epoch_time_s) == 7
@@ -191,7 +191,7 @@ class TestGdm:
             return J, e
 
         monkeypatch.setattr(training, "jacobian", recorded)
-        train_gdm(nguyen_widrow_init(1, 2, 1, Htan(), seed=0), ds.X, ds.T, GdmConfig(epochs=7))
+        train_gdm(nguyen_widrow_init(1, 2, Htan(), seed=0), ds.X, ds.T, GdmConfig(epochs=7))
         assert len(passed) == 7
         assert passed[0] is None
         assert all(J is returned[0] for J in passed[1:] + returned)
@@ -199,7 +199,7 @@ class TestGdm:
     def test_stall_aborts_with_partial_history(self):
         ds = gen_quadratic(16)
         cfg = GdmConfig(learning_rate=1e30, epochs=50)  # guaranteed blow-up
-        _, history = train_gdm(nguyen_widrow_init(1, 2, 1, Elu(), seed=0), ds.X, ds.T, cfg)
+        _, history = train_gdm(nguyen_widrow_init(1, 2, Elu(), seed=0), ds.X, ds.T, cfg)
         assert history.termination == "stall"
         assert history.stall_events
         assert len(history.loss) < 50
@@ -221,14 +221,14 @@ class TestLm:
         rng = np.random.default_rng(5)
         X = rng.uniform(0.0, 1.0, size=(40, 1))
         T = 2.0 * X + 1.0
-        model = MlpModel(1, 1, 1, [1.0, 5.0, 0.5, 0.0], Elu())
+        model = MlpModel(1, 1, [1.0, 5.0, 0.5, 0.0], Elu())
         trained, history = train_lm(model, X, T, LmConfig(epochs=25))
         y, _ = forward(trained, X)
         assert mse(y, T) <= 1e-8
 
     def test_accepted_steps_never_increase_loss(self):
         ds = gen_quadratic(64)
-        model = nguyen_widrow_init(1, 2, 1, Htan(), seed=6)
+        model = nguyen_widrow_init(1, 2, Htan(), seed=6)
         _, history = train_lm(model, ds.X, ds.T, LmConfig(epochs=50))
         losses = np.array(history.loss)
         assert np.all(np.diff(losses) <= 0.0)
@@ -236,7 +236,7 @@ class TestLm:
     def test_huge_damping_reduces_to_gradient_step(self):
         mu = 1e10
         ds = gen_quadratic(32)
-        model = nguyen_widrow_init(1, 2, 1, Htan(), seed=2)
+        model = nguyen_widrow_init(1, 2, Htan(), seed=2)
         _, cache = forward(model, ds.X)
         J, e = jacobian(model, ds.X, ds.T, cache)
         theta0 = model.theta.copy()
@@ -249,7 +249,7 @@ class TestLm:
 
     def test_mu_tracks_accept_reject_cycle(self):
         ds = gen_quadratic(32)
-        model = nguyen_widrow_init(1, 2, 1, Htan(), seed=2)
+        model = nguyen_widrow_init(1, 2, Htan(), seed=2)
         _, history = train_lm(model, ds.X, ds.T, LmConfig(epochs=5))
         # recorded values are post-accept (already shrunk by mu_dec); this
         # seed rejects 1e-3, 1e-2, 1e-1 in epoch 1 and accepts at 1.0
@@ -281,7 +281,7 @@ class TestLm:
         monkeypatch.setattr(training, "forward", counting("forward", forward))
         monkeypatch.setattr(training, "jacobian", counting("jacobian", jacobian))
         ds = gen_quadratic(16)
-        model = nguyen_widrow_init(1, 2, 1, SoftStep(), seed=8)
+        model = nguyen_widrow_init(1, 2, SoftStep(), seed=8)
         _, history = train_lm(model, ds.X, ds.T, LmConfig(mu0=1e-12, epochs=200))
         assert history.termination == "mu_max"
         assert len(history.loss) < 200
@@ -299,7 +299,7 @@ class TestLm:
 
         monkeypatch.setattr(training, "jacobian", recorded)
         ds = gen_quadratic(400)
-        train_lm(nguyen_widrow_init(1, 3, 1, kind, seed=0), ds.X, ds.T, LmConfig(epochs=10))
+        train_lm(nguyen_widrow_init(1, 3, kind, seed=0), ds.X, ds.T, LmConfig(epochs=10))
         assert len(caches) == 10
         assert len({offset for offset, _, _ in caches}) > 1  # the adaptive offset moves with z1
         for offset, lo, hi in caches:
@@ -311,7 +311,7 @@ class TestLm:
         seed = 1001008
         make_heart_fixture(tmp_path / "heart.dat", seed=seed)
         train, _ = split(load_heart(tmp_path / "heart.dat"), SplitSpec(seed=seed))
-        model = nguyen_widrow_init(13, 2, 1, Htan(), seed=seed)
+        model = nguyen_widrow_init(13, 2, Htan(), seed=seed)
         _, history = train_lm(model, train.X, train.T, LmConfig())
         assert history.termination == "epochs"
         assert len(history.loss) == 500
@@ -400,7 +400,7 @@ class TestNormalMatrix:
 class TestHistoryExport:
     def test_csv_layout(self, tmp_path):
         ds = gen_quadratic(16)
-        _, history = train_gdm(nguyen_widrow_init(1, 2, 1, Htan(), seed=0), ds.X, ds.T,
+        _, history = train_gdm(nguyen_widrow_init(1, 2, Htan(), seed=0), ds.X, ds.T,
                                GdmConfig(epochs=3))
         path = tmp_path / "history.csv"
         history_to_csv(history, path)
